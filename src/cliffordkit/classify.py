@@ -62,7 +62,8 @@ def classify(sig) -> AlgebraType:
     ring = _RING_BY_MOD8[m8]
     # 2^n = rank^2 * dim_R(ring); doubled tags already carry both blocks
     exp = sig.n - _LOG2_DIM[ring]
-    assert exp % 2 == 0, "dimension identity violated"
+    if exp % 2:
+        raise OracleFailure("dimension identity violated")
     return AlgebraType(m8, ring, 1 << (exp // 2), m8 not in (1, 5))
 
 
@@ -98,7 +99,8 @@ def omega_square_sign(sig) -> int:
     alg = clifford(sig.p, sig.q)
     computed = alg.square_sign(alg.volume_key)
     rule = 1 if (sig.p - sig.q) % 8 in (0, 4) else -1
-    assert computed == rule, "omega^2 rule disagrees with direct computation"
+    if computed != rule:
+        raise OracleFailure("omega^2 rule disagrees with direct computation")
     return computed
 
 
@@ -108,9 +110,7 @@ def central_split_key(alg):
     Its presence makes the algebra split as a direct sum (semisimple over its
     base field); (1 +- z)/2 are then the central projectors.
     """
-    gen_keys = [1 << i for i in range(alg.n)] if alg.is_clifford else None
-    if gen_keys is None:
-        gen_keys = alg.generator_keys()
+    gen_keys = alg.generator_keys()
     for k in alg.basis[1:]:
         if alg.square_sign(k) == 1 and all(alg.keys_commute(k, g) for g in gen_keys):
             return k

@@ -22,10 +22,10 @@ from .classify import (DISPLAY_ALIASES, classify, division_ring_oracle,
                        omega_square_sign)
 from .cone import enumerate_cone
 from .core import Signature
-from .factorize import (IsoError, PAPER_CHAINS, karoubi_factorize,
+from .factorize import (FACTOR_RINGS, IsoError, PAPER_CHAINS, karoubi_factorize,
                         split_semisimple, verify_tensor_iso)
-from .ideals import (SearchError, idempotent_factor_count, left_ideal_basis,
-                     paper_idempotents, primitive_idempotent)
+from .ideals import (OracleFailure, SearchError, idempotent_factor_count,
+                     left_ideal_basis, paper_idempotents, primitive_idempotent)
 from .states import (StateError, additive_spin, annihilate, fuse_detailed,
                      double, parse_state)
 
@@ -306,35 +306,23 @@ def _atlas_entry(p, q):
     }
     if sig.n % 2 == 0:
         entry["omega_square"] = omega_square_sign(sig) if sig.n else 1
-        chains = []
-        seen = set()
         canonical = karoubi_factorize(sig)
-        chains.append({"factors": [[s.p, s.q] for s in canonical.factors],
-                       "ring_trace": [str(t) for t in canonical.ring_trace],
-                       "ring": str(canonical.folded_ring()),
-                       "verified": True, "source": "canonical"})
-        seen.add(tuple((s.p, s.q) for s in canonical.factors))
+        chains = {canonical.factors: (str(canonical.folded_ring()), "canonical")}
         for fac, ring in PAPER_CHAINS.get((p, q), []):
-            if fac in seen:
-                continue
-            seen.add(fac)
-            verify_tensor_iso(sig, fac)  # raises on failure
-            trace = [str(t) for t in
-                     karoubi_ring_trace(fac)]
-            chains.append({"factors": [list(f_) for f_ in fac],
-                           "ring_trace": trace, "ring": ring,
-                           "verified": True, "source": "printed"})
-        entry["factor_chains"] = chains
+            fac = tuple(Signature(*f) for f in fac)
+            if fac not in chains:
+                verify_tensor_iso(sig, fac)  # raises on failure
+                chains[fac] = (ring, "printed")
+        entry["factor_chains"] = [
+            {"factors": [[s.p, s.q] for s in fac],
+             "ring_trace": [str(FACTOR_RINGS[s]) for s in fac],
+             "ring": ring, "verified": True, "source": source}
+            for fac, (ring, source) in chains.items()]
     else:
         split = split_semisimple(sig)
         entry["split"] = {"factor": [split.factor.p, split.factor.q],
                           "complexified": split.complexified}
     return entry
-
-
-def karoubi_ring_trace(factors):
-    from .factorize import FACTOR_RINGS
-    return [FACTOR_RINGS[Signature(*f)] for f in factors]
 
 
 def cmd_atlas(args):
@@ -426,9 +414,12 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (SearchError, IsoError, StateError, ValueError) as e:
+    except ValueError as e:  # StateError included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except (IsoError, OracleFailure, SearchError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_ORACLE
 
 
 if __name__ == "__main__":

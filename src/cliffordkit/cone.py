@@ -109,6 +109,8 @@ def enumerate_cone(max_m: int, m_e=1) -> list:
     if max_m < 0:
         raise ValueError("max_m must be non-negative")
     m_e = Fraction(m_e)
+    if m_e <= 0:
+        raise ValueError("m_e must be positive")
     rows = []
     for m in range(max_m + 1):
         for k in range(m + 1):

@@ -184,14 +184,72 @@ def blade_name(mask: int) -> str:
     return "e" + ",".join(str(i) for i in idx)
 
 
-class CliffordAlgebra:
-    """Cl(p,q) over Q (field='R') or its complexification over Q(i) (field='C').
+class BladeAlgebra:
+    """An algebra over Q (field 'R') or Q(i) (field 'C') with a basis of blades.
 
-    Obtain instances through `clifford(p, q, field)`; they are cached, so
-    identity comparison of parents is meaningful.
+    `Multivector`, the idempotent search and the witness checks see an algebra
+    only through this protocol.  A subclass sets `field`, `n` (the number of
+    generators), `dim` (2^n) and
+
+    - `basis`: every basis key, in canonical order, `unit_key` first;
+    - `index`: each basis key's position in `basis`;
+    - `unit_key`: the key of the identity;
+
+    and defines
+
+    - `mul_key(a, b)`: (key, sign) with blade(a) * blade(b) = sign * blade(key);
+    - `keys_commute(a, b)`: whether blades a and b commute (else they
+      anticommute);
+    - `key_xor(a, b)`: the key of a * b, which is the F2 sum of a and b;
+    - `key_grade(a)`: the number of generator factors of blade a;
+    - `key_name(a)`: the printed name of blade a;
+    - `generator_keys()`: the keys of the n generators, in order.
+
+    This base adds the coefficient handling: `scalar` admits only exact
+    scalars (int, Fraction, QC), and `mv` passes every coefficient through it.
     """
 
-    is_clifford = True
+    def scalar(self, x):
+        """x as a base-field element: Fraction over R, QC over C."""
+        if isinstance(x, QC):
+            if self.field == "C":
+                return x
+            if x.im != 0:
+                raise TypeError("complex coefficient in a real algebra")
+            return x.re
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"inexact scalar {x!r}: use int, Fraction or QC")
+        if self.field == "C":
+            return QC(x)
+        return x if type(x) is Fraction else Fraction(x)
+
+    def mv(self, coeffs: dict) -> "Multivector":
+        # coerce before dropping zeros, so that an inexact 0.0 is rejected too
+        return Multivector(self, {k: s for k, v in coeffs.items()
+                                  if (s := self.scalar(v))})
+
+    def blade(self, key, coeff=1) -> "Multivector":
+        if key not in self.index:
+            raise ValueError(f"{key!r} is not a basis key of {self!r}")
+        return self.mv({key: coeff})
+
+    def zero(self) -> "Multivector":
+        return Multivector(self, {})
+
+    def one(self) -> "Multivector":
+        return self.blade(self.unit_key)
+
+    def square_sign(self, a) -> int:
+        return self.mul_key(a, a)[1]
+
+
+class CliffordAlgebra(BladeAlgebra):
+    """Cl(p,q) over Q (field='R') or its complexification over Q(i) (field='C').
+
+    Basis keys are blade masks.  Obtain instances through
+    `clifford(p, q, field)`; they are cached, so identity comparison of
+    parents is meaningful.
+    """
 
     def __init__(self, sig: Signature, field: str):
         if field not in ("R", "C"):
@@ -216,9 +274,6 @@ class CliffordAlgebra:
             s = -s
         return a ^ b, s
 
-    def square_sign(self, a: int) -> int:
-        return self.mul_key(a, a)[1]
-
     def keys_commute(self, a: int, b: int) -> bool:
         # blades commute or anticommute; compare the two reorder signs
         return self.mul_key(a, b)[1] == self.mul_key(b, a)[1]
@@ -232,30 +287,8 @@ class CliffordAlgebra:
     def key_name(self, a: int) -> str:
         return blade_name(a)
 
-    def scalar(self, x):
-        if self.field == "R":
-            if isinstance(x, QC):
-                if x.im != 0:
-                    raise TypeError("complex coefficient in a real algebra")
-                return x.re
-            return Fraction(x)
-        if isinstance(x, QC):
-            return x
-        return QC(x)
-
-    def mv(self, coeffs: dict) -> "Multivector":
-        return Multivector(self, {k: v for k, v in coeffs.items() if v})
-
-    def blade(self, mask: int, coeff=1) -> "Multivector":
-        if mask < 0 or mask >= self.dim:
-            raise ValueError("blade mask out of range")
-        return self.mv({mask: self.scalar(coeff)})
-
-    def zero(self) -> "Multivector":
-        return Multivector(self, {})
-
-    def one(self) -> "Multivector":
-        return self.blade(0)
+    def generator_keys(self):
+        return [1 << i for i in range(self.n)]
 
     def i(self) -> "Multivector":
         if self.field != "C":
@@ -307,7 +340,7 @@ class Multivector:
         acc = dict(self.c)
         for k, v in other.c.items():
             acc[k] = acc.get(k, 0) + v
-        return self.alg.mv(acc)
+        return _pruned(self.alg, acc)
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
@@ -316,7 +349,7 @@ class Multivector:
         acc = dict(self.c)
         for k, v in other.c.items():
             acc[k] = acc.get(k, 0) - v
-        return self.alg.mv(acc)
+        return _pruned(self.alg, acc)
 
     def __neg__(self):
         return Multivector(self.alg, {k: -v for k, v in self.c.items()})
@@ -331,7 +364,7 @@ class Multivector:
                     k, s = mul(ka, kb)
                     v = va * vb
                     acc[k] = acc.get(k, 0) + (-v if s < 0 else v)
-            return self.alg.mv(acc)
+            return _pruned(self.alg, acc)
         try:
             s = self.alg.scalar(other)
         except (TypeError, ValueError):
@@ -411,6 +444,11 @@ class Multivector:
         return f"<{self.alg!r}: {self}>"
 
 
+def _pruned(alg, acc: dict) -> Multivector:
+    # sums and products of exact coefficients are exact: drop zeros only
+    return Multivector(alg, {k: v for k, v in acc.items() if v})
+
+
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     return a * b
 
@@ -445,14 +483,14 @@ def pseudo_automorphism(a: Multivector) -> Multivector:
 
 
 def volume_element(alg) -> Multivector:
-    alg = _as_algebra(alg)
+    alg = as_algebra(alg)
     return alg.blade(alg.volume_key)
 
 
 def center_basis(alg):
     """Basis keys commuting with every generator, found by brute force."""
-    alg = _as_algebra(alg)
-    gen_keys = [1 << i for i in range(alg.n)]
+    alg = as_algebra(alg)
+    gen_keys = alg.generator_keys()
     out = []
     for k in alg.basis:
         if all(alg.keys_commute(k, g) for g in gen_keys):
@@ -462,11 +500,13 @@ def center_basis(alg):
 
 def even_subalgebra_basis(alg):
     """All even-grade blade masks of Cl(p,q), in canonical order."""
-    alg = _as_algebra(alg)
+    alg = as_algebra(alg)
     return [k for k in alg.basis if grade(k) % 2 == 0]
 
 
-def _as_algebra(x):
-    if isinstance(x, CliffordAlgebra):
+def as_algebra(x, field="R") -> BladeAlgebra:
+    """x itself if it is an algebra, else the Clifford algebra of signature x."""
+    if isinstance(x, BladeAlgebra):
         return x
-    return clifford(as_signature(x))
+    sig = as_signature(x)
+    return clifford(sig.p, sig.q, field)

@@ -23,12 +23,11 @@ verified as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .core import (CliffordAlgebra, Multivector, QC, Signature, as_signature,
-                   blade_name, clifford, grade)
+from .core import (BladeAlgebra, CliffordAlgebra, Multivector, Signature,
+                   as_algebra, as_signature, blade_name, clifford, grade)
 from .rings import RingTag, StateRingTag, ring_transition
 
 TWO_DIM_FACTORS = (Signature(2, 0), Signature(1, 1), Signature(0, 2))
@@ -45,10 +44,11 @@ class IsoError(RuntimeError):
         self.reason = reason
 
 
-class TensorAlgebra:
-    """Plain tensor product of Clifford algebras over a common base field."""
+class TensorAlgebra(BladeAlgebra):
+    """Plain tensor product of Clifford algebras over a common base field.
 
-    is_clifford = False
+    Basis keys are tuples of factor blade masks.
+    """
 
     def __init__(self, factors):
         self.factors = tuple(factors)
@@ -75,9 +75,6 @@ class TensorAlgebra:
             sign *= s
         return tuple(key), sign
 
-    def square_sign(self, a):
-        return self.mul_key(a, a)[1]
-
     def keys_commute(self, a, b):
         return self.mul_key(a, b)[1] == self.mul_key(b, a)[1]
 
@@ -91,32 +88,9 @@ class TensorAlgebra:
         return "(x)".join(blade_name(m) for m in a)
 
     def generator_keys(self):
-        out = []
-        at = 0
-        for f in self.factors:
-            for i in range(f.n):
-                key = [0] * len(self.factors)
-                key[at] = 1 << i
-                out.append(tuple(key))
-            at += 1
-        return out
-
-    def scalar(self, x):
-        if self.field == "C":
-            return x if isinstance(x, QC) else QC(x)
-        return Fraction(x)
-
-    def mv(self, coeffs):
-        return Multivector(self, {k: v for k, v in coeffs.items() if v})
-
-    def blade(self, key, coeff=1):
-        return self.mv({tuple(key): self.scalar(coeff)})
-
-    def zero(self):
-        return Multivector(self, {})
-
-    def one(self):
-        return self.blade(self.unit_key)
+        unit = self.unit_key
+        return [unit[:at] + (1 << i,) + unit[at + 1:]
+                for at, f in enumerate(self.factors) for i in range(f.n)]
 
     def pure(self, *parts):
         """Tensor product of one multivector per factor."""
@@ -147,9 +121,7 @@ def _tensor_cached(algebras):
 
 
 def tensor_algebra(factors) -> TensorAlgebra:
-    algs = tuple(f if isinstance(f, CliffordAlgebra) else clifford(as_signature(f))
-                 for f in factors)
-    return _tensor_cached(algs)
+    return _tensor_cached(tuple(as_algebra(f) for f in factors))
 
 
 @dataclass
@@ -230,21 +202,9 @@ def verify_tensor_iso(target, factors) -> TensorWitness:
             errors.append(e.reason)
     if images is None:
         raise IsoError("; ".join(errors))
-    n = target.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if images[i] * images[j] + images[j] * images[i]:
-                raise IsoError(f"images {i + 1} and {j + 1} do not anticommute")
-    # span: subset products of single-key images must hit 2^n distinct keys
-    keys = {ta.unit_key}
-    prods = [ta.one()]
-    for img in images:
-        prods = prods + [x * img for x in prods]
-    for x in prods:
-        (k, _v), = x.c.items()
-        keys.add(k)
-    if len(keys) != 1 << n:
-        raise IsoError("images do not generate the full tensor algebra")
+    _require_anticommuting(images)
+    _require_span(ta.one(), images, 1 << target.n,
+                  "images do not generate the full tensor algebra")
     return TensorWitness(target, tuple(sigs), ta, tuple(images))
 
 
@@ -369,7 +329,8 @@ def split_semisimple(sig) -> SemisimpleSplit:
     half = alg.scalar(1) / 2
     lp = (alg.one() + omega) * half
     lm = (alg.one() - omega) * half
-    assert lp * lp == lp and lm * lm == lm and not (lp * lm)
+    if lp * lp != lp or lm * lm != lm or lp * lm:
+        raise IsoError("lambda+- are not orthogonal idempotents")
     if sig.p >= 1:
         factor = Signature(sig.q, sig.p - 1)
     else:
@@ -429,17 +390,8 @@ def complex_doubling_iso(sig) -> DoublingWitness:
         if img * omega != omega * img:
             raise IsoError("omega is not central")  # cannot happen
     # span over R: even-part products times {1, omega} must fill 2^n keys
-    keys = set()
-    prods = [alg.one()]
-    for img in images:
-        prods = prods + [x * img for x in prods]
-    for x in prods:
-        (k, _v), = x.c.items()
-        keys.add(k)
-        (k2, _v2), = (omega * x).c.items()
-        keys.add(k2)
-    if len(keys) != alg.dim:
-        raise IsoError("doubling images do not span the algebra")
+    _require_span(alg.one(), images + (omega,), alg.dim,
+                  "doubling images do not span the algebra")
     return DoublingWitness(sig, ev.target, images, omega)
 
 
@@ -453,20 +405,30 @@ def _verify_generator_images(alg, target, images, even_only=False):
             raise IsoError(f"image {i + 1} squares to the wrong sign for {target}")
         if even_only and any(grade(k) % 2 for k in img.c):
             raise IsoError(f"image {i + 1} is not even")
+    _require_anticommuting(images)
+    _require_span(one, images, alg.dim // 2 if even_only else alg.dim,
+                  "generator images do not span the expected subalgebra")
+
+
+def _require_anticommuting(images):
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
             if images[i] * images[j] + images[j] * images[i]:
-                raise IsoError(f"images {i + 1}, {j + 1} do not anticommute")
-    keys = set()
+                raise IsoError(f"images {i + 1} and {j + 1} do not anticommute")
+
+
+def _require_span(one, images, want, reason):
+    """Raise IsoError(reason) unless the 2^m subset products of the m
+    single-blade `images` hit `want` distinct basis keys."""
     prods = [one]
     for img in images:
         prods = prods + [x * img for x in prods]
+    keys = set()
     for x in prods:
         (k, _v), = x.c.items()
         keys.add(k)
-    want_dim = alg.dim // 2 if even_only else alg.dim
-    if len(keys) != want_dim:
-        raise IsoError("generator images do not span the expected subalgebra")
+    if len(keys) != want:
+        raise IsoError(reason)
 
 
 def complexify(sig) -> CliffordAlgebra:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CliffordAlgebra, Multivector, QC_I, as_signature, clifford
+from .core import Multivector, QC_I, as_algebra, as_signature, clifford
 from .exactla import Echelon, span_basis
 
 # Frozen from the brute-force derivation over all signatures with p+q <= 8.
@@ -48,11 +48,10 @@ def complex_factor_count(n: int) -> int:
     return (n + 1) // 2
 
 
-def _algebra(alg, field="R"):
-    if isinstance(alg, CliffordAlgebra) or hasattr(alg, "mul_key"):
-        return alg
-    sig = as_signature(alg)
-    return clifford(sig.p, sig.q, field)
+def _factor_count(alg) -> int:
+    if alg.field == "C":
+        return complex_factor_count(alg.n)
+    return idempotent_factor_count(alg.sig)
 
 
 # ---------------------------------------------------------------------------
@@ -77,12 +76,13 @@ def candidate_element(alg, cand) -> Multivector:
     return alg.blade(key, QC_I if imag else 1)
 
 
-def _adjacency(alg, cands):
-    n = len(cands)
+def _adjacency(alg, keys):
+    """adj[i] has bit j set iff keys[i] and keys[j] commute (i != j)."""
+    n = len(keys)
     adj = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if alg.keys_commute(cands[i][0], cands[j][0]):
+            if alg.keys_commute(keys[i], keys[j]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
@@ -95,11 +95,11 @@ def find_square_set(alg, k: int, phases: bool = False):
     i-phased exactly when its square is -1).  Returns a list of candidates;
     raises SearchError when no set of size k exists (a wrong k would).
     """
-    alg = _algebra(alg)
+    alg = as_algebra(alg)
     if k == 0:
         return []
     cands = square_candidates(alg, phases)
-    adj = _adjacency(alg, cands)
+    adj = _adjacency(alg, [c[0] for c in cands])
     full = (1 << len(cands)) - 1
 
     def rec(chosen, span, candmask, start):
@@ -133,16 +133,11 @@ def max_commuting_square_set(alg):
     generator chains, so the maximum is exact.  Real algebras only.
     Returns (k, candidate list).
     """
-    alg = _algebra(alg)
+    alg = as_algebra(alg)
     cands = [c[0] for c in square_candidates(alg, phases=False)]
     idx = {k: i for i, k in enumerate(cands)}
     m = len(cands)
-    adj = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if alg.keys_commute(cands[i], cands[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = _adjacency(alg, cands)
     best_k, best = 0, []
 
     def rec(gens, span, candmask, start):
@@ -187,7 +182,7 @@ class Idempotent:
 
 def idempotent_from_factors(alg, factors) -> Idempotent:
     """Build prod (1+T)/2 from multivector factors, verifying f^2 = f."""
-    alg = _algebra(alg)
+    alg = as_algebra(alg)
     f = alg.one()
     half = alg.scalar(1) / 2
     for t in factors:
@@ -204,13 +199,8 @@ def primitive_idempotent(sig, field: str = "R") -> Idempotent:
     (grade, mask) blade order.  The printed choices of the source material,
     where they differ, live in `paper_idempotents`.
     """
-    alg = _algebra(sig, field)
-    if alg.field == "C":
-        k = complex_factor_count(alg.n)
-        cands = find_square_set(alg, k, phases=True)
-    else:
-        k = idempotent_factor_count(alg.sig)
-        cands = find_square_set(alg, k, phases=False)
+    alg = as_algebra(sig, field)
+    cands = find_square_set(alg, _factor_count(alg), phases=alg.field == "C")
     return idempotent_from_factors(alg, [candidate_element(alg, c) for c in cands])
 
 
@@ -227,10 +217,14 @@ class LeftIdealBasis:
         return len(self.basis)
 
 
+def _as_idempotent(f) -> Idempotent:
+    """A bare multivector f, taken as an idempotent with no recorded factors."""
+    return Idempotent(f, ()) if isinstance(f, Multivector) else f
+
+
 def left_ideal_basis(f) -> LeftIdealBasis:
     """Row-reduce { blade * f : all basis blades } exactly."""
-    if isinstance(f, Multivector):
-        f = Idempotent(f, ())
+    f = _as_idempotent(f)
     alg = f.alg
     fe = f.element
     rows = [alg.blade(k) * fe for k in alg.basis]
@@ -239,8 +233,7 @@ def left_ideal_basis(f) -> LeftIdealBasis:
 
 def ring_basis(f) -> list:
     """Exact basis of f*Cl*f (the division ring of f when f is primitive)."""
-    if isinstance(f, Multivector):
-        f = Idempotent(f, ())
+    f = _as_idempotent(f)
     alg = f.alg
     fe = f.element
     out = []
@@ -255,15 +248,12 @@ def ring_basis(f) -> list:
 
 
 def expected_ideal_dimension(alg) -> int:
-    if alg.field == "C":
-        return 1 << (alg.n - complex_factor_count(alg.n))
-    return 1 << (alg.n - idempotent_factor_count(alg.sig))
+    return 1 << (alg.n - _factor_count(alg))
 
 
 def is_primitive(f) -> bool:
     """Certify minimality: ideal dimension 2^(n-k) and a division-ring f*Cl*f."""
-    if isinstance(f, Multivector):
-        f = Idempotent(f, ())
+    f = _as_idempotent(f)
     alg = f.alg
     fe = f.element
     if not fe or fe * fe != fe:
@@ -280,8 +270,7 @@ def is_primitive(f) -> bool:
 
 def spinor_dimension(f) -> int:
     """Ideal dimension over the division ring f*Cl*f (the spinspace dimension)."""
-    if isinstance(f, Multivector):
-        f = Idempotent(f, ())
+    f = _as_idempotent(f)
     from .classify import division_tag_of_idempotent
     tag = division_tag_of_idempotent(f.alg, f.element)
     per = {"R": 1, "C": 2, "H": 4}[tag] if f.alg.field == "R" else 1

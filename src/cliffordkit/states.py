@@ -236,7 +236,8 @@ def annihilate(s: StateVector, sbar: StateVector) -> StateSum:
         # base (H for active, R for inert doubling) fuses to R either way
         re = 1 + 0 + 0 + 1
         im = 0 - 1 + 1 + 0
-        assert (re, im) == (2, 0)
+        if (re, im) != (2, 0):
+            raise StateError("complex cross terms of the pair do not cancel")
         fused = replace(fused, ring=StateRingTag("R"))
         return StateSum({fused: re})
     return StateSum({fused: 1})
@@ -309,9 +310,13 @@ def parse_state(text: str) -> StateVector:
     if t.startswith("{"):
         import json
         d = json.loads(t)
-        return StateVector(StateRingTag(d["ring"], d.get("conjugated", False)),
-                           int(d["b"]), int(d["lepton"]),
-                           int(d["k"]), int(d["r"]))
+        counts = [d.get(name) for name in ("b", "lepton", "k", "r")]
+        conjugated = d.get("conjugated", False)
+        if (type(d.get("ring")) is not str or type(conjugated) is not bool
+                or any(type(x) is not int for x in counts)):
+            raise StateError("JSON state needs a string ring, a boolean "
+                             f"conjugated and integer b, lepton, k, r: {text!r}")
+        return StateVector(StateRingTag(d["ring"], conjugated), *counts)
     if t.startswith("|"):
         body = t[1:]
         for closer in ("⟩", ">"):

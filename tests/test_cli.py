@@ -3,7 +3,10 @@ import pathlib
 
 import pytest
 
+from cliffordkit import cli
 from cliffordkit.cli import main
+from cliffordkit.factorize import IsoError
+from cliffordkit.ideals import OracleFailure, SearchError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -168,3 +171,33 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as ei:
         main(["classify", "not-a-number", "0"])
     assert ei.value.code == 2
+
+
+def _failing(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("argv, broken, code", [
+    (["fuse", '{"ring": "H"}', "nu"], None, 2),
+    (["fuse", '{"ring": "H", "b": 0, "lepton": 1, "k": 1.5, "r": 0}', "nu"],
+     None, 2),
+    (["spectrum", "--max-m", "2", "--electron-mass", "-3"], None, 2),
+    (["spectrum", "--max-m", "-1"], None, 2),
+    (["spectrum", "--max-m", "2", "--electron-mass", "abc"], None, 2),
+    (["classify", "2", "0", "--oracle"],
+     ("division_ring_oracle", OracleFailure("ring dimension 3")), 3),
+    (["idempotent", "2", "0"],
+     ("primitive_idempotent", SearchError("no commuting set")), 3),
+    (["factorize", "2", "0"],
+     ("karoubi_factorize", IsoError("images do not anticommute")), 3),
+], ids=["json-missing-fields", "json-float-count", "negative-mass",
+        "negative-max-m", "bad-mass", "oracle-failure", "search-error",
+        "iso-error"])
+def test_exit_code_contract(capsys, monkeypatch, argv, broken, code):
+    if broken:
+        monkeypatch.setattr(cli, broken[0], _failing(broken[1]))
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,9 @@ from hypothesis import given
 
 from cliffordkit import (QC, Signature, center_basis, clifford, conjugation,
                          even_subalgebra_basis, grade, grade_involution,
-                         pseudo_automorphism, reversion, volume_element)
+                         pseudo_automorphism, reversion, tensor_algebra,
+                         volume_element)
+from cliffordkit.exactla import Echelon
 from conftest import complex_multivectors, multivector_pairs, multivector_triples
 
 
@@ -194,3 +197,24 @@ def test_complex_algebra_rejects_plain_real_mixup():
     alg = clifford(1, 0)
     with pytest.raises(TypeError):
         alg.blade(0, QC(1, 1))
+
+
+@pytest.mark.parametrize("alg", [clifford(1, 2), clifford(1, 2, "C"),
+                                 tensor_algebra([(1, 1), (0, 2)])],
+                         ids=["real", "complex", "tensor"])
+def test_only_exact_scalars_enter(alg):
+    exact = QC if alg.field == "C" else Fraction
+    x = alg.mv({alg.unit_key: 3, alg.basis[1]: 1})
+    assert all(type(v) is exact for v in x.c.values())
+    # int coefficients would reach the echelon, whose int / int gives floats
+    ech = Echelon(alg.dim)
+    ech.insert(x.to_row())
+    assert all(type(v) is exact for v in ech.rows[0])
+    assert ech.rows[0][:2] == [1, Fraction(1, 3)]
+    for bad in (0.5, 0.0, Decimal("0.5"), "1/2"):
+        with pytest.raises(TypeError):
+            alg.scalar(bad)
+        with pytest.raises(TypeError):
+            alg.mv({alg.unit_key: bad})
+        with pytest.raises(TypeError):
+            x * bad
