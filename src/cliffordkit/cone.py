@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exactla import Echelon
+from .states import mass
 
 ORACLE_CAP = 8  # the projector space is 2^(k+r)-dimensional
 
@@ -108,17 +109,12 @@ def enumerate_cone(max_m: int, m_e=1) -> list:
     """
     if max_m < 0:
         raise ValueError("max_m must be non-negative")
-    m_e = Fraction(m_e)
-    if m_e <= 0:
-        raise ValueError("m_e must be positive")
     rows = []
     for m in range(max_m + 1):
         for k in range(m + 1):
-            r = m - k
-            lab = ReprLabel(k, r)
-            mass = m_e * (lab.l + Fraction(1, 2)) * (lab.ldot + Fraction(1, 2))
+            lab = ReprLabel(k, m - k)
             rows.append(ConeRow(lab, lab.spin,
                                 "fermion" if m % 2 else "boson",
-                                degree(lab), mass))
+                                degree(lab), mass(lab, m_e)))
     rows.sort(key=lambda row: (row.spin, row.label.k + row.label.r, row.label.k))
     return rows

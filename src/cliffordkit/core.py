@@ -5,6 +5,13 @@ generator e_i is a factor.  The canonical basis is ordered by (grade, mask).
 Coefficients are exact: `fractions.Fraction` for real algebras, `QC`
 (complex rationals) for complexified ones.  No floating point anywhere.
 
+The geometric product reorders blades by the bitmap method of Dorst,
+Fontijne and Mann (Geometric Algebra for Computer Science, ch. 19): the sign
+of e_A e_B is the parity of popcount(A & sign_mask(B)), one mask per
+right-hand blade.  Coefficients are multiplied as integer numerators over
+one shared denominator per operand and turned back into fractions once per
+output blade.
+
 Generator squares follow the (p,q) convention: e_i^2 = +1 for i <= p and
 e_i^2 = -1 for i > p; distinct generators anticommute.
 """
@@ -14,8 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 MAX_N = 12  # dimension cap: 2^12 basis blades at most
+
+
+def _exact_part(x) -> Fraction:
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError(f"inexact QC part {x!r}: use int or Fraction")
 
 
 class QC:
@@ -24,8 +38,10 @@ class QC:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # a Fraction part is kept as it is (Fraction() would copy it): the
+        # arithmetic builds almost every QC from Fraction parts
+        object.__setattr__(self, "re", re if type(re) is Fraction else _exact_part(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else _exact_part(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("QC is immutable")
@@ -152,15 +168,17 @@ def grade(mask: int) -> int:
     return mask.bit_count()
 
 
-def _reorder_sign(a: int, b: int) -> int:
-    # parity of #{(i,j): i in a, j in b, i > j}, the transposition count for
-    # merging two ascending blades
-    swaps = 0
-    x = a >> 1
-    while x:
-        swaps += (x & b).bit_count()
-        x >>= 1
-    return -1 if swaps & 1 else 1
+def _prefix_parity(b: int) -> int:
+    """Bit i is set iff an odd number of b's bits lie below bit i.
+
+    The shift-xors fold a 16-bit window, enough for the MAX_N cap; bits at
+    and above 16 are never read, since blade masks stay below 2^MAX_N."""
+    b <<= 1
+    b ^= b << 1
+    b ^= b << 2
+    b ^= b << 4
+    b ^= b << 8
+    return b
 
 
 def mask_indices(mask: int):
@@ -268,15 +286,19 @@ class CliffordAlgebra(BladeAlgebra):
         pre = "C(x)" if self.field == "C" else ""
         return f"{pre}{self.sig}"
 
+    def sign_mask(self, b: int) -> int:
+        """m with e_a e_b = (-1)^popcount(a & m) e_(a^b), for every blade a.
+
+        A factor of a passes each factor of b below it (prefix parity) and
+        squares to -1 where it meets a factor of b in the minus block."""
+        return _prefix_parity(b) ^ (b & self.minus_mask)
+
     def mul_key(self, a: int, b: int):
-        s = _reorder_sign(a, b)
-        if (a & b & self.minus_mask).bit_count() & 1:
-            s = -s
-        return a ^ b, s
+        return a ^ b, -1 if (a & self.sign_mask(b)).bit_count() & 1 else 1
 
     def keys_commute(self, a: int, b: int) -> bool:
-        # blades commute or anticommute; compare the two reorder signs
-        return self.mul_key(a, b)[1] == self.mul_key(b, a)[1]
+        # e_A e_B = (-1)^(|A||B| - |A & B|) e_B e_A, whatever the signature
+        return not (a.bit_count() * b.bit_count() - (a & b).bit_count()) & 1
 
     def key_xor(self, a: int, b: int) -> int:
         return a ^ b
@@ -310,10 +332,9 @@ def _clifford_cached(p: int, q: int, field: str) -> CliffordAlgebra:
 
 
 def clifford(p, q=None, field="R") -> CliffordAlgebra:
-    if q is None:
-        sig = as_signature(p)
-        p, q = sig.p, sig.q
-    return _clifford_cached(int(p), int(q), field)
+    # Signature rejects a non-integer p or q; the cache would take 1.0 for 1
+    sig = as_signature(p if q is None else (p, q))
+    return _clifford_cached(sig.p, sig.q, field)
 
 
 class Multivector:
@@ -357,14 +378,45 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._check(other)
-            mul = self.alg.mul_key
-            acc = {}
-            for ka, va in self.c.items():
-                for kb, vb in other.c.items():
-                    k, s = mul(ka, kb)
-                    v = va * vb
-                    acc[k] = acc.get(k, 0) + (-v if s < 0 else v)
-            return _pruned(self.alg, acc)
+            alg = self.alg
+            if not (self.c and other.c):
+                return Multivector(alg, {})
+            if not isinstance(alg, CliffordAlgebra):
+                return _tensor_product(alg, self.c, other.c)
+            # one sign mask per right-hand blade; the left blade's parity
+            # against it is the sign, tested inline
+            signs = alg.sign_mask
+            if alg.field == "R":
+                da, a = _integer_terms(self.c)
+                db, b = _integer_terms(other.c)
+                b = [(kb, signs(kb), vb) for kb, vb in b]
+                acc = {}
+                get = acc.get
+                for ka, va in a:
+                    for kb, m, vb in b:
+                        k = ka ^ kb
+                        if (ka & m).bit_count() & 1:
+                            acc[k] = get(k, 0) - va * vb
+                        else:
+                            acc[k] = get(k, 0) + va * vb
+                den = da * db
+                return Multivector(alg, {k: Fraction(v, den)
+                                         for k, v in acc.items() if v})
+            da, a = _gaussian_terms(self.c)
+            db, b = _gaussian_terms(other.c)
+            b = [(kb, signs(kb), br, bi) for kb, br, bi in b]
+            re, im = {}, {}
+            rget, iget = re.get, im.get
+            for ka, ar, ai in a:
+                for kb, m, br, bi in b:
+                    k = ka ^ kb
+                    if (ka & m).bit_count() & 1:
+                        re[k] = rget(k, 0) - ar * br + ai * bi
+                        im[k] = iget(k, 0) - ar * bi - ai * br
+                    else:
+                        re[k] = rget(k, 0) + ar * br - ai * bi
+                        im[k] = iget(k, 0) + ar * bi + ai * br
+            return _from_gaussian(alg, re, im, da * db)
         try:
             s = self.alg.scalar(other)
         except (TypeError, ValueError):
@@ -447,6 +499,50 @@ class Multivector:
 def _pruned(alg, acc: dict) -> Multivector:
     # sums and products of exact coefficients are exact: drop zeros only
     return Multivector(alg, {k: v for k, v in acc.items() if v})
+
+
+def _integer_terms(c: dict):
+    """(den, [(key, num)]) with c[key] == num / den; den is the lcm."""
+    ratios = [(k, *v.as_integer_ratio()) for k, v in c.items()]
+    den = lcm(*[d for _k, _n, d in ratios])
+    return den, [(k, n * (den // d)) for k, n, d in ratios]
+
+
+def _gaussian_terms(c: dict):
+    """(den, [(key, re, im)]) with c[key] == QC(re, im) / den; den is the lcm."""
+    ratios = [(k, *v.re.as_integer_ratio(), *v.im.as_integer_ratio())
+              for k, v in c.items()]
+    den = lcm(*[d for _k, _rn, rd, _in, id_ in ratios for d in (rd, id_)])
+    return den, [(k, rn * (den // rd), in_ * (den // id_))
+                 for k, rn, rd, in_, id_ in ratios]
+
+
+def _from_gaussian(alg, re: dict, im: dict, den: int) -> Multivector:
+    """The nonzero re[k] + i im[k] over den, as Fractions over R, QCs over C."""
+    if alg.field == "R":
+        return Multivector(alg, {k: Fraction(r, den) for k, r in re.items() if r})
+    return Multivector(alg, {k: QC(Fraction(r, den), Fraction(im[k], den))
+                             for k, r in re.items() if r or im[k]})
+
+
+def _tensor_product(alg, ca: dict, cb: dict) -> Multivector:
+    """Product in an algebra whose keys are not masks: signs from mul_key."""
+    if alg.field == "R":
+        da, a = _integer_terms(ca)
+        db, b = _integer_terms(cb)
+        a = [(k, v, 0) for k, v in a]
+        b = [(k, v, 0) for k, v in b]
+    else:
+        da, a = _gaussian_terms(ca)
+        db, b = _gaussian_terms(cb)
+    mul = alg.mul_key
+    re, im = {}, {}
+    for ka, ar, ai in a:
+        for kb, br, bi in b:
+            k, s = mul(ka, kb)
+            re[k] = re.get(k, 0) + s * (ar * br - ai * bi)
+            im[k] = im.get(k, 0) + s * (ar * bi + ai * br)
+    return _from_gaussian(alg, re, im, da * db)
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:

@@ -76,7 +76,9 @@ class TensorAlgebra(BladeAlgebra):
         return tuple(key), sign
 
     def keys_commute(self, a, b):
-        return self.mul_key(a, b)[1] == self.mul_key(b, a)[1]
+        # the factors do not see each other: the swap signs multiply
+        return not sum(not f.keys_commute(x, y)
+                       for f, x, y in zip(self.factors, a, b)) & 1
 
     def key_xor(self, a, b):
         return tuple(x ^ y for x, y in zip(a, b))

@@ -56,6 +56,17 @@ def test_criterion_1_classification_sweep():
     budget.done("1 (classification sweep, 45 algebras)")
 
 
+def test_oracle_sweep_to_n10():
+    budget = Budget(30)
+    sigs = small_signatures(10)
+    assert len(sigs) == 66
+    for p, q in sigs:
+        want = classify((p, q)).ring
+        got = division_ring_oracle((p, q))
+        assert got is want, (p, q, want, got)
+    budget.done("oracle sweep, 66 algebras with p+q <= 10")
+
+
 def test_criterion_2_paper_idempotents():
     budget = Budget(5)
     reg = paper_idempotents()

@@ -218,3 +218,23 @@ def test_only_exact_scalars_enter(alg):
             alg.mv({alg.unit_key: bad})
         with pytest.raises(TypeError):
             x * bad
+
+
+def test_qc_admits_only_exact_parts():
+    third = Fraction(1, 3)
+    assert QC(third, 2).re is third
+    assert QC(third, 2).im == 2 and type(QC(third, 2).im) is Fraction
+    for bad in (0.1, 0.0, Decimal("0.1"), "1/2", None):
+        with pytest.raises(TypeError):
+            QC(bad)
+        with pytest.raises(TypeError):
+            QC(1, bad)
+
+
+def test_clifford_rejects_non_integer_signatures():
+    clifford(1, 0)  # a cached Cl(1,0) must not answer for 1.0
+    for p, q in [(1.7, 0), (1.0, 0), (1, 2.0), ("1", 0)]:
+        with pytest.raises(TypeError):
+            clifford(p, q)
+        with pytest.raises(TypeError):
+            clifford((p, q))
