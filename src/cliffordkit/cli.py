@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .automorphisms import LABELS, composition_table, group_structure
@@ -26,8 +25,8 @@ from .factorize import (FACTOR_RINGS, IsoError, PAPER_CHAINS, karoubi_factorize,
                         split_semisimple, verify_tensor_iso)
 from .ideals import (OracleFailure, SearchError, idempotent_factor_count,
                      left_ideal_basis, paper_idempotents, primitive_idempotent)
-from .states import (StateError, additive_spin, annihilate, fuse_detailed,
-                     double, parse_state)
+from .states import (StateError, additive_spin, annihilate, exact_fraction,
+                     fuse_detailed, double, parse_state)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -276,8 +275,9 @@ def _parse(text):
 
 
 def cmd_spectrum(args):
-    rows = enumerate_cone(args.max_m, m_e=Fraction(args.electron_mass))
-    payload = {"max_m": args.max_m, "electron_mass": str(Fraction(args.electron_mass)),
+    m_e = exact_fraction(args.electron_mass, "electron mass")
+    rows = enumerate_cone(args.max_m, m_e=m_e)
+    payload = {"max_m": args.max_m, "electron_mass": str(m_e),
                "rows": [{"k": r.label.k, "r": r.label.r,
                          "l": str(r.label.l), "ldot": str(r.label.ldot),
                          "spin": str(r.spin), "statistics": r.statistics,

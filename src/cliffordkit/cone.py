@@ -84,10 +84,7 @@ def sym_dimension_oracle(k: int, r: int) -> int:
     for w in words:
         orb = _orbit(w, k, r)
         coeff = Fraction(1, len(orb))
-        row = [Fraction(0)] * dim
-        for t in orb:
-            row[pos[t]] += coeff
-        if ech.insert(row) is not None:
+        if ech.insert({pos[t]: coeff for t in orb}) is not None:
             rank += 1
     return rank
 

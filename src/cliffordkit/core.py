@@ -459,6 +459,11 @@ class Multivector:
         return Multivector(self.alg, {k: v for k, v in self.c.items()
                                       if self.alg.key_grade(k) == g})
 
+    def columns(self):
+        """Sparse coefficients {basis position: value} (nonzeros only)."""
+        idx = self.alg.index
+        return {idx[k]: v for k, v in self.c.items()}
+
     def to_row(self):
         """Dense coefficient list in canonical basis order."""
         zero = self.alg.scalar(0)

@@ -1,11 +1,16 @@
 """Exact linear algebra over Q and Q(i): incremental row echelon spans.
 
-Vectors are dense lists of field scalars (Fraction or QC).  Pivoted rows are
-normalized to leading coefficient 1, so membership reduction is a plain
-back-substitution.  Everything is exact; ranks are never approximate.
+A vector is either a dense list of field scalars (Fraction or QC) or a
+column dict {column: value}; a dict holds the nonzero entries (explicit
+zeros are dropped).  Pivoted rows are stored sparse, as dicts of their
+nonzeros, normalized to pivot entry 1, so membership reduction is a plain
+back-substitution that touches only nonzero entries.  Everything is exact;
+ranks are never approximate.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 
 class Echelon:
@@ -13,40 +18,61 @@ class Echelon:
 
     def __init__(self, width: int):
         self.width = width
-        self.rows = []        # normalized rows, ascending pivot column
+        self._rows = []       # {column: value} per row, ascending pivot column
         self.pivots = []      # pivot column per row
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
-    def _reduce(self, vec):
-        vec = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            c = vec[piv]
-            if c:
-                for j in range(piv, self.width):
-                    if row[j]:
-                        vec[j] = vec[j] - c * row[j]
+    @property
+    def rows(self) -> list:
+        """Dense normalized rows, built on demand (ascending pivot column)."""
+        out = []
+        for row, piv in zip(self._rows, self.pivots):
+            zero = row[piv] - row[piv]
+            dense = [zero] * self.width
+            for j, x in row.items():
+                dense[j] = x
+            out.append(dense)
+        return out
+
+    def _reduce(self, vec) -> dict:
+        """The nonzero residue {column: value} of `vec` after back-substitution."""
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        vec = {j: x for j, x in items if x}
+        for row, piv in zip(self._rows, self.pivots):
+            c = vec.pop(piv, None)  # the pivot entry cancels exactly
+            if c is None:
+                continue
+            for j, r in row.items():
+                if j == piv:
+                    continue
+                x = vec.get(j)
+                if x is None:
+                    vec[j] = -c * r
+                else:
+                    x -= c * r
+                    if x:
+                        vec[j] = x
+                    else:
+                        del vec[j]
         return vec
 
     def insert(self, vec):
         """Add `vec` to the span; returns the pivot column, or None if dependent."""
         vec = self._reduce(vec)
-        for j in range(self.width):
-            if vec[j]:
-                inv = vec[j]
-                vec = [x / inv for x in vec]
-                at = 0
-                while at < len(self.pivots) and self.pivots[at] < j:
-                    at += 1
-                self.rows.insert(at, vec)
-                self.pivots.insert(at, j)
-                return j
-        return None
+        if not vec:
+            return None
+        j = min(vec)
+        inv = vec[j]
+        at = bisect_left(self.pivots, j)
+        self._rows.insert(at, {k: x / inv for k, x in vec.items()})
+        self.pivots.insert(at, j)
+        return j
 
     def contains(self, vec) -> bool:
-        return not any(self._reduce(vec))
+        return not self._reduce(vec)
 
 
 def span_rank(vectors, width: int) -> int:
@@ -63,7 +89,7 @@ def span_basis(mvs):
     for mv in mvs:
         if ech is None:
             ech = Echelon(mv.alg.dim)
-        if ech.insert(mv.to_row()) is not None:
+        if ech.insert(mv.columns()) is not None:
             out.append(mv)
     return out
 
@@ -81,13 +107,12 @@ def express(target, basis):
     zero = alg.scalar(0)
     one = alg.scalar(1)
     for i, mv in enumerate(basis):
-        row = mv.to_row() + [zero] * len(basis)
+        row = mv.columns()
         row[width + i] = one
         piv = ech.insert(row)
         if piv is None or piv >= width:
             raise ValueError("basis vectors are linearly dependent")
-    tail = [zero] * len(basis)
-    red = ech._reduce(target.to_row() + tail)
-    if any(red[:width]):
+    red = ech._reduce(target.columns())
+    if any(j < width for j in red):
         return None
-    return [-x for x in red[width:]]
+    return [-red.get(width + i, zero) for i in range(len(basis))]

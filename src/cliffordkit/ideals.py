@@ -240,7 +240,7 @@ def ring_basis(f) -> list:
     ech = Echelon(alg.dim)
     for k in alg.basis:
         x = fe * alg.blade(k) * fe
-        if x and ech.insert(x.to_row()) is not None:
+        if x and ech.insert(x.columns()) is not None:
             out.append(x)
             if len(out) > 8:
                 break  # hopeless; caller reports failure

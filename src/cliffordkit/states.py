@@ -297,6 +297,15 @@ def named_states() -> dict:
     return out
 
 
+def exact_fraction(text: str, what: str) -> Fraction:
+    """`text` as an exact rational; a malformed or zero-denominator input
+    is a StateError."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise StateError(f"{what} must be an exact rational: {text!r}") from None
+
+
 def parse_state(text: str) -> StateVector:
     """Parse an alias, a |K,b,l,s> label, or the JSON object form.
 
@@ -330,7 +339,7 @@ def parse_state(text: str) -> StateVector:
             raise StateError(f"state label needs 4 fields: {text!r}")
         ring = StateRingTag.parse(parts[0])
         b, lepton = int(parts[1]), int(parts[2])
-        s = Fraction(parts[3])
+        s = exact_fraction(parts[3], "spin")
         if s < 0 or (2 * s).denominator != 1:
             raise StateError(f"spin must be a non-negative half-integer: {parts[3]}")
         two_s = int(2 * s)

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import pathlib
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import event, example, given, settings
 
 from cliffordkit import cli
 from cliffordkit.cli import main
@@ -201,3 +205,65 @@ def test_exit_code_contract(capsys, monkeypatch, argv, broken, code):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+SMALL = ["0", "1", "2"]  # any two of them give p+q <= 4
+FACTORS = ["1,1", "0,2", "2,0", "1,0", "0,1", "1,", ",", "a,b", "1,1,1"]
+STATES = ["nu", "nubar", "e-", "e+", "|H,0,1,1/2>", "|H~,0,-1,1/2>", "|H,0,1",
+          "|H,0,1,1/0>", "|H,0,1,x>", "{", '{"ring": "H"}',
+          '{"ring": "H", "b": 0}']
+MASSES = ["1", "1/2", "0", "-3", "abc", "1/0"]
+POSITIONALS = {  # one pool per positional slot of each command
+    "classify": [SMALL, SMALL], "idempotent": [SMALL, SMALL],
+    "factorize": [SMALL, SMALL], "cpt": [SMALL, SMALL],
+    "iso-check": [SMALL, SMALL, FACTORS, FACTORS],
+    "fuse": [STATES, STATES], "double": [STATES, ["+", "-", "x"]],
+    "annihilate": [STATES, STATES],
+    "spectrum": [["--max-m"], ["0", "1", "2", "3"], ["--electron-mass"], MASSES],
+    "atlas": [["--max-n"], ["0", "1", "2", "3"], ["--out=-"]],
+}
+TOKENS = list(POSITIONALS) + SMALL + FACTORS + STATES + [
+    "", "-", "--", "x", "-1", "1.5", "1/2", "-0", "--bogus", "-z", "json", "table",
+    "--format", "--max-n", "--max-m", "--electron-mass"]
+FLAGS = [
+    st.just(["--oracle"]), st.just(["--version"]), st.just(["-h"]),
+    st.just(["--out=-"]),  # one token: no drawn token can become a path
+    st.tuples(st.just("--format"), st.sampled_from(["json", "table", "xml"])),
+    st.tuples(st.sampled_from(["--max-n", "--max-m"]),
+              st.sampled_from([str(i) for i in range(-2, 4)] + ["x"])),
+    st.tuples(st.just("--electron-mass"), st.sampled_from(MASSES)),
+]
+
+
+@st.composite
+def argvs(draw):
+    """A command with its positionals drawn slot by slot (or no command),
+    then flags with their values and loose tokens at random places."""
+    argv = []
+    if draw(st.integers(0, 4)):
+        command = draw(st.sampled_from(sorted(POSITIONALS)))
+        argv = [command] + [draw(st.sampled_from(pool))
+                            for pool in POSITIONALS[command]]
+    for _ in range(draw(st.integers(0, 2))):
+        extra = (list(draw(st.one_of(FLAGS))) if draw(st.booleans())
+                 else [draw(st.sampled_from(TOKENS))])
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = extra
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+@example(["spectrum", "--max-m", "1", "--electron-mass", "1/0"])
+@example(["fuse", "|H,0,1,1/0>", "nu"])
+def test_fuzzed_argv_keeps_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse: usage errors, --help, --version
+            code = e.code
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
