@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import __version__
-from .automorphisms import LABELS, composition_table, group_structure
+from .automorphisms import LABELS, group_structure
 from .classify import (DISPLAY_ALIASES, classify, division_ring_oracle,
                        omega_square_sign)
 from .cone import enumerate_cone
@@ -195,8 +195,8 @@ def cmd_cpt(args):
     sig = _signature(args.p, args.q)
     from .factorize import complexify
     alg = complexify(sig)
-    table = composition_table(alg)
     gs = group_structure(alg)
+    table = gs.table
     payload = {
         "signature": {"p": sig.p, "q": sig.q, "complexified": True},
         "labels": list(LABELS),
@@ -275,6 +275,9 @@ def _parse(text):
 
 
 def cmd_spectrum(args):
+    # time and memory grow quadratically in max-m: about 70 MB at the cap
+    if args.max_m > 200:
+        raise CliError("spectrum capped at max-m 200")
     m_e = exact_fraction(args.electron_mass, "electron mass")
     rows = enumerate_cone(args.max_m, m_e=m_e)
     payload = {"max_m": args.max_m, "electron_mass": str(m_e),

@@ -554,33 +554,48 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     return a * b
 
 
+def grade_flips(star: bool, tilde: bool) -> tuple:
+    """flips[g & 3] says whether (star, tilde) negates grade g: star negates
+    odd g, tilde g with g(g-1)/2 odd, which is g & 3 in {2, 3}."""
+    return tuple(bool(star and g & 1) != bool(tilde and g & 2) for g in range(4))
+
+
+def grade_map(a: Multivector, flips: tuple, bar: bool = False) -> Multivector:
+    """One pass over a: negate the blades of each grade g with flips[g & 3],
+    and conjugate the coefficients when bar is set on a complexified algebra."""
+    alg = a.alg
+    grade_of = alg.key_grade
+    if bar and alg.field == "C":
+        return Multivector(alg, {k: QC(-v.re, v.im) if flips[grade_of(k) & 3]
+                                 else QC(v.re, -v.im) for k, v in a.c.items()})
+    if not any(flips):
+        return a  # the identity map; multivectors are immutable
+    return Multivector(alg, {k: -v if flips[grade_of(k) & 3] else v
+                             for k, v in a.c.items()})
+
+
+_STAR, _TILDE, _STAR_TILDE, _NO_FLIPS = (
+    grade_flips(star, tilde) for star, tilde in ((1, 0), (0, 1), (1, 1), (0, 0)))
+
+
 def grade_involution(a: Multivector) -> Multivector:
     """Sign flip on odd grades (the main involution)."""
-    alg = a.alg
-    return Multivector(alg, {k: (-v if alg.key_grade(k) & 1 else v)
-                             for k, v in a.c.items()})
+    return grade_map(a, _STAR)
 
 
 def reversion(a: Multivector) -> Multivector:
     """Reverse the order of generator factors: grade g picks up (-1)^(g(g-1)/2)."""
-    alg = a.alg
-    out = {}
-    for k, v in a.c.items():
-        g = alg.key_grade(k)
-        out[k] = -v if (g * (g - 1) // 2) & 1 else v
-    return Multivector(alg, out)
+    return grade_map(a, _TILDE)
 
 
 def conjugation(a: Multivector) -> Multivector:
     """Clifford conjugation: grade involution composed with reversion."""
-    return reversion(grade_involution(a))
+    return grade_map(a, _STAR_TILDE)
 
 
 def pseudo_automorphism(a: Multivector) -> Multivector:
     """Coefficient-wise complex conjugation; identity on real algebras."""
-    if a.alg.field == "R":
-        return a
-    return Multivector(a.alg, {k: v.conjugate() for k, v in a.c.items()})
+    return grade_map(a, _NO_FLIPS, bar=True)
 
 
 def volume_element(alg) -> Multivector:

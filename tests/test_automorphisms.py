@@ -1,11 +1,15 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 from cliffordkit import (ALL_SYMMETRIES, apply, clifford, composition_table,
                          conjugation, complexify, group_structure,
                          pseudo_automorphism, symmetry)
-from cliffordkit.automorphisms import LABELS
+from cliffordkit.automorphisms import LABELS, DiscreteSymmetry
+from cliffordkit.core import QC, Multivector
+from cliffordkit.factorize import tensor_algebra
 from conftest import complex_multivectors, multivectors
 
 C2 = complexify((2, 0))
@@ -90,3 +94,105 @@ def test_bar_commutes_with_star_and_tilde(a):
 def test_apply_accepts_labels():
     a = C2.gen(1)
     assert apply("P", a) == -a
+
+
+# (star, tilde, bar) of each label, written out independently of the program
+LABEL_BITS = {
+    "Id": (0, 0, 0), "P": (1, 0, 0), "T": (0, 1, 0), "PT": (1, 1, 0),
+    "C": (0, 0, 1), "CP": (1, 0, 1), "CT": (0, 1, 1), "CPT": (1, 1, 1),
+}
+
+
+def _reference_map(label, a):
+    """pseudo_automorphism . grade_involution . reversion, blade by blade,
+    with each component switched on by its bit."""
+    star, tilde, bar = LABEL_BITS[label]
+    out = {}
+    for k, v in a.c.items():
+        g = a.alg.key_grade(k)
+        if tilde:
+            v = v * (-1) ** (g * (g - 1) // 2)
+        if star:
+            v = v * (-1) ** g
+        if bar and a.alg.field == "C":
+            v = v.conjugate()
+        out[k] = v
+    return out
+
+
+SYMMETRY_ALGEBRAS = ([clifford(p, n - p) for n in range(7) for p in range(n + 1)]
+                     + [clifford(p, n - p, "C") for n in range(7)
+                        for p in range(n + 1)]
+                     + [tensor_algebra([complexify((1, 1)), (0, 2)])])
+
+
+@st.composite
+def blade_sums(draw):
+    """A sparse element of one of SYMMETRY_ALGEBRAS, keys drawn from its basis."""
+    alg = draw(st.sampled_from(SYMMETRY_ALGEBRAS))
+    parts = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    coeffs = {}
+    for key in draw(st.lists(st.sampled_from(alg.basis), max_size=8)):
+        value = draw(parts)
+        if alg.field == "C":
+            value = QC(value, draw(parts))
+        coeffs[key] = value
+    return alg.mv(coeffs)
+
+
+@given(blade_sums())
+def test_each_map_is_its_three_component_composite(a):
+    for s in ALL_SYMMETRIES:
+        image = s(a)
+        assert image.alg is a.alg
+        assert image.c == _reference_map(s.label, a), s.label
+        assert all(type(v) is type(a.alg.scalar(0)) for v in image.c.values())
+
+
+def _predicted_table_and_count(n, field):
+    """The Z2^3 table from the label bits, each element named by the first
+    label with the same per-grade signs (and bar, over C only)."""
+    def pattern(bits):
+        star, tilde, bar = bits
+        signs = tuple((star * g + tilde * (g * (g - 1) // 2)) & 1
+                      for g in range(n + 1))
+        return signs, bar if field == "C" else 0
+
+    first = {}
+    for label in LABELS:
+        first.setdefault(pattern(LABEL_BITS[label]), label)
+    table = {}
+    for a in LABELS:
+        for b in LABELS:
+            bits = tuple(x ^ y for x, y in zip(LABEL_BITS[a], LABEL_BITS[b]))
+            table[(a, b)] = first[pattern(bits)]
+    return table, len(first)
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_table_and_distinct_maps_match_prediction_to_n6(field):
+    for n in range(7):
+        for p in range(n + 1):
+            alg = clifford(p, n - p, field)
+            want_table, want_distinct = _predicted_table_and_count(n, field)
+            assert composition_table(alg) == want_table, alg
+            gs = group_structure(alg)
+            assert gs.table == want_table, alg
+            assert gs.distinct_maps == want_distinct, alg
+            assert (gs.order, gs.abelian, gs.exponent) == (8, True, 2), alg
+
+
+def test_non_involutive_map_matches_none(monkeypatch):
+    honest = DiscreteSymmetry.__call__
+
+    def doubled_odd_p(self, a):
+        out = honest(self, a)
+        if self.label != "P":
+            return out
+        return Multivector(a.alg, {k: 2 * v if a.alg.key_grade(k) & 1 else v
+                                   for k, v in out.c.items()})
+
+    monkeypatch.setattr(DiscreteSymmetry, "__call__", doubled_odd_p)
+    for probe in (composition_table, group_structure):
+        with pytest.raises(RuntimeError, match="matches none"):
+            probe(C2)

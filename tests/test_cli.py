@@ -171,6 +171,15 @@ def test_atlas_cap(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("max_m", ["201", "100000"])
+def test_spectrum_cap(capsys, max_m):
+    # rejected up front: --max-m 100000 would otherwise run for minutes
+    assert main(["spectrum", "--max-m", max_m]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: spectrum capped at max-m 200\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as ei:
         main(["classify", "not-a-number", "0"])
