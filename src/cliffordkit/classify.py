@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from .core import Multivector, as_signature, clifford
 from .exactla import express
-from .ideals import (OracleFailure, candidate_element, find_square_set,
-                     idempotent_factor_count, idempotent_from_factors,
-                     max_commuting_square_set, ring_basis)
+from .ideals import (OracleFailure, idempotent_of_candidates,
+                     max_commuting_square_set, primitive_idempotent,
+                     ring_basis, square_candidates)
 from .rings import RingTag
 
 _RING_BY_MOD8 = {
@@ -105,14 +105,15 @@ def omega_square_sign(sig) -> int:
 
 
 def central_split_key(alg):
-    """A central non-scalar basis element squaring to +1, or None.
+    """The key of a central non-scalar square candidate, or None.
 
-    Its presence makes the algebra split as a direct sum (semisimple over its
-    base field); (1 +- z)/2 are then the central projectors.
+    The candidate squares to +1 (i-phased over C), so its presence makes the
+    algebra split as a direct sum (semisimple over its base field); (1 +- z)/2
+    are then the central projectors.
     """
     gen_keys = alg.generator_keys()
-    for k in alg.basis[1:]:
-        if alg.square_sign(k) == 1 and all(alg.keys_commute(k, g) for g in gen_keys):
+    for k, _imag in square_candidates(alg):
+        if all(alg.keys_commute(k, g) for g in gen_keys):
             return k
     return None
 
@@ -176,32 +177,28 @@ def _pure_square(f, x):
 def division_ring_oracle(sig, exhaustive: bool = False) -> RingTag:
     """Recompute the division ring of Cl(p,q) by exact span, table-free.
 
-    Default path: k factors from the Radon-Hurwitz count, lexicographic
-    factor search, then span of f*Cl*f with sign certification.  With
-    `exhaustive=True` the factor count itself is re-derived by the
-    brute-force maximum search (slower, fully independent).
+    Default path: the primitive idempotent from the Radon-Hurwitz count and
+    the lexicographic factor search, then span of f*Cl*f with sign
+    certification.  With `exhaustive=True` the factor count itself is
+    re-derived by the brute-force maximum search (slower, fully independent).
     """
     sig = as_signature(sig)
     alg = clifford(sig.p, sig.q)
     if exhaustive:
-        k, cands = max_commuting_square_set(alg)
-    else:
-        k = idempotent_factor_count(sig)
-        cands = find_square_set(alg, k)
-    return division_ring_of(alg, cands)
+        return division_ring_of(alg)
+    return division_ring_of(alg, primitive_idempotent(sig))
 
 
-def division_ring_of(alg, cands=None) -> RingTag:
+def division_ring_of(alg, f=None) -> RingTag:
     """Division ring tag of a blade-indexed algebra (Clifford or tensor).
 
-    Semisimple algebras (a central +1-square present) report the doubled tag
-    of one factor, matching the lambda+- split.
+    `f` is an `Idempotent` of `alg`; by default it is built from the maximum
+    commuting square set.  Semisimple algebras (a central +1-square present)
+    report the doubled tag of one factor, matching the lambda+- split.
     """
-    if cands is None:
-        k, cands = max_commuting_square_set(alg)
-    f = idempotent_from_factors(
-        alg, [candidate_element(alg, c) for c in cands]).element
-    base = division_tag_of_idempotent(alg, f)
+    if f is None:
+        f = idempotent_of_candidates(alg, max_commuting_square_set(alg)[1])
+    base = division_tag_of_idempotent(alg, f.element)
     tag = {"R": RingTag.R, "C": RingTag.C, "H": RingTag.H}[base]
     if central_split_key(alg) is not None:
         return RingTag.doubled_of(tag)

@@ -3,7 +3,8 @@
 Every subcommand is a pure function of its arguments: identical invocations
 produce byte-identical output.  JSON is the default format (sorted keys,
 2-space indent); --format table gives aligned text.  Exit codes: 0 success,
-2 invalid input, 3 oracle disagreement, 4 I/O failure.
+2 invalid input, 3 oracle disagreement, 4 I/O failure (stdout closed early
+included).
 
 Exact numbers (fractions, multivector coefficients) are emitted as strings
 to keep the JSON exact; see schemas/ for the shipped schemas.
@@ -13,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
 from .automorphisms import LABELS, group_structure
-from .classify import (DISPLAY_ALIASES, classify, division_ring_oracle,
-                       omega_square_sign)
+from .classify import (DISPLAY_ALIASES, classify, division_ring_of,
+                       division_ring_oracle, omega_square_sign)
 from .cone import enumerate_cone
 from .core import Signature
 from .factorize import (FACTOR_RINGS, IsoError, PAPER_CHAINS, karoubi_factorize,
@@ -296,8 +298,8 @@ def cmd_spectrum(args):
 def _atlas_entry(p, q):
     sig = Signature(p, q)
     at = classify(sig)
-    oracle = division_ring_oracle(sig)
     f = primitive_idempotent(sig)
+    oracle = division_ring_of(f.alg, f)
     entry = {
         "p": p, "q": q, "n": sig.n,
         "type": _type_json(at),
@@ -413,7 +415,13 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: keep the flush at shutdown quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

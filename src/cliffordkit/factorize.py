@@ -10,8 +10,8 @@ factorization theorem live entirely in the witness generators
 which anticommute pairwise because each preceding volume element w_l of an
 even factor anticommutes with that factor's generators.  A factor chain is
 accepted only after its witness is verified exactly: correct squares,
-pairwise anticommutation, and full span (the 2^n subset products hit 2^n
-distinct basis keys).
+pairwise anticommutation, and full span (the n image keys are
+F2-independent, so the 2^n subset products hit 2^n distinct basis keys).
 
 `karoubi_factorize` peels factors greedily - (2,0) while p >= 2, else (1,1),
 else (0,2) - flipping the remaining signature after each negative factor
@@ -28,6 +28,7 @@ from itertools import product as iproduct
 
 from .core import (BladeAlgebra, CliffordAlgebra, Multivector, Signature,
                    as_algebra, as_signature, blade_name, clifford, grade)
+from .ideals import key_coset
 from .rings import RingTag, StateRingTag, ring_transition
 
 TWO_DIM_FACTORS = (Signature(2, 0), Signature(1, 1), Signature(0, 2))
@@ -205,8 +206,7 @@ def verify_tensor_iso(target, factors) -> TensorWitness:
     if images is None:
         raise IsoError("; ".join(errors))
     _require_anticommuting(images)
-    _require_span(ta.one(), images, 1 << target.n,
-                  "images do not generate the full tensor algebra")
+    _require_span(ta, images, "images do not generate the full tensor algebra")
     return TensorWitness(target, tuple(sigs), ta, tuple(images))
 
 
@@ -363,7 +363,7 @@ def even_subalgebra_iso(sig) -> EvenIsoWitness:
     e1 = alg.gen(1)
     images = [e1 * alg.gen(sig.p + j) for j in range(1, sig.q + 1)]
     images += [e1 * alg.gen(1 + i) for i in range(1, sig.p)]
-    _verify_generator_images(alg, target, images, even_only=True)
+    _verify_generator_images(alg, target, images)
     return EvenIsoWitness(sig, target, tuple(images))
 
 
@@ -392,12 +392,13 @@ def complex_doubling_iso(sig) -> DoublingWitness:
         if img * omega != omega * img:
             raise IsoError("omega is not central")  # cannot happen
     # span over R: even-part products times {1, omega} must fill 2^n keys
-    _require_span(alg.one(), images + (omega,), alg.dim,
+    _require_span(alg, images + (omega,),
                   "doubling images do not span the algebra")
     return DoublingWitness(sig, ev.target, images, omega)
 
 
-def _verify_generator_images(alg, target, images, even_only=False):
+def _verify_generator_images(alg, target, images):
+    """Even images with the squares of `target`, anticommuting, independent."""
     if len(images) != target.n:
         raise IsoError("wrong number of generator images")
     one = alg.one()
@@ -405,10 +406,10 @@ def _verify_generator_images(alg, target, images, even_only=False):
         want = one if i < target.p else -one
         if img * img != want:
             raise IsoError(f"image {i + 1} squares to the wrong sign for {target}")
-        if even_only and any(grade(k) % 2 for k in img.c):
+        if any(grade(k) % 2 for k in img.c):
             raise IsoError(f"image {i + 1} is not even")
     _require_anticommuting(images)
-    _require_span(one, images, alg.dim // 2 if even_only else alg.dim,
+    _require_span(alg, images,
                   "generator images do not span the expected subalgebra")
 
 
@@ -419,18 +420,17 @@ def _require_anticommuting(images):
                 raise IsoError(f"images {i + 1} and {j + 1} do not anticommute")
 
 
-def _require_span(one, images, want, reason):
-    """Raise IsoError(reason) unless the 2^m subset products of the m
-    single-blade `images` hit `want` distinct basis keys."""
-    prods = [one]
+def _require_span(alg, images, reason):
+    """Raise IsoError(reason) unless the keys of the m single-blade `images`
+    are F2-independent, which holds iff their 2^m subset products hit 2^m
+    distinct basis keys."""
+    span = {alg.unit_key}
     for img in images:
-        prods = prods + [x * img for x in prods]
-    keys = set()
-    for x in prods:
-        (k, _v), = x.c.items()
-        keys.add(k)
-    if len(keys) != want:
-        raise IsoError(reason)
+        (key, _v), = img.c.items()
+        coset = key_coset(alg, span, key)
+        if coset is None:
+            raise IsoError(reason)
+        span |= coset
 
 
 def complexify(sig) -> CliffordAlgebra:

@@ -58,22 +58,25 @@ def _factor_count(alg) -> int:
 # candidate machinery
 #
 # A candidate is (key, imag): the basis element `key`, multiplied by i when
-# imag is set (complexified algebras only), chosen so its square is +1.
+# imag is set, chosen so its square is +1.  Over C every non-unit key is a
+# candidate, i-phased exactly when its square is -1.
 
-def square_candidates(alg, phases: bool = False):
-    out = []
-    for k in alg.basis[1:]:
-        s = alg.square_sign(k)
-        if s == 1:
-            out.append((k, False))
-        elif phases and s == -1:
-            out.append((k, True))  # (i*k)^2 = -k^2 = +1
-    return out
+def square_candidates(alg):
+    return [(k, s == -1) for k in alg.basis[1:]
+            if (s := alg.square_sign(k)) == 1 or alg.field == "C"]
 
 
 def candidate_element(alg, cand) -> Multivector:
     key, imag = cand
     return alg.blade(key, QC_I if imag else 1)
+
+
+def key_coset(alg, span, key):
+    """key + span, the keys that `key` adds to the F2 span `span` (a set of
+    keys holding the unit key), or None when key already lies in it."""
+    if key in span:
+        return None
+    return {alg.key_xor(key, s) for s in span}
 
 
 def _adjacency(alg, keys):
@@ -88,79 +91,64 @@ def _adjacency(alg, keys):
     return adj
 
 
-def find_square_set(alg, k: int, phases: bool = False):
+def _canonical_chains(alg, cands):
+    """Every canonical chain of pairwise-commuting, independent candidates.
+
+    A chain lists candidates in increasing order; each new generator must open
+    its coset of the span so far (come first, in candidate order, among the
+    keys of the coset), so every commuting subspace is reached exactly once.
+    Depth first, in lexicographic order: the first chain of each length is
+    the lexicographically smallest valid set of that size, since a smaller
+    key c in a generator's coset would give a smaller valid set (commutation
+    is bilinear over F2 and c squares to +1 too).
+    """
+    keys = [c[0] for c in cands]
+    idx = {k: i for i, k in enumerate(keys)}
+    adj = _adjacency(alg, keys)
+
+    def rec(chain, span, candmask):
+        yield chain
+        # Keep the candidates that open their coset.  One that fails here
+        # fails below too, as the span only grows.  None lies in the span:
+        # had it entered with keys[i], that earlier key would be in its coset.
+        opens = []
+        while candmask:
+            i = (candmask & -candmask).bit_length() - 1
+            candmask &= candmask - 1
+            if all(idx[alg.key_xor(keys[i], s)] >= i for s in span):
+                opens.append(i)
+        viable = sum(1 << i for i in opens)
+        for i in opens:
+            yield from rec(chain + [cands[i]],
+                           span | key_coset(alg, span, keys[i]),
+                           viable >> (i + 1) << (i + 1) & adj[i])
+
+    return rec([], {alg.unit_key}, (1 << len(keys)) - 1)
+
+
+def find_square_set(alg, k: int):
     """Lexicographically smallest set of k commuting independent +1-squares.
 
-    Candidates follow the canonical (grade, mask) basis order (each key is
-    i-phased exactly when its square is -1).  Returns a list of candidates;
-    raises SearchError when no set of size k exists (a wrong k would).
+    Candidates follow the canonical (grade, mask) basis order.  Returns a
+    list of candidates; raises SearchError when no set of size k exists (a
+    wrong k would).
     """
     alg = as_algebra(alg)
-    if k == 0:
-        return []
-    cands = square_candidates(alg, phases)
-    adj = _adjacency(alg, [c[0] for c in cands])
-    full = (1 << len(cands)) - 1
-
-    def rec(chosen, span, candmask, start):
-        if len(chosen) == k:
-            return list(chosen)
-        m = candmask >> start << start
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            key = cands[i][0]
-            if key in span:
-                continue
-            new_span = span | {alg.key_xor(key, s) for s in span} | {key}
-            chosen.append(cands[i])
-            got = rec(chosen, new_span, candmask & adj[i], i + 1)
-            if got is not None:
-                return got
-            chosen.pop()
-        return None
-
-    got = rec([], set(), full, 0)
-    if got is None:
-        raise SearchError(f"no commuting +1-square set of size {k} in {alg!r}")
-    return got
+    for chain in _canonical_chains(alg, square_candidates(alg)):
+        if len(chain) == k:
+            return chain
+    raise SearchError(f"no commuting +1-square set of size {k} in {alg!r}")
 
 
 def max_commuting_square_set(alg):
     """Exhaustive maximum over independent pairwise-commuting +1-square sets.
 
-    Enumerates each totally-singular F2-subspace exactly once via canonical
-    generator chains, so the maximum is exact.  Real algebras only.
-    Returns (k, candidate list).
+    Visits each commuting subspace once, so the maximum is exact.  Returns
+    (k, candidate list), the first chain of the largest size.
     """
     alg = as_algebra(alg)
-    cands = [c[0] for c in square_candidates(alg, phases=False)]
-    idx = {k: i for i, k in enumerate(cands)}
-    m = len(cands)
-    adj = _adjacency(alg, cands)
-    best_k, best = 0, []
-
-    def rec(gens, span, candmask, start):
-        nonlocal best_k, best
-        if len(gens) > best_k:
-            best_k, best = len(gens), list(gens)
-        mm = candmask >> start << start
-        while mm:
-            i = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            key = cands[i]
-            if key in span:
-                continue
-            coset = [alg.key_xor(key, s) for s in span]
-            # canonical chains only: the new generator must open its coset
-            if any(idx[c] < i for c in coset):
-                continue
-            gens.append(key)
-            rec(gens, span | set(coset) | {key}, candmask & adj[i], i + 1)
-            gens.pop()
-
-    rec([], set(), (1 << m) - 1, 0)
-    return best_k, [(k, False) for k in best]
+    best = max(_canonical_chains(alg, square_candidates(alg)), key=len)
+    return len(best), best
 
 
 @dataclass(frozen=True)
@@ -192,6 +180,10 @@ def idempotent_from_factors(alg, factors) -> Idempotent:
     return Idempotent(f, tuple(factors))
 
 
+def idempotent_of_candidates(alg, cands) -> Idempotent:
+    return idempotent_from_factors(alg, [candidate_element(alg, c) for c in cands])
+
+
 def primitive_idempotent(sig, field: str = "R") -> Idempotent:
     """Canonical primitive idempotent of Cl(p,q) (or its complexification).
 
@@ -200,8 +192,7 @@ def primitive_idempotent(sig, field: str = "R") -> Idempotent:
     where they differ, live in `paper_idempotents`.
     """
     alg = as_algebra(sig, field)
-    cands = find_square_set(alg, _factor_count(alg), phases=alg.field == "C")
-    return idempotent_from_factors(alg, [candidate_element(alg, c) for c in cands])
+    return idempotent_of_candidates(alg, find_square_set(alg, _factor_count(alg)))
 
 
 @dataclass

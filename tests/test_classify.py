@@ -1,7 +1,9 @@
 import pytest
 
-from cliffordkit import (RingTag, classify, classify_complex,
-                         division_ring_oracle, omega_square_sign)
+from cliffordkit import (RingTag, classify, classify_complex, clifford,
+                         division_ring_of, division_ring_oracle,
+                         max_commuting_square_set, omega_square_sign)
+from cliffordkit.ideals import complex_factor_count
 from conftest import small_signatures
 
 
@@ -77,3 +79,14 @@ def test_classify_complex():
     assert str(classify_complex(5)) == "C(4)(+)C(4)"
     assert not classify_complex(5).simple
     assert classify_complex(2).matrix_rank == 2
+
+
+def test_complexified_oracle_matches_classify_complex():
+    # over C every key is a candidate (i-phased when it squares to -1), and an
+    # i-phased central element splits the algebra
+    for p, q in small_signatures(8):
+        n = p + q
+        alg = clifford(p, q, "C")
+        assert max_commuting_square_set(alg)[0] == complex_factor_count(n), (p, q)
+        want = RingTag.C if classify_complex(n).simple else RingTag.CC
+        assert division_ring_of(alg) is want, (p, q)

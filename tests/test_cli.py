@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -214,6 +217,29 @@ def test_exit_code_contract(capsys, monkeypatch, argv, broken, code):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "4", "1"],
+    ["classify", "4", "1", "--format", "table"],
+    ["atlas", "--max-n", "6", "--out", "-"],
+], ids=["classify", "classify-table", "atlas-stdout"])
+def test_closed_stdout_exits_4_quietly(argv):
+    # the reader is gone before the first write, as after `| head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cliffordkit.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert proc.stderr == ""
 
 
 SMALL = ["0", "1", "2"]  # any two of them give p+q <= 4

@@ -1,11 +1,16 @@
+from fractions import Fraction
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from cliffordkit import (IsoError, PAPER_CHAINS, RingTag, StateRingTag,
                          classify, clifford, complex_doubling_iso, complexify,
                          even_subalgebra_iso, karoubi_factorize, ring_transition,
                          split_semisimple, tensor_algebra,
                          tensor_division_ring, verify_tensor_iso)
-from cliffordkit.factorize import karoubi_factor_signatures
+from cliffordkit.core import QC_I
+from cliffordkit.factorize import _require_span, karoubi_factor_signatures
 from cliffordkit.rings import PRINTED_TRANSITIONS
 from conftest import small_signatures
 
@@ -240,3 +245,54 @@ def test_tensor_algebra_arithmetic():
     assert a * b == b * a  # plain tensor: cross factors commute
     assert a * a == ta.one()
     assert b * b == -ta.one()
+
+
+def _subset_product_key_count(one, images):
+    """The former span check: distinct keys among the 2^m subset products."""
+    prods = [one]
+    for img in images:
+        prods = prods + [x * img for x in prods]
+    keys = set()
+    for x in prods:
+        (k, _v), = x.c.items()
+        keys.add(k)
+    return len(keys)
+
+
+SPAN_ALGEBRAS = [clifford(0, 0), clifford(2, 1), clifford(3, 3),
+                 clifford(1, 3, "C"), clifford(0, 5, "C"),
+                 tensor_algebra([(1, 1), (0, 2)]),
+                 tensor_algebra([clifford(2, 0, "C"), clifford(0, 3, "C")])]
+
+
+@st.composite
+def single_blade_images(draw):
+    """Up to n + 1 signed single-blade images; a drawn key is often the F2
+    sum of earlier ones (or the unit key), so dependent lists are common."""
+    alg = draw(st.sampled_from(SPAN_ALGEBRAS))
+    coeffs = [1, -1, 2, Fraction(-1, 3)]
+    if alg.field == "C":
+        coeffs += [QC_I, -QC_I]
+    keys = []
+    for _ in range(draw(st.integers(0, alg.n + 1))):
+        if keys and draw(st.booleans()):
+            key = alg.unit_key
+            for k in keys:
+                if draw(st.booleans()):
+                    key = alg.key_xor(key, k)
+        else:
+            key = draw(st.sampled_from(alg.basis))
+        keys.append(key)
+    return alg, [alg.blade(k, draw(st.sampled_from(coeffs))) for k in keys]
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_blade_images())
+@example((clifford(0, 0), []))
+def test_require_span_raises_iff_subset_products_miss_keys(drawn):
+    alg, images = drawn
+    if _subset_product_key_count(alg.one(), images) == 1 << len(images):
+        _require_span(alg, images, "dependent")
+    else:
+        with pytest.raises(IsoError, match="dependent"):
+            _require_span(alg, images, "dependent")

@@ -3,11 +3,167 @@ import pytest
 from cliffordkit import (clifford, is_primitive, left_ideal_basis,
                          paper_idempotents, primitive_idempotent,
                          radon_hurwitz, spinor_dimension)
-from cliffordkit.ideals import (RADON_HURWITZ_BASE, SearchError,
+from cliffordkit.factorize import tensor_algebra
+from cliffordkit.ideals import (RADON_HURWITZ_BASE, SearchError, _factor_count,
+                                _canonical_chains, find_square_set,
                                 idempotent_factor_count,
                                 idempotent_from_factors,
-                                max_commuting_square_set, realify)
+                                max_commuting_square_set, realify,
+                                square_candidates)
 from conftest import small_signatures
+
+# ---------------------------------------------------------------------------
+# The two former recursive searches, kept as independent references for the
+# single canonical-chain search.
+
+def _reference_candidates(alg, phases):
+    out = []
+    for k in alg.basis[1:]:
+        s = alg.square_sign(k)
+        if s == 1:
+            out.append((k, False))
+        elif phases and s == -1:
+            out.append((k, True))
+    return out
+
+
+def _reference_adjacency(alg, keys):
+    n = len(keys)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if alg.keys_commute(keys[i], keys[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def _reference_find(alg, k, phases):
+    """First commuting independent k-set in lexicographic order, or None."""
+    if k == 0:
+        return []
+    cands = _reference_candidates(alg, phases)
+    adj = _reference_adjacency(alg, [c[0] for c in cands])
+
+    def rec(chosen, span, candmask, start):
+        if len(chosen) == k:
+            return list(chosen)
+        m = candmask >> start << start
+        while m:
+            i = (m & -m).bit_length() - 1
+            m &= m - 1
+            key = cands[i][0]
+            if key in span:
+                continue
+            new_span = span | {alg.key_xor(key, s) for s in span} | {key}
+            chosen.append(cands[i])
+            got = rec(chosen, new_span, candmask & adj[i], i + 1)
+            if got is not None:
+                return got
+            chosen.pop()
+        return None
+
+    return rec([], set(), (1 << len(cands)) - 1, 0)
+
+
+def _reference_max(alg):
+    """(k, first maximal set) over canonical generator chains, real only."""
+    cands = [c[0] for c in _reference_candidates(alg, phases=False)]
+    idx = {k: i for i, k in enumerate(cands)}
+    adj = _reference_adjacency(alg, cands)
+    best_k, best = 0, []
+
+    def rec(gens, span, candmask, start):
+        nonlocal best_k, best
+        if len(gens) > best_k:
+            best_k, best = len(gens), list(gens)
+        mm = candmask >> start << start
+        while mm:
+            i = (mm & -mm).bit_length() - 1
+            mm &= mm - 1
+            key = cands[i]
+            if key in span:
+                continue
+            coset = [alg.key_xor(key, s) for s in span]
+            if any(idx[c] < i for c in coset):
+                continue
+            gens.append(key)
+            rec(gens, span | set(coset) | {key}, candmask & adj[i], i + 1)
+            gens.pop()
+
+    rec([], set(), (1 << len(cands)) - 1, 0)
+    return best_k, [(k, False) for k in best]
+
+
+def _reference_spans(alg, cands):
+    """The F2 span of every increasing commuting independent candidate set."""
+    keys = [c[0] for c in cands]
+    adj = _reference_adjacency(alg, keys)
+    out = []
+
+    def rec(span, candmask, start):
+        out.append(frozenset(span))
+        m = candmask >> start << start
+        while m:
+            i = (m & -m).bit_length() - 1
+            m &= m - 1
+            if keys[i] not in span:
+                rec(span | {alg.key_xor(keys[i], s) for s in span},
+                    candmask & adj[i], i + 1)
+
+    rec({alg.unit_key}, (1 << len(keys)) - 1, 0)
+    return out
+
+
+REAL_TENSORS = [tensor_algebra([(1, 1), (0, 2)]),
+                tensor_algebra([(2, 0), (0, 2), (1, 1)])]
+
+
+def test_find_square_set_matches_reference_search():
+    for field in "RC":
+        for p, q in small_signatures(8):
+            alg = clifford(p, q, field)
+            k = _factor_count(alg)
+            want = _reference_find(alg, k, phases=field == "C")
+            assert find_square_set(alg, k) == want, (field, p, q)
+    # every size, past the maximum too, where the search is small enough
+    algs = [clifford(p, q, field) for field in "RC"
+            for p, q in small_signatures(4)] + REAL_TENSORS
+    for alg in algs:
+        for k in range(alg.n + 2):
+            want = _reference_find(alg, k, phases=alg.field == "C")
+            if want is None:
+                with pytest.raises(SearchError):
+                    find_square_set(alg, k)
+            else:
+                assert find_square_set(alg, k) == want, (alg, k)
+
+
+def test_max_commuting_square_set_matches_reference_search():
+    for p, q in small_signatures(7):
+        alg = clifford(p, q)
+        assert max_commuting_square_set(alg) == _reference_max(alg), (p, q)
+    for alg in REAL_TENSORS:
+        assert max_commuting_square_set(alg) == _reference_max(alg), alg
+
+
+def test_canonical_chains_reach_each_commuting_subspace_once():
+    algs = [clifford(p, q, field) for field in "RC"
+            for p, q in small_signatures(5)] + REAL_TENSORS[:1]
+    for alg in algs:
+        cands = square_candidates(alg)
+        spans = []
+        for chain in _canonical_chains(alg, cands):
+            keys = [c[0] for c in chain]
+            assert [alg.index[k] for k in keys] == sorted(
+                alg.index[k] for k in keys), (alg, chain)
+            span = {alg.unit_key}
+            for key in keys:
+                span |= {alg.key_xor(key, s) for s in span}
+            assert len(span) == 1 << len(keys), (alg, chain)
+            spans.append(frozenset(span))
+        assert len(spans) == len(set(spans)), alg
+        assert set(spans) == set(_reference_spans(alg, cands)), alg
 
 
 def test_radon_hurwitz_base_derivation():
