@@ -5,10 +5,11 @@
 2^(p+q) = rank^2 * dim_R(ring) (doubled rings contribute twice the half-ring).
 
 `division_ring_oracle` recomputes the ring with no reference to that table:
-it builds a primitive idempotent f, spans f*Cl*f exactly, and certifies the
-result by dimension plus explicit sign witnesses (an element of negative
-square for C, an anticommuting pair of negative squares for H, which also
-rules out the 4-dimensional impostor Mat_2(R)).
+it builds a primitive idempotent f, takes the stabilizer-coset basis of
+f*Cl*f (see `ideals`), whose elements x are units with x*x = +-f, and
+certifies the result by dimension plus exact sign witnesses (x*x = -f for C,
+an anticommuting pair of such x for H, which also rules out the
+4-dimensional impostor Mat_2(R)).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Multivector, as_signature, clifford
-from .exactla import express
 from .ideals import (OracleFailure, idempotent_of_candidates,
                      max_commuting_square_set, primitive_idempotent,
                      ring_basis, square_candidates)
@@ -119,7 +119,8 @@ def central_split_key(alg):
 
 
 def division_tag_of_idempotent(alg, f: Multivector) -> str:
-    """Base tag 'R' | 'C' | 'H' of f*Cl*f, certified by sign witnesses."""
+    """Base tag 'R' | 'C' | 'H' of f*Cl*f, certified by sign witnesses: past
+    f itself, every square is -f, and for H basis[1] and basis[2] anticommute."""
     basis = ring_basis(f)
     d = len(basis)
     if alg.field == "C":
@@ -128,50 +129,16 @@ def division_tag_of_idempotent(alg, f: Multivector) -> str:
         raise OracleFailure(f"complexified ring dimension {d} not 1")
     if d == 1:
         return "R"
+    if d not in (2, 4):
+        raise OracleFailure(f"ring dimension {d} not in {{1, 2, 4}}")
+    if any(x * x != -f for x in basis[1:]):
+        raise OracleFailure(f"{d}-dim ring with a non-negative square")
     if d == 2:
-        x = basis[1]
-        gamma = _pure_square(f, x)
-        if gamma < 0:
-            return "C"
-        raise OracleFailure(f"2-dim ring with non-negative pure square {gamma}")
-    if d == 4:
-        u = _pure_part(f, basis[1])
-        a = _coeff_of(f, u * u)
-        if a >= 0:
-            raise OracleFailure("4-dim ring: first pure square not negative")
-        for cand in basis[2:]:
-            v = _pure_part(f, cand)
-            s = _coeff_of(f, u * v + v * u)
-            v = v - (s / (2 * a)) * u
-            if u * v + v * u:
-                raise OracleFailure("4-dim ring: could not anticommutize")
-            b = _coeff_of(f, v * v)
-            if v and b < 0:
-                return "H"
-        raise OracleFailure("4-dim ring without a second negative square")
-    raise OracleFailure(f"ring dimension {d} not in {{1, 2, 4}}")
-
-
-def _coeff_of(f, x):
-    """Coefficient gamma with x = gamma * f, else OracleFailure."""
-    co = express(x, [f])
-    if co is None:
-        raise OracleFailure("element escapes span{f}")
-    return co[0]
-
-
-def _pure_part(f, x):
-    # remove the f-component so the square lands back in span{f}
-    co = express(x * x, [f, x])
-    if co is None:
-        raise OracleFailure("x^2 escapes span{f, x}")
-    alpha, beta = co
-    return x - (beta / 2) * f
-
-
-def _pure_square(f, x):
-    xt = _pure_part(f, x)
-    return _coeff_of(f, xt * xt)
+        return "C"
+    u, v = basis[1], basis[2]
+    if u * v + v * u:
+        raise OracleFailure("4-dim ring: basis[1] and basis[2] commute")
+    return "H"
 
 
 def division_ring_oracle(sig, exhaustive: bool = False) -> RingTag:

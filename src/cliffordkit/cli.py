@@ -3,8 +3,8 @@
 Every subcommand is a pure function of its arguments: identical invocations
 produce byte-identical output.  JSON is the default format (sorted keys,
 2-space indent); --format table gives aligned text.  Exit codes: 0 success,
-2 invalid input, 3 oracle disagreement, 4 I/O failure (stdout closed early
-included).
+2 invalid input, 3 failed verification or internal error, 4 I/O failure
+(stdout closed early included).
 
 Exact numbers (fractions, multivector coefficients) are emitted as strings
 to keep the JSON exact; see schemas/ for the shipped schemas.
@@ -280,6 +280,8 @@ def cmd_spectrum(args):
     # time and memory grow quadratically in max-m: about 70 MB at the cap
     if args.max_m > 200:
         raise CliError("spectrum capped at max-m 200")
+    if args.max_m < 0:
+        raise CliError("spectrum max-m must be non-negative")
     m_e = exact_fraction(args.electron_mass, "electron mass")
     rows = enumerate_cone(args.max_m, m_e=m_e)
     payload = {"max_m": args.max_m, "electron_mass": str(m_e),
@@ -425,10 +427,11 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except ValueError as e:  # StateError included
+    except StateError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (IsoError, OracleFailure, SearchError) as e:
+    except (IsoError, OracleFailure, SearchError, ValueError) as e:
+        # bad input is a CliError or StateError; any other ValueError is ours
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ORACLE
 

@@ -11,6 +11,15 @@ The search machinery works for any blade-indexed algebra (Clifford or plain
 tensor products of Clifford algebras): a candidate set is valid iff the masks
 are F2-linearly independent and pairwise commuting, which already rules out
 -1 from the generated group, hence f != 0.
+
+Such an f is a stabilizer projector (Gottesman, arXiv:quant-ph/9705052), so
+its ideals follow from the F2 span V of the T-keys (Lounesto, ch. 17).  In
+Cl*f, e_A f is a unit multiple of e_B f when A + B lies in V, and the two
+have disjoint supports otherwise: the first key of each coset of V gives a
+basis.  In f*Cl*f, f e_A f is e_A f when e_A commutes with every T_i and 0
+otherwise, as (1 - T)(1 + T) = 0: the commuting coset heads give a basis.
+So `left_ideal_basis`, `ring_basis` and `is_primitive` take only such an f,
+read its T_i back off f and verify them; any other f is a ValueError.
 """
 
 from __future__ import annotations
@@ -18,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Multivector, QC_I, as_algebra, as_signature, clifford
-from .exactla import Echelon, span_basis
 
 # Frozen from the brute-force derivation over all signatures with p+q <= 8.
 RADON_HURWITZ_BASE = (0, 1, 2, 2, 3, 3, 3, 3)
@@ -197,7 +205,7 @@ def primitive_idempotent(sig, field: str = "R") -> Idempotent:
 
 @dataclass
 class LeftIdealBasis:
-    """Exact basis of Cl*f (row-reduced), with the ideal's dimension."""
+    """Exact basis of Cl*f, one element per stabilizer coset, and its size."""
 
     idempotent: Idempotent
     basis: list
@@ -213,29 +221,49 @@ def _as_idempotent(f) -> Idempotent:
     return Idempotent(f, ()) if isinstance(f, Multivector) else f
 
 
-def left_ideal_basis(f) -> LeftIdealBasis:
-    """Row-reduce { blade * f : all basis blades } exactly."""
-    f = _as_idempotent(f)
+def _coset_heads(f: Multivector, centralizer: bool) -> list:
+    """e_A f for the first key A, in canonical order, of each coset of V;
+    with `centralizer`, only of the cosets that commute with every T_i.
+
+    V is f's support: it must be spanned by k keys and hold the unit with
+    coefficient 1/2^k.  T_i = 2^k c_A e_A for each key A that opens a new
+    coset; each must square to +1, commute with the others, and together
+    they must rebuild f."""
     alg = f.alg
-    fe = f.element
-    rows = [alg.blade(k) * fe for k in alg.basis]
-    return LeftIdealBasis(f, span_basis(rows))
+    c = f.c
+    span, keys = {alg.unit_key}, []
+    for key in sorted(c, key=alg.index.get):
+        coset = key_coset(alg, span, key)
+        if coset is not None:
+            keys.append(key)
+            span |= coset
+    scale = 1 << len(keys)
+    if span != c.keys() or c[alg.unit_key] * scale != 1:
+        raise ValueError("f is not supported on an F2 span with unit 1/2^k")
+    ts = [alg.blade(key, c[key] * scale) for key in keys]
+    if (any(t * t != alg.one() for t in ts)
+            or not all(alg.keys_commute(a, b) for a in keys for b in keys)
+            or idempotent_from_factors(alg, ts).element != f):
+        raise ValueError("f is not prod (1 + T_i)/2 of commuting blades T_i")
+    heads, seen = [], set()
+    for a in alg.basis:
+        if a not in seen:
+            seen.update(alg.key_xor(a, s) for s in span)
+            if not centralizer or all(alg.keys_commute(a, t) for t in keys):
+                heads.append(alg.blade(a) * f)
+    return heads
+
+
+def left_ideal_basis(f) -> LeftIdealBasis:
+    """Basis of Cl*f: e_A f for the first key A of each stabilizer coset."""
+    f = _as_idempotent(f)
+    return LeftIdealBasis(f, _coset_heads(f.element, centralizer=False))
 
 
 def ring_basis(f) -> list:
-    """Exact basis of f*Cl*f (the division ring of f when f is primitive)."""
-    f = _as_idempotent(f)
-    alg = f.alg
-    fe = f.element
-    out = []
-    ech = Echelon(alg.dim)
-    for k in alg.basis:
-        x = fe * alg.blade(k) * fe
-        if x and ech.insert(x.columns()) is not None:
-            out.append(x)
-            if len(out) > 8:
-                break  # hopeless; caller reports failure
-    return out
+    """Basis of f*Cl*f (the division ring of f when f is primitive): the
+    left-ideal basis elements e_A f whose key A commutes with every T_i."""
+    return _coset_heads(_as_idempotent(f).element, centralizer=True)
 
 
 def expected_ideal_dimension(alg) -> int:

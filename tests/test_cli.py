@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -174,6 +175,21 @@ def test_atlas_cap(capsys):
     assert code == 2
 
 
+# SHA-256 of the stdout of `cliffordkit atlas --max-n N --out -`, recorded
+# while f*Cl*f and Cl*f were still spanned by product-and-echelon
+ATLAS_DIGESTS = {
+    8: "659f3b9260e0bb8c3bf99e4917722e68d89e262f2a056de753e1359e553314c5",
+    10: "5ae1a5b937804901e50a37cb84925e23e978dea1bddf6ee33bce9eda029b128b",
+}
+
+
+@pytest.mark.parametrize("max_n", sorted(ATLAS_DIGESTS))
+def test_atlas_stdout_digest(capsys, max_n):
+    code, out = run(capsys, "atlas", "--max-n", str(max_n), "--out", "-")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ATLAS_DIGESTS[max_n]
+
+
 @pytest.mark.parametrize("max_m", ["201", "100000"])
 def test_spectrum_cap(capsys, max_m):
     # rejected up front: --max-m 100000 would otherwise run for minutes
@@ -217,6 +233,23 @@ def test_exit_code_contract(capsys, monkeypatch, argv, broken, code):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_internal_value_error_exits_3(capsys, monkeypatch):
+    # only CliError and StateError are invalid input; a plain ValueError
+    # from the library is an internal failure
+    monkeypatch.setattr(cli, "primitive_idempotent",
+                        _failing(ValueError("not a stabilizer projector")))
+    assert main(["idempotent", "2", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not a stabilizer projector\n"
+
+
+def test_negative_max_m_rejected_up_front(capsys):
+    assert main(["spectrum", "--max-m", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: spectrum max-m must be non-negative\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,12 +3,15 @@ import pytest
 from cliffordkit import (clifford, is_primitive, left_ideal_basis,
                          paper_idempotents, primitive_idempotent,
                          radon_hurwitz, spinor_dimension)
+from cliffordkit.classify import classify, division_tag_of_idempotent
+from cliffordkit.exactla import Echelon, span_basis
 from cliffordkit.factorize import tensor_algebra
 from cliffordkit.ideals import (RADON_HURWITZ_BASE, SearchError, _factor_count,
                                 _canonical_chains, find_square_set,
                                 idempotent_factor_count,
                                 idempotent_from_factors,
-                                max_commuting_square_set, realify,
+                                idempotent_of_candidates,
+                                max_commuting_square_set, realify, ring_basis,
                                 square_candidates)
 from conftest import small_signatures
 
@@ -303,3 +306,87 @@ def test_complexified_primitive_idempotent():
     assert f.element * f.element == f.element
     assert len(f.factors) == 3
     assert is_primitive(f)
+
+
+# ---------------------------------------------------------------------------
+# The former product-and-echelon spans of Cl*f and f*Cl*f, kept as independent
+# references for the stabilizer coset bases.  The reference ring basis spans
+# all of f*Cl*f; the former one gave up after nine elements.
+
+def _reference_left_ideal_basis(fe):
+    alg = fe.alg
+    return span_basis([alg.blade(k) * fe for k in alg.basis])
+
+
+def _reference_ring_basis(fe):
+    alg = fe.alg
+    out = []
+    ech = Echelon(alg.dim)
+    for k in alg.basis:
+        x = fe * alg.blade(k) * fe
+        if x and ech.insert(x.columns()) is not None:
+            out.append(x)
+    return out
+
+
+def _assert_matches_references(f):
+    fe = f.element
+    assert left_ideal_basis(f).basis == _reference_left_ideal_basis(fe), f
+    assert ring_basis(f) == _reference_ring_basis(fe), f
+
+
+def test_coset_bases_match_reference_on_primitive_idempotents():
+    for field in "RC":
+        for p, q in small_signatures(8):
+            f = primitive_idempotent((p, q), field)
+            _assert_matches_references(f)
+            # the witnesses agree with the mod-8 table, independent of both
+            want = "C" if field == "C" else str(classify((p, q)).ring.base)
+            assert division_tag_of_idempotent(f.alg, f.element) == want, \
+                (field, p, q)
+
+
+def test_coset_bases_match_reference_on_other_idempotents():
+    fs = list(paper_idempotents().values())
+    for p, q in [(0, 3), (5, 0)]:
+        alg = clifford(p, q)
+        fs.append(idempotent_from_factors(alg, [alg.blade(alg.volume_key)]))
+    fs.append(idempotent_from_factors(clifford(2, 0), []))
+    # the idempotent division_ring_of builds, on a real and a complex tensor
+    for alg in (REAL_TENSORS[0],
+                tensor_algebra([clifford(2, 0, "C"), clifford(0, 3, "C")])):
+        fs.append(idempotent_of_candidates(alg,
+                                           max_commuting_square_set(alg)[1]))
+    for f in fs:
+        _assert_matches_references(f)
+
+
+def _tag(f):
+    return division_tag_of_idempotent(f.alg, f)
+
+
+def test_idempotents_outside_the_stabilizer_form_are_rejected():
+    a20 = clifford(2, 0)
+    u = (3 * a20.gen(1) + 4 * a20.gen(2)) / 5
+    rotated = (a20.one() + u) / 2    # support {1, e1, e2}: no F2 span
+    a11 = clifford(1, 1)
+    # support the span of e1 and e2, but unit coefficient 1/2, not 1/4
+    spread = (a11.one() + a11.gen(1) + a11.gen(2) + a11.blade(0b11)) / 2
+    for f in (rotated, spread):
+        assert f * f == f
+        for check in (left_ideal_basis, ring_basis, is_primitive, _tag):
+            with pytest.raises(ValueError):
+                check(f)
+
+
+def test_one_wrong_coefficient_is_rejected():
+    # (1 + e1)(1 + e23)/4 in Cl(2,2) with the sign of e123 flipped: the
+    # support, unit coefficient and generators pass, the rebuild does not
+    alg = clifford(2, 2)
+    f = (alg.one() + alg.gen(1) + alg.blade(0b0110) - alg.blade(0b0111)) / 4
+    for check in (left_ideal_basis, ring_basis, _tag):
+        with pytest.raises(ValueError):
+            check(f)
+    # is_primitive tests idempotency first
+    assert f * f != f
+    assert not is_primitive(f)
