@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Multivector, as_signature, clifford
-from .ideals import (OracleFailure, idempotent_of_candidates,
+from .ideals import (OracleFailure, _division_tag, idempotent_of_candidates,
                      max_commuting_square_set, primitive_idempotent,
                      ring_basis, square_candidates)
 from .rings import RingTag
@@ -121,39 +121,19 @@ def central_split_key(alg):
 def division_tag_of_idempotent(alg, f: Multivector) -> str:
     """Base tag 'R' | 'C' | 'H' of f*Cl*f, certified by sign witnesses: past
     f itself, every square is -f, and for H basis[1] and basis[2] anticommute."""
-    basis = ring_basis(f)
-    d = len(basis)
-    if alg.field == "C":
-        if d == 1:
-            return "C"
-        raise OracleFailure(f"complexified ring dimension {d} not 1")
-    if d == 1:
-        return "R"
-    if d not in (2, 4):
-        raise OracleFailure(f"ring dimension {d} not in {{1, 2, 4}}")
-    if any(x * x != -f for x in basis[1:]):
-        raise OracleFailure(f"{d}-dim ring with a non-negative square")
-    if d == 2:
-        return "C"
-    u, v = basis[1], basis[2]
-    if u * v + v * u:
-        raise OracleFailure("4-dim ring: basis[1] and basis[2] commute")
-    return "H"
+    return _division_tag(f, ring_basis(f))
 
 
-def division_ring_oracle(sig, exhaustive: bool = False) -> RingTag:
+def division_ring_oracle(sig) -> RingTag:
     """Recompute the division ring of Cl(p,q) by exact span, table-free.
 
-    Default path: the primitive idempotent from the Radon-Hurwitz count and
-    the lexicographic factor search, then span of f*Cl*f with sign
-    certification.  With `exhaustive=True` the factor count itself is
-    re-derived by the brute-force maximum search (slower, fully independent).
+    The primitive idempotent comes from the Radon-Hurwitz count and the
+    lexicographic factor search; f*Cl*f is then spanned and its signs
+    certified.  `division_ring_of(alg)` with no idempotent re-derives the
+    factor count by the brute-force maximum search instead.
     """
     sig = as_signature(sig)
-    alg = clifford(sig.p, sig.q)
-    if exhaustive:
-        return division_ring_of(alg)
-    return division_ring_of(alg, primitive_idempotent(sig))
+    return division_ring_of(clifford(sig.p, sig.q), primitive_idempotent(sig))
 
 
 def division_ring_of(alg, f=None) -> RingTag:

@@ -2,15 +2,17 @@
 
 Basis blades are bit masks over the generator set {1..p+q}: bit i-1 set means
 generator e_i is a factor.  The canonical basis is ordered by (grade, mask).
+Every `BladeAlgebra` keys its blades by such masks, so the plain tensor
+products of `factorize` run through the same product kernel.
 Coefficients are exact: `fractions.Fraction` for real algebras, `QC`
 (complex rationals) for complexified ones.  No floating point anywhere.
 
 The geometric product reorders blades by the bitmap method of Dorst,
 Fontijne and Mann (Geometric Algebra for Computer Science, ch. 19): the sign
 of e_A e_B is the parity of popcount(A & sign_mask(B)), one mask per
-right-hand blade.  Coefficients are multiplied as integer numerators over
-one shared denominator per operand and turned back into fractions once per
-output blade.
+right-hand blade, which the algebra supplies.  Coefficients are multiplied
+as integer numerators over one shared denominator per operand and turned
+back into fractions once per output blade.
 
 Generator squares follow the (p,q) convention: e_i^2 = +1 for i <= p and
 e_i^2 = -1 for i > p; distinct generators anticommute.
@@ -205,27 +207,30 @@ def blade_name(mask: int) -> str:
 class BladeAlgebra:
     """An algebra over Q (field 'R') or Q(i) (field 'C') with a basis of blades.
 
-    `Multivector`, the idempotent search and the witness checks see an algebra
-    only through this protocol.  A subclass sets `field`, `n` (the number of
-    generators), `dim` (2^n) and
+    Every basis key is a blade mask over the n generators: blade(a) * blade(b)
+    is +-blade(a ^ b), and the grade of a is popcount(a).  `Multivector`, the
+    idempotent search and the witness checks see an algebra only through this
+    protocol.  A subclass sets `field`, `n`, `dim` (2^n), `basis` (every key,
+    in canonical order, the unit key 0 first) and `index` (each key's
+    position in `basis`), and defines
 
-    - `basis`: every basis key, in canonical order, `unit_key` first;
-    - `index`: each basis key's position in `basis`;
-    - `unit_key`: the key of the identity;
+    - `sign_mask(b)`: m with blade(a) * blade(b) = (-1)^popcount(a & m)
+      blade(a ^ b), for every key a;
+    - `key_name(a)`: the printed name of blade a.
 
-    and defines
+    `mul_key(a, b)`, the (key, sign) of blade(a) * blade(b), and
+    `keys_commute(a, b)` follow from `sign_mask`; each subclass states them
+    in its own body, where `perfbench/layers.py` counts their calls.
 
-    - `mul_key(a, b)`: (key, sign) with blade(a) * blade(b) = sign * blade(key);
-    - `keys_commute(a, b)`: whether blades a and b commute (else they
-      anticommute);
-    - `key_xor(a, b)`: the key of a * b, which is the F2 sum of a and b;
-    - `key_grade(a)`: the number of generator factors of blade a;
-    - `key_name(a)`: the printed name of blade a;
-    - `generator_keys()`: the keys of the n generators, in order.
-
-    This base adds the coefficient handling: `scalar` admits only exact
-    scalars (int, Fraction, QC), and `mv` passes every coefficient through it.
+    This base adds the unit and generator keys and the coefficient handling:
+    `scalar` admits only exact scalars (int, Fraction, QC), and `mv` passes
+    every coefficient through it.
     """
+
+    unit_key = 0
+
+    def generator_keys(self):
+        return [1 << i for i in range(self.n)]
 
     def scalar(self, x):
         """x as a base-field element: Fraction over R, QC over C."""
@@ -264,9 +269,8 @@ class BladeAlgebra:
 class CliffordAlgebra(BladeAlgebra):
     """Cl(p,q) over Q (field='R') or its complexification over Q(i) (field='C').
 
-    Basis keys are blade masks.  Obtain instances through
-    `clifford(p, q, field)`; they are cached, so identity comparison of
-    parents is meaningful.
+    Obtain instances through `clifford(p, q, field)`; they are cached, so
+    identity comparison of parents is meaningful.
     """
 
     def __init__(self, sig: Signature, field: str):
@@ -279,7 +283,6 @@ class CliffordAlgebra(BladeAlgebra):
         self.minus_mask = ((1 << sig.q) - 1) << sig.p
         self.basis = tuple(sorted(range(self.dim), key=lambda m: (grade(m), m)))
         self.index = {k: i for i, k in enumerate(self.basis)}
-        self.unit_key = 0
         self.volume_key = self.dim - 1
 
     def __repr__(self):
@@ -300,17 +303,8 @@ class CliffordAlgebra(BladeAlgebra):
         # e_A e_B = (-1)^(|A||B| - |A & B|) e_B e_A, whatever the signature
         return not (a.bit_count() * b.bit_count() - (a & b).bit_count()) & 1
 
-    def key_xor(self, a: int, b: int) -> int:
-        return a ^ b
-
-    def key_grade(self, a: int) -> int:
-        return grade(a)
-
     def key_name(self, a: int) -> str:
         return blade_name(a)
-
-    def generator_keys(self):
-        return [1 << i for i in range(self.n)]
 
     def i(self) -> "Multivector":
         if self.field != "C":
@@ -381,8 +375,6 @@ class Multivector:
             alg = self.alg
             if not (self.c and other.c):
                 return Multivector(alg, {})
-            if not isinstance(alg, CliffordAlgebra):
-                return _tensor_product(alg, self.c, other.c)
             # one sign mask per right-hand blade; the left blade's parity
             # against it is the sign, tested inline
             signs = alg.sign_mask
@@ -453,25 +445,16 @@ class Multivector:
 
     @property
     def grades(self):
-        return sorted({self.alg.key_grade(k) for k in self.c})
+        return sorted({grade(k) for k in self.c})
 
     def grade_part(self, g: int):
         return Multivector(self.alg, {k: v for k, v in self.c.items()
-                                      if self.alg.key_grade(k) == g})
+                                      if grade(k) == g})
 
     def columns(self):
         """Sparse coefficients {basis position: value} (nonzeros only)."""
         idx = self.alg.index
         return {idx[k]: v for k, v in self.c.items()}
-
-    def to_row(self):
-        """Dense coefficient list in canonical basis order."""
-        zero = self.alg.scalar(0)
-        row = [zero] * self.alg.dim
-        idx = self.alg.index
-        for k, v in self.c.items():
-            row[idx[k]] = v
-        return row
 
     def __str__(self):
         if not self.c:
@@ -523,31 +506,9 @@ def _gaussian_terms(c: dict):
 
 
 def _from_gaussian(alg, re: dict, im: dict, den: int) -> Multivector:
-    """The nonzero re[k] + i im[k] over den, as Fractions over R, QCs over C."""
-    if alg.field == "R":
-        return Multivector(alg, {k: Fraction(r, den) for k, r in re.items() if r})
+    """The nonzero re[k] + i im[k] over den, as QCs."""
     return Multivector(alg, {k: QC(Fraction(r, den), Fraction(im[k], den))
                              for k, r in re.items() if r or im[k]})
-
-
-def _tensor_product(alg, ca: dict, cb: dict) -> Multivector:
-    """Product in an algebra whose keys are not masks: signs from mul_key."""
-    if alg.field == "R":
-        da, a = _integer_terms(ca)
-        db, b = _integer_terms(cb)
-        a = [(k, v, 0) for k, v in a]
-        b = [(k, v, 0) for k, v in b]
-    else:
-        da, a = _gaussian_terms(ca)
-        db, b = _gaussian_terms(cb)
-    mul = alg.mul_key
-    re, im = {}, {}
-    for ka, ar, ai in a:
-        for kb, br, bi in b:
-            k, s = mul(ka, kb)
-            re[k] = re.get(k, 0) + s * (ar * br - ai * bi)
-            im[k] = im.get(k, 0) + s * (ar * bi + ai * br)
-    return _from_gaussian(alg, re, im, da * db)
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
@@ -564,13 +525,12 @@ def grade_map(a: Multivector, flips: tuple, bar: bool = False) -> Multivector:
     """One pass over a: negate the blades of each grade g with flips[g & 3],
     and conjugate the coefficients when bar is set on a complexified algebra."""
     alg = a.alg
-    grade_of = alg.key_grade
     if bar and alg.field == "C":
-        return Multivector(alg, {k: QC(-v.re, v.im) if flips[grade_of(k) & 3]
+        return Multivector(alg, {k: QC(-v.re, v.im) if flips[grade(k) & 3]
                                  else QC(v.re, -v.im) for k, v in a.c.items()})
     if not any(flips):
         return a  # the identity map; multivectors are immutable
-    return Multivector(alg, {k: -v if flips[grade_of(k) & 3] else v
+    return Multivector(alg, {k: -v if flips[grade(k) & 3] else v
                              for k, v in a.c.items()})
 
 

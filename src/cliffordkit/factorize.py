@@ -1,8 +1,10 @@
 """Tensor factorization of Cl(p,q) into two-dimensional factors, and friends.
 
-The tensor product here is the plain (ungraded) one: basis keys of
-A_1 (x) ... (x) A_m are tuples of factor blade masks, multiplied
-component-wise with no cross signs.  The volume-element twists of the
+The tensor product here is the plain (ungraded) one: a basis key of
+A_1 (x) ... (x) A_m is a blade mask in which factor j owns a block of
+A_j.n bits, and its sign mask is each factor's own sign mask of its block,
+cut to that block, so blocks multiply with no cross signs and products run
+through the Clifford kernel of `core`.  The volume-element twists of the
 factorization theorem live entirely in the witness generators
 
     X[i,j] = w_1 (x) ... (x) w_{i-1} (x) g_j (x) 1 (x) ... (x) 1,
@@ -24,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
 
-from .core import (BladeAlgebra, CliffordAlgebra, Multivector, Signature,
-                   as_algebra, as_signature, blade_name, clifford, grade)
+from .core import (MAX_N, BladeAlgebra, CliffordAlgebra, Multivector,
+                   Signature, as_algebra, as_signature, blade_name, clifford,
+                   grade)
 from .ideals import key_coset
 from .rings import RingTag, StateRingTag, ring_transition
 
@@ -48,67 +50,58 @@ class IsoError(RuntimeError):
 class TensorAlgebra(BladeAlgebra):
     """Plain tensor product of Clifford algebras over a common base field.
 
-    Basis keys are tuples of factor blade masks.
+    Factor j owns factors[j].n key bits, just above those of the factors
+    before it; `basis` runs through the factor bases with the first factor
+    varying slowest.
     """
 
     def __init__(self, factors):
         self.factors = tuple(factors)
         self.field = "C" if any(f.field == "C" for f in self.factors) else "R"
         self.n = sum(f.n for f in self.factors)
-        self.dim = 1
-        for f in self.factors:
-            self.dim *= f.dim
-        if self.dim > 1 << 12:
+        if self.n > MAX_N:
             raise ValueError("tensor algebra dimension exceeds the 2^12 cap")
-        self.basis = tuple(iproduct(*(f.basis for f in self.factors)))
+        self.dim = 1 << self.n
+        self._blocks, basis, off = [], [0], 0  # (factor, offset, block mask)
+        for f in self.factors:
+            self._blocks.append((f, off, (1 << f.n) - 1))
+            basis = [k | m << off for k in basis for m in f.basis]
+            off += f.n
+        self.basis = tuple(basis)
         self.index = {k: i for i, k in enumerate(self.basis)}
-        self.unit_key = (0,) * len(self.factors)
 
     def __repr__(self):
         return " (x) ".join(repr(f) for f in self.factors)
 
+    def sign_mask(self, b):
+        # each factor's own mask, cut to its block: its prefix parity would
+        # spill into the blocks above, which the factor does not see
+        m = 0
+        for f, off, low in self._blocks:
+            m |= (f.sign_mask(b >> off & low) & low) << off
+        return m
+
     def mul_key(self, a, b):
-        sign = 1
-        key = []
-        for f, ka, kb in zip(self.factors, a, b):
-            k, s = f.mul_key(ka, kb)
-            key.append(k)
-            sign *= s
-        return tuple(key), sign
+        return a ^ b, -1 if (a & self.sign_mask(b)).bit_count() & 1 else 1
 
     def keys_commute(self, a, b):
-        # the factors do not see each other: the swap signs multiply
-        return not sum(not f.keys_commute(x, y)
-                       for f, x, y in zip(self.factors, a, b)) & 1
-
-    def key_xor(self, a, b):
-        return tuple(x ^ y for x, y in zip(a, b))
-
-    def key_grade(self, a):
-        return sum(grade(m) for m in a)
+        return not ((a & self.sign_mask(b)).bit_count()
+                    ^ (b & self.sign_mask(a)).bit_count()) & 1
 
     def key_name(self, a):
-        return "(x)".join(blade_name(m) for m in a)
-
-    def generator_keys(self):
-        unit = self.unit_key
-        return [unit[:at] + (1 << i,) + unit[at + 1:]
-                for at, f in enumerate(self.factors) for i in range(f.n)]
+        return "(x)".join(blade_name(a >> off & low)
+                          for _f, off, low in self._blocks)
 
     def pure(self, *parts):
         """Tensor product of one multivector per factor."""
         if len(parts) != len(self.factors):
             raise ValueError("one part per factor required")
         out = {self.unit_key: self.scalar(1)}
-        for at, (f, mv) in enumerate(zip(self.factors, parts)):
+        for at, ((f, off, _low), mv) in enumerate(zip(self._blocks, parts)):
             if mv.alg is not f:
                 raise ValueError(f"part {at} belongs to {mv.alg!r}, not {f!r}")
-            nxt = {}
-            for key, v in out.items():
-                for m, c in mv.c.items():
-                    k2 = key[:at] + (m,) + key[at + 1:]
-                    nxt[k2] = nxt.get(k2, 0) + v * c
-            out = nxt
+            out = {k | m << off: v * c
+                   for k, v in out.items() for m, c in mv.c.items()}
         return self.mv(out)
 
     def embed(self, at, mv):
@@ -427,7 +420,7 @@ def _require_span(alg, images, reason):
     span = {alg.unit_key}
     for img in images:
         (key, _v), = img.c.items()
-        coset = key_coset(alg, span, key)
+        coset = key_coset(span, key)
         if coset is None:
             raise IsoError(reason)
         span |= coset

@@ -79,12 +79,12 @@ def candidate_element(alg, cand) -> Multivector:
     return alg.blade(key, QC_I if imag else 1)
 
 
-def key_coset(alg, span, key):
+def key_coset(span, key):
     """key + span, the keys that `key` adds to the F2 span `span` (a set of
     keys holding the unit key), or None when key already lies in it."""
     if key in span:
         return None
-    return {alg.key_xor(key, s) for s in span}
+    return {key ^ s for s in span}
 
 
 def _adjacency(alg, keys):
@@ -123,12 +123,12 @@ def _canonical_chains(alg, cands):
         while candmask:
             i = (candmask & -candmask).bit_length() - 1
             candmask &= candmask - 1
-            if all(idx[alg.key_xor(keys[i], s)] >= i for s in span):
+            if all(idx[keys[i] ^ s] >= i for s in span):
                 opens.append(i)
         viable = sum(1 << i for i in opens)
         for i in opens:
             yield from rec(chain + [cands[i]],
-                           span | key_coset(alg, span, keys[i]),
+                           span | key_coset(span, keys[i]),
                            viable >> (i + 1) << (i + 1) & adj[i])
 
     return rec([], {alg.unit_key}, (1 << len(keys)) - 1)
@@ -221,9 +221,9 @@ def _as_idempotent(f) -> Idempotent:
     return Idempotent(f, ()) if isinstance(f, Multivector) else f
 
 
-def _coset_heads(f: Multivector, centralizer: bool) -> list:
-    """e_A f for the first key A, in canonical order, of each coset of V;
-    with `centralizer`, only of the cosets that commute with every T_i.
+def _coset_heads(f: Multivector):
+    """(heads, central): the first key A, in canonical order, of each coset
+    of V, and those of them whose blade commutes with every T_i.
 
     V is f's support: it must be spanned by k keys and hold the unit with
     coefficient 1/2^k.  T_i = 2^k c_A e_A for each key A that opens a new
@@ -233,7 +233,7 @@ def _coset_heads(f: Multivector, centralizer: bool) -> list:
     c = f.c
     span, keys = {alg.unit_key}, []
     for key in sorted(c, key=alg.index.get):
-        coset = key_coset(alg, span, key)
+        coset = key_coset(span, key)
         if coset is not None:
             keys.append(key)
             span |= coset
@@ -248,22 +248,50 @@ def _coset_heads(f: Multivector, centralizer: bool) -> list:
     heads, seen = [], set()
     for a in alg.basis:
         if a not in seen:
-            seen.update(alg.key_xor(a, s) for s in span)
-            if not centralizer or all(alg.keys_commute(a, t) for t in keys):
-                heads.append(alg.blade(a) * f)
-    return heads
+            seen.update(a ^ s for s in span)
+            heads.append(a)
+    return heads, [a for a in heads
+                   if all(alg.keys_commute(a, t) for t in keys)]
+
+
+def _times_f(keys, f: Multivector) -> list:
+    return [f.alg.blade(a) * f for a in keys]
 
 
 def left_ideal_basis(f) -> LeftIdealBasis:
     """Basis of Cl*f: e_A f for the first key A of each stabilizer coset."""
     f = _as_idempotent(f)
-    return LeftIdealBasis(f, _coset_heads(f.element, centralizer=False))
+    return LeftIdealBasis(f, _times_f(_coset_heads(f.element)[0], f.element))
 
 
 def ring_basis(f) -> list:
     """Basis of f*Cl*f (the division ring of f when f is primitive): the
     left-ideal basis elements e_A f whose key A commutes with every T_i."""
-    return _coset_heads(_as_idempotent(f).element, centralizer=True)
+    fe = _as_idempotent(f).element
+    return _times_f(_coset_heads(fe)[1], fe)
+
+
+def _division_tag(f: Multivector, basis: list) -> str:
+    """Base tag 'R' | 'C' | 'H' of the ring f*Cl*f with the given basis,
+    certified by sign witnesses: past f itself, every square is -f, and for
+    H basis[1] and basis[2] anticommute."""
+    d = len(basis)
+    if f.alg.field == "C":
+        if d == 1:
+            return "C"
+        raise OracleFailure(f"complexified ring dimension {d} not 1")
+    if d == 1:
+        return "R"
+    if d not in (2, 4):
+        raise OracleFailure(f"ring dimension {d} not in {{1, 2, 4}}")
+    if any(x * x != -f for x in basis[1:]):
+        raise OracleFailure(f"{d}-dim ring with a non-negative square")
+    if d == 2:
+        return "C"
+    u, v = basis[1], basis[2]
+    if u * v + v * u:
+        raise OracleFailure("4-dim ring: basis[1] and basis[2] commute")
+    return "H"
 
 
 def expected_ideal_dimension(alg) -> int:
@@ -272,16 +300,14 @@ def expected_ideal_dimension(alg) -> int:
 
 def is_primitive(f) -> bool:
     """Certify minimality: ideal dimension 2^(n-k) and a division-ring f*Cl*f."""
-    f = _as_idempotent(f)
-    alg = f.alg
-    fe = f.element
+    fe = _as_idempotent(f).element
     if not fe or fe * fe != fe:
         return False
-    if left_ideal_basis(f).dimension != expected_ideal_dimension(alg):
+    heads, central = _coset_heads(fe)
+    if len(heads) != expected_ideal_dimension(fe.alg):
         return False
-    from .classify import division_tag_of_idempotent
     try:
-        division_tag_of_idempotent(alg, fe)
+        _division_tag(fe, _times_f(central, fe))
     except OracleFailure:
         return False
     return True
@@ -289,11 +315,11 @@ def is_primitive(f) -> bool:
 
 def spinor_dimension(f) -> int:
     """Ideal dimension over the division ring f*Cl*f (the spinspace dimension)."""
-    f = _as_idempotent(f)
-    from .classify import division_tag_of_idempotent
-    tag = division_tag_of_idempotent(f.alg, f.element)
-    per = {"R": 1, "C": 2, "H": 4}[tag] if f.alg.field == "R" else 1
-    return left_ideal_basis(f).dimension // per
+    fe = _as_idempotent(f).element
+    heads, central = _coset_heads(fe)
+    tag = _division_tag(fe, _times_f(central, fe))
+    per = {"R": 1, "C": 2, "H": 4}[tag] if fe.alg.field == "R" else 1
+    return len(heads) // per
 
 
 def paper_idempotents() -> dict:

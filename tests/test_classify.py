@@ -61,7 +61,7 @@ def test_oracle_matches_classify_small():
 
 def test_oracle_exhaustive_path():
     for p, q in small_signatures(4):
-        assert division_ring_oracle((p, q), exhaustive=True) is classify((p, q)).ring
+        assert division_ring_of(clifford(p, q)) is classify((p, q)).ring
 
 
 def test_omega_square_sign():

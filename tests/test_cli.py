@@ -190,6 +190,28 @@ def test_atlas_stdout_digest(capsys, max_n):
     assert hashlib.sha256(out.encode()).hexdigest() == ATLAS_DIGESTS[max_n]
 
 
+# SHA-256 of the stdout of `cliffordkit iso-check ...`, recorded while
+# tensor-algebra blade keys were tuples of factor masks
+ISO_CHECK_DIGESTS = {
+    ("3 3 2,0 2,0 1,1", "json"):
+        "11d5ca5022acdba5822def4c2659876130a2b7aeca86e2f1e368d6017c319519",
+    ("3 3 2,0 2,0 1,1", "table"):
+        "260c1f2c92b4e3ccce378b9c15879b369460879bf63ff4647c4b7316bff31e58",
+    ("4 4 1,1 2,0 2,0 1,1", "json"):
+        "e1b9a419ff25c0edadff9ed4981c7f5d4557fcd4ea46e9985474e3b31ca2350c",
+    ("4 4 1,1 2,0 2,0 1,1", "table"):
+        "43c3cc7c4710ed0312477be4ec47b6ba2c7a1a17d683f16e39eb6a0813daffca",
+}
+
+
+@pytest.mark.parametrize("args, fmt", sorted(ISO_CHECK_DIGESTS))
+def test_iso_check_stdout_digest(capsys, args, fmt):
+    code, out = run(capsys, "iso-check", *args.split(), "--format", fmt)
+    assert code == 0
+    want = ISO_CHECK_DIGESTS[args, fmt]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 @pytest.mark.parametrize("max_m", ["201", "100000"])
 def test_spectrum_cap(capsys, max_m):
     # rejected up front: --max-m 100000 would otherwise run for minutes

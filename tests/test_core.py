@@ -208,7 +208,7 @@ def test_only_exact_scalars_enter(alg):
     assert all(type(v) is exact for v in x.c.values())
     # int coefficients would reach the echelon, whose int / int gives floats
     ech = Echelon(alg.dim)
-    ech.insert(x.to_row())
+    ech.insert(x.columns())
     assert all(type(v) is exact for v in ech.rows[0])
     assert ech.rows[0][:2] == [1, Fraction(1, 3)]
     for bad in (0.5, 0.0, Decimal("0.5"), "1/2"):

@@ -279,7 +279,7 @@ def single_blade_images(draw):
             key = alg.unit_key
             for k in keys:
                 if draw(st.booleans()):
-                    key = alg.key_xor(key, k)
+                    key = key ^ k
         else:
             key = draw(st.sampled_from(alg.basis))
         keys.append(key)

@@ -1,6 +1,6 @@
 import pytest
 
-from cliffordkit import (clifford, is_primitive, left_ideal_basis,
+from cliffordkit import (clifford, ideals, is_primitive, left_ideal_basis,
                          paper_idempotents, primitive_idempotent,
                          radon_hurwitz, spinor_dimension)
 from cliffordkit.classify import classify, division_tag_of_idempotent
@@ -58,7 +58,7 @@ def _reference_find(alg, k, phases):
             key = cands[i][0]
             if key in span:
                 continue
-            new_span = span | {alg.key_xor(key, s) for s in span} | {key}
+            new_span = span | {key ^ s for s in span} | {key}
             chosen.append(cands[i])
             got = rec(chosen, new_span, candmask & adj[i], i + 1)
             if got is not None:
@@ -87,7 +87,7 @@ def _reference_max(alg):
             key = cands[i]
             if key in span:
                 continue
-            coset = [alg.key_xor(key, s) for s in span]
+            coset = [key ^ s for s in span]
             if any(idx[c] < i for c in coset):
                 continue
             gens.append(key)
@@ -111,7 +111,7 @@ def _reference_spans(alg, cands):
             i = (m & -m).bit_length() - 1
             m &= m - 1
             if keys[i] not in span:
-                rec(span | {alg.key_xor(keys[i], s) for s in span},
+                rec(span | {keys[i] ^ s for s in span},
                     candmask & adj[i], i + 1)
 
     rec({alg.unit_key}, (1 << len(keys)) - 1, 0)
@@ -162,7 +162,7 @@ def test_canonical_chains_reach_each_commuting_subspace_once():
                 alg.index[k] for k in keys), (alg, chain)
             span = {alg.unit_key}
             for key in keys:
-                span |= {alg.key_xor(key, s) for s in span}
+                span |= {key ^ s for s in span}
             assert len(span) == 1 << len(keys), (alg, chain)
             spans.append(frozenset(span))
         assert len(spans) == len(set(spans)), alg
@@ -390,3 +390,19 @@ def test_one_wrong_coefficient_is_rejected():
     # is_primitive tests idempotency first
     assert f * f != f
     assert not is_primitive(f)
+
+
+def test_is_primitive_and_spinor_dimension_verify_f_once(monkeypatch):
+    f41 = paper_idempotents()["f41_real"]
+    honest = ideals.idempotent_from_factors
+    calls = []
+
+    def counted(alg, factors):
+        calls.append(alg)
+        return honest(alg, factors)
+
+    monkeypatch.setattr(ideals, "idempotent_from_factors", counted)
+    assert is_primitive(f41)
+    assert len(calls) == 1
+    assert spinor_dimension(f41) == 4
+    assert len(calls) == 2

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from cliffordkit import QC, clifford, tensor_algebra
@@ -26,12 +27,17 @@ def ref_sign(p, a, b):
 
 
 def ref_key_sign(alg, a, b):
-    if isinstance(a, tuple):
-        sign = 1
-        for f, x, y in zip(alg.factors, a, b):
-            sign *= ref_sign(f.sig.p, x, y)
-        return tuple(x ^ y for x, y in zip(a, b)), sign
-    return a ^ b, ref_sign(alg.sig.p, a, b)
+    """(a ^ b, sign of e_a e_b).  A tensor key is cut into one block of
+    factors[j].n bits per factor, the first factor lowest, and the signs of
+    the factors multiply."""
+    if not hasattr(alg, "factors"):
+        return a ^ b, ref_sign(alg.sig.p, a, b)
+    sign, x, y = 1, a, b
+    for f in alg.factors:
+        low = (1 << f.n) - 1
+        sign *= ref_sign(f.sig.p, x & low, y & low)
+        x, y = x >> f.n, y >> f.n
+    return a ^ b, sign
 
 
 def ref_product(x, y):
@@ -54,8 +60,8 @@ def check_product(x, y):
 
 def check_blade_pair(alg, a, b):
     assert alg.mul_key(a, b) == ref_key_sign(alg, a, b), (alg, a, b)
-    p = alg.sig.p
-    assert alg.keys_commute(a, b) == (ref_sign(p, a, b) == ref_sign(p, b, a)), (alg, a, b)
+    commute = ref_key_sign(alg, a, b)[1] == ref_key_sign(alg, b, a)[1]
+    assert alg.keys_commute(a, b) == commute, (alg, a, b)
 
 
 def test_blade_signs_every_pair_up_to_n6():
@@ -72,6 +78,19 @@ def test_blade_signs_sampled_at_n12():
         alg = clifford(p, q)
         for _ in range(20000):
             check_blade_pair(alg, rng.randrange(alg.dim), rng.randrange(alg.dim))
+
+
+@pytest.mark.parametrize("factors", [
+    [(1, 1), (0, 2), (1, 0)],
+    [clifford(1, 0, "C"), clifford(0, 2, "C")],
+    [(0, 0), (2, 1)],
+    [(2, 2), (0, 0), (0, 3)],
+], ids=str)
+def test_tensor_blade_signs_every_pair(factors):
+    alg = tensor_algebra(factors)
+    for a in alg.basis:
+        for b in alg.basis:
+            check_blade_pair(alg, a, b)
 
 
 REAL_UP_TO_6 = [clifford(p, q) for p, q in small_signatures(6)]
