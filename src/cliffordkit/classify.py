@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Multivector, as_signature, clifford
-from .ideals import (OracleFailure, _division_tag, idempotent_of_candidates,
-                     max_commuting_square_set, primitive_idempotent,
-                     ring_basis, square_candidates)
+from .ideals import (OracleFailure, _division_tag, _heads_and_tag,
+                     idempotent_of_candidates, max_commuting_square_set,
+                     primitive_idempotent, ring_basis, square_candidates)
 from .rings import RingTag
 
 _RING_BY_MOD8 = {
@@ -145,8 +145,14 @@ def division_ring_of(alg, f=None) -> RingTag:
     """
     if f is None:
         f = idempotent_of_candidates(alg, max_commuting_square_set(alg)[1])
-    base = division_tag_of_idempotent(alg, f.element)
+    return _ring_and_heads(alg, f)[0]
+
+
+def _ring_and_heads(alg, f):
+    """(RingTag, coset heads of Cl*f): the oracle ring of `division_ring_of`
+    and the left-ideal keys, from one verified reading of f."""
+    heads, base = _heads_and_tag(f.element)
     tag = {"R": RingTag.R, "C": RingTag.C, "H": RingTag.H}[base]
     if central_split_key(alg) is not None:
-        return RingTag.doubled_of(tag)
-    return tag
+        return RingTag.doubled_of(tag), heads
+    return tag, heads

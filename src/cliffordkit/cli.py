@@ -19,10 +19,10 @@ import sys
 
 from . import __version__
 from .automorphisms import LABELS, group_structure
-from .classify import (DISPLAY_ALIASES, classify, division_ring_of,
+from .classify import (DISPLAY_ALIASES, _ring_and_heads, classify,
                        division_ring_oracle, omega_square_sign)
 from .cone import enumerate_cone
-from .core import Signature
+from .core import MAX_N, Signature
 from .factorize import (FACTOR_RINGS, IsoError, PAPER_CHAINS, karoubi_factorize,
                         split_semisimple, verify_tensor_iso)
 from .ideals import (OracleFailure, SearchError, idempotent_factor_count,
@@ -301,7 +301,7 @@ def _atlas_entry(p, q):
     sig = Signature(p, q)
     at = classify(sig)
     f = primitive_idempotent(sig)
-    oracle = division_ring_of(f.alg, f)
+    oracle, heads = _ring_and_heads(f.alg, f)
     entry = {
         "p": p, "q": q, "n": sig.n,
         "type": _type_json(at),
@@ -309,7 +309,7 @@ def _atlas_entry(p, q):
         "oracle_agrees": oracle is at.ring,
         "idempotent": {"factors": [str(t) for t in f.factors],
                        "factor_count": idempotent_factor_count(sig),
-                       "ideal_dimension": left_ideal_basis(f).dimension},
+                       "ideal_dimension": len(heads)},
     }
     if sig.n % 2 == 0:
         entry["omega_square"] = omega_square_sign(sig) if sig.n else 1
@@ -333,8 +333,8 @@ def _atlas_entry(p, q):
 
 
 def cmd_atlas(args):
-    if args.max_n > 10:
-        raise CliError("atlas capped at max-n 10")
+    if args.max_n > MAX_N:
+        raise CliError(f"atlas capped at max-n {MAX_N}")
     sigs = sorted(((p, n - p) for n in range(args.max_n + 1)
                    for p in range(n + 1)), key=lambda s: (s[0] + s[1], s[0]))
     entries = [_atlas_entry(p, q) for p, q in sigs]

@@ -10,7 +10,11 @@ frozen table below is regression-checked against that oracle.
 The search machinery works for any blade-indexed algebra (Clifford or plain
 tensor products of Clifford algebras): a candidate set is valid iff the masks
 are F2-linearly independent and pairwise commuting, which already rules out
--1 from the generated group, hence f != 0.
+-1 from the generated group, hence f != 0.  Commutation is itself an F2
+bilinear form on keys: with m = `sign_mask`, blade(a) and blade(b)
+anticommute iff popcount(a & m(b)) + popcount(b & m(a)) is odd, in any such
+algebra.  So the search reads each commutation row off bit-sliced columns
+of the keys and their masks, with no pairwise loop.
 
 Such an f is a stabilizer projector (Gottesman, arXiv:quant-ph/9705052), so
 its ideals follow from the F2 span V of the T-keys (Lounesto, ch. 17).  In
@@ -87,15 +91,31 @@ def key_coset(span, key):
     return {key ^ s for s in span}
 
 
+def _bit_columns(vals, n):
+    """Bit-slice `vals`: column t has bit j set iff bit t of vals[j] is."""
+    return [sum(1 << j for j, v in enumerate(vals) if v >> t & 1)
+            for t in range(n)]
+
+
 def _adjacency(alg, keys):
-    """adj[i] has bit j set iff keys[i] and keys[j] commute (i != j)."""
-    n = len(keys)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if alg.keys_commute(keys[i], keys[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    """adj[i] has bit j set iff keys[i] and keys[j] commute (i != j).
+
+    By the bilinear form above, the keys that anticommute with a = keys[i]
+    are the XOR of the mask columns at the bits of a and the key columns at
+    the bits of m(a): at most 2n big-int XORs per row.  Masks are cut to the
+    n key bits, as a prefix parity spills above them."""
+    low = alg.dim - 1
+    masks = [alg.sign_mask(k) & low for k in keys]
+    kcols, mcols = _bit_columns(keys, alg.n), _bit_columns(masks, alg.n)
+    full = (1 << len(keys)) - 1
+    adj = []
+    for i, (a, m) in enumerate(zip(keys, masks)):
+        anti = 1 << i  # a commutes with itself; clear bit i of the row
+        for bits, cols in ((a, mcols), (m, kcols)):
+            while bits:
+                anti ^= cols[(bits & -bits).bit_length() - 1]
+                bits &= bits - 1
+        adj.append(full & ~anti)
     return adj
 
 
@@ -298,26 +318,29 @@ def expected_ideal_dimension(alg) -> int:
     return 1 << (alg.n - _factor_count(alg))
 
 
+def _heads_and_tag(f: Multivector):
+    """(heads, tag): the coset heads of Cl*f and the certified base tag of
+    f*Cl*f, from one verified reading of f."""
+    heads, central = _coset_heads(f)
+    return heads, _division_tag(f, _times_f(central, f))
+
+
 def is_primitive(f) -> bool:
     """Certify minimality: ideal dimension 2^(n-k) and a division-ring f*Cl*f."""
     fe = _as_idempotent(f).element
     if not fe or fe * fe != fe:
         return False
-    heads, central = _coset_heads(fe)
-    if len(heads) != expected_ideal_dimension(fe.alg):
-        return False
     try:
-        _division_tag(fe, _times_f(central, fe))
+        heads, _tag = _heads_and_tag(fe)
     except OracleFailure:
         return False
-    return True
+    return len(heads) == expected_ideal_dimension(fe.alg)
 
 
 def spinor_dimension(f) -> int:
     """Ideal dimension over the division ring f*Cl*f (the spinspace dimension)."""
     fe = _as_idempotent(f).element
-    heads, central = _coset_heads(fe)
-    tag = _division_tag(fe, _times_f(central, fe))
+    heads, tag = _heads_and_tag(fe)
     per = {"R": 1, "C": 2, "H": 4}[tag] if fe.alg.field == "R" else 1
     return len(heads) // per
 

@@ -56,15 +56,15 @@ def test_criterion_1_classification_sweep():
     budget.done("1 (classification sweep, 45 algebras)")
 
 
-def test_oracle_sweep_to_n10():
+def test_oracle_sweep_to_n12():
     budget = Budget(30)
-    sigs = small_signatures(10)
-    assert len(sigs) == 66
+    sigs = small_signatures(12)
+    assert len(sigs) == 91
     for p, q in sigs:
         want = classify((p, q)).ring
         got = division_ring_oracle((p, q))
         assert got is want, (p, q, want, got)
-    budget.done("oracle sweep, 66 algebras with p+q <= 10")
+    budget.done("oracle sweep, 91 algebras with p+q <= 12")
 
 
 def test_criterion_2_paper_idempotents():

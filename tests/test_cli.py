@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import event, example, given, settings
 
-from cliffordkit import cli
+from cliffordkit import cli, ideals
 from cliffordkit.cli import main
 from cliffordkit.factorize import IsoError
 from cliffordkit.ideals import OracleFailure, SearchError
@@ -171,8 +171,36 @@ def test_atlas_io_failure(capsys):
 
 
 def test_atlas_cap(capsys):
-    code, _ = run(capsys, "atlas", "--max-n", "11", "--out", "-")
+    code, _ = run(capsys, "atlas", "--max-n", "13", "--out", "-")
     assert code == 2
+
+
+def test_atlas_to_max_n_12(capsys):
+    code, out = run(capsys, "atlas", "--max-n", "12", "--out", "-")
+    assert code == 0
+    d = json.loads(out)
+    assert d["count"] == len(d["signatures"]) == 91
+    assert all(e["oracle_agrees"] for e in d["signatures"])
+    code, out = run(capsys, "atlas", "--max-n", "10", "--out", "-")
+    assert code == 0
+    assert [e for e in d["signatures"] if e["n"] <= 10] == \
+        json.loads(out)["signatures"]
+
+
+def test_atlas_entry_verifies_f_once(monkeypatch):
+    # the oracle ring and the ideal dimension come from one coset-head pass
+    honest = ideals._coset_heads
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return honest(f)
+
+    monkeypatch.setattr(ideals, "_coset_heads", counted)
+    for p, q in [(1, 3), (3, 0), (2, 4)]:
+        calls.clear()
+        cli._atlas_entry(p, q)
+        assert len(calls) == 1, (p, q)
 
 
 # SHA-256 of the stdout of `cliffordkit atlas --max-n N --out -`, recorded

@@ -6,9 +6,9 @@ from cliffordkit import (clifford, ideals, is_primitive, left_ideal_basis,
 from cliffordkit.classify import classify, division_tag_of_idempotent
 from cliffordkit.exactla import Echelon, span_basis
 from cliffordkit.factorize import tensor_algebra
-from cliffordkit.ideals import (RADON_HURWITZ_BASE, SearchError, _factor_count,
-                                _canonical_chains, find_square_set,
-                                idempotent_factor_count,
+from cliffordkit.ideals import (RADON_HURWITZ_BASE, SearchError, _adjacency,
+                                _canonical_chains, _factor_count,
+                                find_square_set, idempotent_factor_count,
                                 idempotent_from_factors,
                                 idempotent_of_candidates,
                                 max_commuting_square_set, realify, ring_basis,
@@ -120,6 +120,23 @@ def _reference_spans(alg, cands):
 
 REAL_TENSORS = [tensor_algebra([(1, 1), (0, 2)]),
                 tensor_algebra([(2, 0), (0, 2), (1, 1)])]
+
+
+def test_adjacency_matches_reference_rows():
+    # the bit-sliced rows against the pairwise keys_commute loop
+    key_lists = []
+    for field in "RC":
+        for p, q in small_signatures(8):
+            alg = clifford(p, q, field)
+            key_lists.append((alg, [c[0] for c in square_candidates(alg)]))
+            if p + q <= 6:
+                key_lists.append((alg, list(alg.basis[1:])))
+    for alg in REAL_TENSORS + [tensor_algebra([clifford(1, 0, "C"),
+                                               clifford(0, 2, "C")])]:
+        key_lists.append((alg, [c[0] for c in square_candidates(alg)]))
+        key_lists.append((alg, list(alg.basis[1:])))
+    for alg, keys in key_lists:
+        assert _adjacency(alg, keys) == _reference_adjacency(alg, keys), alg
 
 
 def test_find_square_set_matches_reference_search():
