@@ -2,9 +2,8 @@
 
 from .core import (CliffordAlgebra, Multivector, QC, Signature, as_signature,
                    blade_name, center_basis, clifford, conjugation,
-                   even_subalgebra_basis, geometric_product, grade,
-                   grade_involution, pseudo_automorphism, reversion,
-                   volume_element)
+                   even_subalgebra_basis, grade, grade_involution,
+                   pseudo_automorphism, reversion, volume_element)
 from .classify import (AlgebraType, classify, classify_complex,
                        division_ring_of, division_ring_oracle,
                        omega_square_sign)

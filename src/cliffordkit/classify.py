@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Multivector, as_signature, clifford
+from .core import Multivector, as_signature, center_basis, clifford
 from .ideals import (OracleFailure, _division_tag, _heads_and_tag,
                      idempotent_of_candidates, max_commuting_square_set,
-                     primitive_idempotent, ring_basis, square_candidates)
+                     primitive_idempotent, ring_basis)
 from .rings import RingTag
 
 _RING_BY_MOD8 = {
@@ -111,9 +111,9 @@ def central_split_key(alg):
     algebra split as a direct sum (semisimple over its base field); (1 +- z)/2
     are then the central projectors.
     """
-    gen_keys = alg.generator_keys()
-    for k, _imag in square_candidates(alg):
-        if all(alg.keys_commute(k, g) for g in gen_keys):
+    for z in center_basis(alg)[1:]:
+        (k,) = z.c
+        if alg.field == "C" or alg.square_sign(k) == 1:
             return k
     return None
 

@@ -443,14 +443,6 @@ class Multivector:
     def coeff(self, mask):
         return self.c.get(mask, self.alg.scalar(0))
 
-    @property
-    def grades(self):
-        return sorted({grade(k) for k in self.c})
-
-    def grade_part(self, g: int):
-        return Multivector(self.alg, {k: v for k, v in self.c.items()
-                                      if grade(k) == g})
-
     def columns(self):
         """Sparse coefficients {basis position: value} (nonzeros only)."""
         idx = self.alg.index
@@ -509,10 +501,6 @@ def _from_gaussian(alg, re: dict, im: dict, den: int) -> Multivector:
     """The nonzero re[k] + i im[k] over den, as QCs."""
     return Multivector(alg, {k: QC(Fraction(r, den), Fraction(im[k], den))
                              for k, r in re.items() if r or im[k]})
-
-
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
 
 
 def grade_flips(star: bool, tilde: bool) -> tuple:

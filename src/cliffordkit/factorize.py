@@ -11,9 +11,12 @@ factorization theorem live entirely in the witness generators
 
 which anticommute pairwise because each preceding volume element w_l of an
 even factor anticommutes with that factor's generators.  A factor chain is
-accepted only after its witness is verified exactly: correct squares,
-pairwise anticommutation, and full span (the n image keys are
-F2-independent, so the 2^n subset products hit 2^n distinct basis keys).
+accepted only after its witness is verified exactly, and every relation is
+read off the image keys with no product formed: each image c*e_A squares
+to c^2 * square_sign(A), images anticommute by `keys_commute` (an F2 form
+on the keys), and they span when the n image keys are F2-independent, so
+that the 2^n subset products hit 2^n distinct basis keys.  The even
+subalgebra witness goes through the same check.
 
 `karoubi_factorize` peels factors greedily - (2,0) while p >= 2, else (1,1),
 else (0,2) - flipping the remaining signature after each negative factor
@@ -92,24 +95,6 @@ class TensorAlgebra(BladeAlgebra):
         return "(x)".join(blade_name(a >> off & low)
                           for _f, off, low in self._blocks)
 
-    def pure(self, *parts):
-        """Tensor product of one multivector per factor."""
-        if len(parts) != len(self.factors):
-            raise ValueError("one part per factor required")
-        out = {self.unit_key: self.scalar(1)}
-        for at, ((f, off, _low), mv) in enumerate(zip(self._blocks, parts)):
-            if mv.alg is not f:
-                raise ValueError(f"part {at} belongs to {mv.alg!r}, not {f!r}")
-            out = {k | m << off: v * c
-                   for k, v in out.items() for m, c in mv.c.items()}
-        return self.mv(out)
-
-    def embed(self, at, mv):
-        """mv in factor `at`, tensored with 1 elsewhere."""
-        parts = [f.one() for f in self.factors]
-        parts[at] = mv
-        return self.pure(*parts)
-
 
 @lru_cache(maxsize=None)
 def _tensor_cached(algebras):
@@ -134,12 +119,13 @@ class TensorWitness:
     images: tuple
 
 
-def _candidate_images(ta, twist_left: bool):
-    """Mutually anticommuting single-blade images, one per factor generator.
+def _image_keys(ta, twist_left: bool):
+    """Mutually anticommuting image keys, one per factor generator.
 
-    Each generator is dressed with the volume elements of the preceding
-    factors (twist_left) or of the following ones; either way the dressed
-    images anticommute provided the dressing factors are even-dimensional.
+    Each generator's bit in its factor's block is dressed with the volume
+    elements (full blocks) of the preceding factors (twist_left) or of the
+    following ones; either way the dressed images anticommute provided the
+    dressing factors are even-dimensional.
     """
     if twist_left:
         if any(f.n % 2 for f in ta.factors[:-1]):
@@ -147,28 +133,17 @@ def _candidate_images(ta, twist_left: bool):
     else:
         if any(f.n % 2 for f in ta.factors[1:]):
             raise IsoError("odd-dimensional factor cannot carry a right twist")
-    images = []
-    for at, f in enumerate(ta.factors):
-        for j in range(1, f.n + 1):
-            parts = [g.one() for g in ta.factors]
-            parts[at] = f.gen(j)
-            dress = range(at) if twist_left else range(at + 1, len(ta.factors))
-            for l in dress:
-                parts[l] = ta.factors[l].blade(ta.factors[l].volume_key)
-            images.append(ta.pure(*parts))
-    return images
+    blocks = [low << off for _f, off, low in ta._blocks]
+    keys = []
+    for at, (f, off, _low) in enumerate(ta._blocks):
+        dress = sum(blocks[:at] if twist_left else blocks[at + 1:])
+        keys += [dress | 1 << (off + j) for j in range(f.n)]
+    return keys
 
 
-def _sort_by_square(ta, images, target):
-    plus, minus = [], []
-    for img in images:
-        sq = img * img
-        if sq == ta.one():
-            plus.append(img)
-        elif sq == -ta.one():
-            minus.append(img)
-        else:
-            raise IsoError("a generator image has a non-scalar square")
+def _sort_by_square(ta, keys, target):
+    plus = [k for k in keys if ta.square_sign(k) == 1]
+    minus = [k for k in keys if ta.square_sign(k) == -1]
     if len(plus) != target.p or len(minus) != target.q:
         raise IsoError(
             f"square multiset mismatch: got {len(plus)} plus / {len(minus)} "
@@ -188,19 +163,20 @@ def verify_tensor_iso(target, factors) -> TensorWitness:
     if sum(s.n for s in sigs) != target.n:
         raise IsoError(f"dimension mismatch: {target} vs {sigs}")
     ta = tensor_algebra(sigs)
-    images = None
+    keys = None
     errors = []
     for twist_left in (True, False):
         try:
-            images = _sort_by_square(ta, _candidate_images(ta, twist_left), target)
+            keys = _sort_by_square(ta, _image_keys(ta, twist_left), target)
             break
         except IsoError as e:
             errors.append(e.reason)
-    if images is None:
+    if keys is None:
         raise IsoError("; ".join(errors))
-    _require_anticommuting(images)
-    _require_span(ta, images, "images do not generate the full tensor algebra")
-    return TensorWitness(target, tuple(sigs), ta, tuple(images))
+    images = tuple(ta.blade(k) for k in keys)
+    _require_generators(ta, images, target,
+                        "images do not generate the full tensor algebra")
+    return TensorWitness(target, tuple(sigs), ta, images)
 
 
 @dataclass
@@ -353,10 +329,14 @@ def even_subalgebra_iso(sig) -> EvenIsoWitness:
         raise ValueError("even_subalgebra_iso requires p >= 1")
     alg = clifford(sig.p, sig.q)
     target = Signature(sig.q, sig.p - 1)
-    e1 = alg.gen(1)
-    images = [e1 * alg.gen(sig.p + j) for j in range(1, sig.q + 1)]
-    images += [e1 * alg.gen(1 + i) for i in range(1, sig.p)]
-    _verify_generator_images(alg, target, images)
+    gens = alg.generator_keys()
+    # e_1 e_j is the blade e_1j itself, as 1 < j
+    images = [alg.blade(1 | g) for g in gens[sig.p:] + gens[1:sig.p]]
+    for i, img in enumerate(images):
+        if grade(_term(img)[0]) % 2:
+            raise IsoError(f"image {i + 1} is not even")
+    _require_generators(alg, images, target,
+                        "generator images do not span the expected subalgebra")
     return EvenIsoWitness(sig, target, tuple(images))
 
 
@@ -381,36 +361,37 @@ def complex_doubling_iso(sig) -> DoublingWitness:
     omega = alg.blade(alg.volume_key)
     ev = even_subalgebra_iso(sig)
     images = ev.images
-    for img in images:
-        if img * omega != omega * img:
-            raise IsoError("omega is not central")  # cannot happen
+    if not all(alg.keys_commute(_term(img)[0], alg.volume_key)
+               for img in images):
+        raise IsoError("omega is not central")  # cannot happen
     # span over R: even-part products times {1, omega} must fill 2^n keys
     _require_span(alg, images + (omega,),
                   "doubling images do not span the algebra")
     return DoublingWitness(sig, ev.target, images, omega)
 
 
-def _verify_generator_images(alg, target, images):
-    """Even images with the squares of `target`, anticommuting, independent."""
+def _term(img):
+    """(key, coefficient) of a single-blade image."""
+    (term,) = img.c.items()
+    return term
+
+
+def _require_generators(alg, images, target, reason):
+    """Raise IsoError unless the single-blade `images` c*e_A satisfy the
+    generator relations of Cl(target), read off their keys: the first p
+    square to +1 and the rest to -1 (c^2 * square_sign(A)), every pair
+    anticommutes, and the keys are F2-independent (else `reason`)."""
     if len(images) != target.n:
         raise IsoError("wrong number of generator images")
-    one = alg.one()
-    for i, img in enumerate(images):
-        want = one if i < target.p else -one
-        if img * img != want:
+    terms = [_term(img) for img in images]
+    for i, (key, c) in enumerate(terms):
+        if c * c * alg.square_sign(key) != (1 if i < target.p else -1):
             raise IsoError(f"image {i + 1} squares to the wrong sign for {target}")
-        if any(grade(k) % 2 for k in img.c):
-            raise IsoError(f"image {i + 1} is not even")
-    _require_anticommuting(images)
-    _require_span(alg, images,
-                  "generator images do not span the expected subalgebra")
-
-
-def _require_anticommuting(images):
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if images[i] * images[j] + images[j] * images[i]:
+    for i in range(len(terms)):
+        for j in range(i + 1, len(terms)):
+            if alg.keys_commute(terms[i][0], terms[j][0]):
                 raise IsoError(f"images {i + 1} and {j + 1} do not anticommute")
+    _require_span(alg, images, reason)
 
 
 def _require_span(alg, images, reason):
@@ -419,8 +400,7 @@ def _require_span(alg, images, reason):
     distinct basis keys."""
     span = {alg.unit_key}
     for img in images:
-        (key, _v), = img.c.items()
-        coset = key_coset(span, key)
+        coset = key_coset(span, _term(img)[0])
         if coset is None:
             raise IsoError(reason)
         span |= coset

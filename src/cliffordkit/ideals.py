@@ -247,8 +247,8 @@ def _coset_heads(f: Multivector):
 
     V is f's support: it must be spanned by k keys and hold the unit with
     coefficient 1/2^k.  T_i = 2^k c_A e_A for each key A that opens a new
-    coset; each must square to +1, commute with the others, and together
-    they must rebuild f."""
+    coset; each must square to +1, read as (2^k c_A)^2 * square_sign(A),
+    commute with the others, and together they must rebuild f."""
     alg = f.alg
     c = f.c
     span, keys = {alg.unit_key}, []
@@ -260,10 +260,11 @@ def _coset_heads(f: Multivector):
     scale = 1 << len(keys)
     if span != c.keys() or c[alg.unit_key] * scale != 1:
         raise ValueError("f is not supported on an F2 span with unit 1/2^k")
-    ts = [alg.blade(key, c[key] * scale) for key in keys]
-    if (any(t * t != alg.one() for t in ts)
+    ts = {a: c[a] * scale for a in keys}  # T_i = ts[A] e_A
+    if (any(t * t * alg.square_sign(a) != 1 for a, t in ts.items())
             or not all(alg.keys_commute(a, b) for a in keys for b in keys)
-            or idempotent_from_factors(alg, ts).element != f):
+            or idempotent_from_factors(
+                alg, [alg.blade(a, t) for a, t in ts.items()]).element != f):
         raise ValueError("f is not prod (1 + T_i)/2 of commuting blades T_i")
     heads, seen = [], set()
     for a in alg.basis:

@@ -74,10 +74,6 @@ class StateRingTag:
             return self
         return StateRingTag(self.base, not self.conjugated, self.doubled)
 
-    @property
-    def is_complex(self) -> bool:
-        return self.base == "C"
-
     def __str__(self):
         s = self.base + ("~" if self.conjugated else "")
         return f"{s}(+){s}" if self.doubled else s

@@ -9,8 +9,9 @@ from cliffordkit import (IsoError, PAPER_CHAINS, RingTag, StateRingTag,
                          even_subalgebra_iso, karoubi_factorize, ring_transition,
                          split_semisimple, tensor_algebra,
                          tensor_division_ring, verify_tensor_iso)
-from cliffordkit.core import QC_I
-from cliffordkit.factorize import _require_span, karoubi_factor_signatures
+from cliffordkit.core import QC_I, Multivector, Signature
+from cliffordkit.factorize import (_require_generators, _require_span,
+                                   karoubi_factor_signatures)
 from cliffordkit.rings import PRINTED_TRANSITIONS
 from conftest import small_signatures
 
@@ -74,15 +75,71 @@ def test_verify_tensor_iso_dimension_mismatch():
         verify_tensor_iso((2, 2), [(2, 0)])
 
 
+def _assert_generator_relations(target, images):
+    """The reference check, by products: img*img = +-1 with the squares of
+    `target` in order, and every pair anticommutes."""
+    one = images[0].alg.one()
+    for i, img in enumerate(images):
+        assert img * img == (one if i < target.p else -one), (target, i)
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            assert images[i] * images[j] == -(images[j] * images[i]), \
+                (target, i, j)
+
+
 def test_witness_images_satisfy_relations():
-    w = verify_tensor_iso((3, 3), [(2, 0), (2, 0), (1, 1)])
-    one = w.tensor.one()
-    for i, img in enumerate(w.images):
-        want = one if i < 3 else -one
-        assert img * img == want
-    for i in range(6):
-        for j in range(i + 1, 6):
-            assert w.images[i] * w.images[j] == -(w.images[j] * w.images[i])
+    for p, q in small_signatures(12):
+        if (p + q) % 2 == 0 and p + q:
+            w = karoubi_factorize((p, q)).witness
+            _assert_generator_relations(w.target, w.images)
+    for (p, q), entries in PAPER_CHAINS.items():
+        for factors, _ring in entries:
+            w = verify_tensor_iso((p, q), factors)
+            _assert_generator_relations(w.target, w.images)
+    for p, q in small_signatures(8):
+        if p >= 1 and p + q >= 2:
+            w = even_subalgebra_iso((p, q))
+            _assert_generator_relations(w.target, w.images)
+
+
+def test_doubling_omega_commutes_with_images():
+    for p, q in small_signatures(8):
+        alg = clifford(p, q)
+        if p >= 1 and (p + q) % 2 and alg.square_sign(alg.volume_key) == -1:
+            w = complex_doubling_iso((p, q))
+            assert all(img * w.i_image == w.i_image * img
+                       for img in w.images), (p, q)
+
+
+def test_require_generators_reasons():
+    alg = clifford(2, 1)
+    e1, e2, e3 = alg.gens()
+    target = Signature(2, 1)
+    _require_generators(alg, [e1, e2, e3], target, "dependent")
+    _require_generators(alg, [e1, -e2, e3], target, "dependent")
+    c = clifford(1, 2, "C")  # i e2 squares to +1 there
+    _require_generators(c, [c.gen(1), c.blade(0b010, QC_I), c.gen(3)],
+                        target, "dependent")
+    cases = [([e1, e3, e2], "image 2 squares to the wrong sign for Cl(2,1)"),
+             ([e1, e2 * e3, e3], "images 1 and 2 do not anticommute"),
+             ([e1, e2, e1 * e2], "dependent"),
+             ([e1, e2], "wrong number of generator images")]
+    for images, reason in cases:
+        with pytest.raises(IsoError) as ei:
+            _require_generators(alg, images, target, "dependent")
+        assert ei.value.reason == reason, images
+
+
+def test_witnesses_form_no_products(monkeypatch):
+    calls = []
+    mul = Multivector.__mul__
+    monkeypatch.setattr(Multivector, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    verify_tensor_iso((4, 4), [(1, 1), (2, 0), (2, 0), (1, 1)])
+    karoubi_factorize((5, 3))
+    even_subalgebra_iso((2, 4))
+    complex_doubling_iso((4, 1))
+    assert calls == []
 
 
 def test_periodicity_iso():
@@ -240,8 +297,9 @@ def test_ring_transition_cross_validated_against_algebra_oracle():
 def test_tensor_algebra_arithmetic():
     ta = tensor_algebra([(1, 1), (0, 2)])
     assert ta.dim == 16
-    a = ta.embed(0, clifford(1, 1).gen(1))
-    b = ta.embed(1, clifford(0, 2).gen(2))
+    a = ta.blade(0b0001)  # e1 (x) 1
+    b = ta.blade(0b1000)  # 1 (x) e2
+    assert str(a) == "e1(x)1" and str(b) == "1(x)e2"
     assert a * b == b * a  # plain tensor: cross factors commute
     assert a * a == ta.one()
     assert b * b == -ta.one()

@@ -4,6 +4,7 @@ from cliffordkit import (clifford, ideals, is_primitive, left_ideal_basis,
                          paper_idempotents, primitive_idempotent,
                          radon_hurwitz, spinor_dimension)
 from cliffordkit.classify import classify, division_tag_of_idempotent
+from cliffordkit.core import QC_I
 from cliffordkit.exactla import Echelon, span_basis
 from cliffordkit.factorize import tensor_algebra
 from cliffordkit.ideals import (RADON_HURWITZ_BASE, SearchError, _adjacency,
@@ -394,6 +395,20 @@ def test_idempotents_outside_the_stabilizer_form_are_rejected():
         for check in (left_ideal_basis, ring_basis, is_primitive, _tag):
             with pytest.raises(ValueError):
                 check(f)
+
+
+def test_generator_squaring_to_minus_one_is_rejected(monkeypatch):
+    # T = e3 in Cl(2,1) and T = i e1 in C(x)Cl(1,0) square to -1: rejected
+    # from the key's square sign, before f is rebuilt
+    rebuilds = []
+    monkeypatch.setattr(ideals, "idempotent_from_factors",
+                        lambda alg, ts: rebuilds.append(ts))
+    a21, c10 = clifford(2, 1), clifford(1, 0, "C")
+    for f in ((a21.one() + a21.gen(3)) / 2,
+              (c10.one() + c10.blade(0b1, QC_I)) / 2):
+        with pytest.raises(ValueError, match="commuting blades"):
+            ideals._coset_heads(f)
+    assert rebuilds == []
 
 
 def test_one_wrong_coefficient_is_rejected():
