@@ -11,15 +11,19 @@ Each map is one pass over the coefficients (`core.grade_map`).  On a purely
 real algebra bar reduces to the identity, so only four maps are distinct
 there; all eight separate on complexified algebras.  The composition table
 is probed on a full R-basis, never asserted from labels: each call applies
-the eight maps to the probes once, then each map to those images, and names
-every composite by exact equality with a distinct base image list.
+the eight maps once to every probe e_A (and i*e_A over C) and reads from
+the images a verified unit tableau per map, e_A -> i^k e_A with or without
+conjugation.  A map is R-linear, so its tableau, checked on the R-basis of
+each span{e_A, i*e_A}, is the map itself; composites are therefore exact
+when computed on tableaux, and each is named by equality with a distinct
+base tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import QC_I, Multivector, grade_flips, grade_map
+from .core import QC, QC_I, Multivector, grade_flips, grade_map
 
 LABELS = ("Id", "P", "T", "PT", "C", "CP", "CT", "CPT")
 
@@ -62,29 +66,70 @@ def apply(sym, a: Multivector) -> Multivector:
     return sym(a)
 
 
+# the units i^k by exponent k; a real algebra has only +-1
+_UNITS = {"R": {1: 0, -1: 2}, "C": {1: 0, QC_I: 1, -1: 2, QC(0, -1): 3}}
+
+
+def _exponent(alg, s, x, key):
+    """k with s(x) = i^k e_A, for the probe x = e_A or i e_A of A = key."""
+    img = s(x)
+    k = _UNITS[alg.field].get(img.c.get(key) if len(img.c) == 1 else None)
+    if k is None:
+        raise RuntimeError(f"{s.label} sends {x} to {img}, not a unit times "
+                           f"{alg.key_name(key)}: it matches none of the eight maps")
+    return k
+
+
+def _tableau(alg, s, probes):
+    """(lo, hi, conj) bit-planes of s: bit j says, for the j-th basis key A,
+    that s(e_A) = i^k e_A with k = lo + 2 hi, and (over C) that s conjugates,
+    s(i e_A) = i^(k-1) e_A, instead of s(i e_A) = i^(k+1) e_A."""
+    lo = hi = conj = 0
+    for j, (key, ps) in enumerate(zip(alg.basis, probes)):
+        k, *ik = [_exponent(alg, s, x, key) for x in ps]
+        lo |= (k & 1) << j
+        hi |= (k >> 1) << j
+        if ik:
+            d = (ik[0] - k) & 3  # 1 if C-linear, 3 if antilinear
+            if d not in (1, 3):
+                raise RuntimeError(
+                    f"{s.label} is neither C-linear nor antilinear on "
+                    f"{alg.key_name(key)}: it matches none of the eight maps")
+            conj |= (d >> 1) << j
+    return lo, hi, conj
+
+
+def _compose(a, b):
+    """The tableau of a after b: k = k_a + (-k_b if a conjugates else k_b)
+    mod 4 per key, as bit-plane arithmetic."""
+    a_lo, a_hi, a_conj = a
+    b_lo, b_hi, b_conj = b
+    b_hi ^= b_lo & a_conj  # -k flips the high bit of odd k
+    return (a_lo ^ b_lo, a_hi ^ b_hi ^ (a_lo & b_lo), a_conj ^ b_conj)
+
+
 def _probe(alg):
     """(composition table, number of distinct maps), probed on an R-basis.
 
-    Equality on an R-basis is equality of R-linear maps.  Each map is applied
-    to the probes once; a composite a after b is a applied to b's images."""
-    # 1 and i side by side, so that a mismatch shows within the low grades
+    Each map is applied once to every probe e_A (and i e_A over C); its
+    images must be unit multiples of e_A, read as a tableau.  Two R-linear
+    maps that agree on an R-basis are equal, so the tableau is the map, and
+    the composite of two tableaux is the tableau of the composite map."""
     units = (1, QC_I) if alg.field == "C" else (1,)
-    probes = [alg.blade(k, u) for k in alg.basis for u in units]
-    images = [[s(x) for x in probes] for s in ALL_SYMMETRIES]
-    distinct = []  # (label, images) of the first map with each image list
-    for s, imgs in zip(ALL_SYMMETRIES, images):
-        if all(imgs != d for _label, d in distinct):
-            distinct.append((s.label, imgs))
+    probes = [[alg.blade(k, u) for u in units] for k in alg.basis]
+    tableaux = [_tableau(alg, s, probes) for s in ALL_SYMMETRIES]
+    first = {}  # tableau -> label of the first map with it
+    for s, t in zip(ALL_SYMMETRIES, tableaux):
+        first.setdefault(t, s.label)
     table = {}
-    for a in ALL_SYMMETRIES:
-        for b, imgs in zip(ALL_SYMMETRIES, images):
-            composite = [a(y) for y in imgs]
-            label = next((l for l, d in distinct if composite == d), None)
+    for a, ta in zip(ALL_SYMMETRIES, tableaux):
+        for b, tb in zip(ALL_SYMMETRIES, tableaux):
+            label = first.get(_compose(ta, tb))
             if label is None:
                 raise RuntimeError(f"composite {a.label} after {b.label} "
                                    f"matches none of the eight maps")
             table[(a.label, b.label)] = label
-    return table, len(distinct)
+    return table, len(first)
 
 
 def composition_table(alg) -> dict:

@@ -322,16 +322,22 @@ def even_subalgebra_iso(sig) -> EvenIsoWitness:
     """The isomorphism Cl+(p,q) ~ Cl(q,p-1), by explicit degree-2 images.
 
     Generators of the target map to e_1 e_j products: j > p gives the q
-    positive squares, 2 <= j <= p the p-1 negative ones.
+    positive squares, 2 <= j <= p the p-1 negative ones.  For p = 0 it is
+    Cl+(0,q) ~ Cl(0,q-1), with images e_j e_q (j < q), each squaring to -1.
     """
     sig = as_signature(sig)
-    if sig.p < 1:
-        raise ValueError("even_subalgebra_iso requires p >= 1")
+    if sig.n < 1:
+        raise ValueError("even_subalgebra_iso requires p+q >= 1")
     alg = clifford(sig.p, sig.q)
-    target = Signature(sig.q, sig.p - 1)
     gens = alg.generator_keys()
-    # e_1 e_j is the blade e_1j itself, as 1 < j
-    images = [alg.blade(1 | g) for g in gens[sig.p:] + gens[1:sig.p]]
+    if sig.p:
+        target = Signature(sig.q, sig.p - 1)
+        # e_1 e_j is the blade e_1j itself, as 1 < j
+        images = [alg.blade(1 | g) for g in gens[sig.p:] + gens[1:sig.p]]
+    else:
+        target = Signature(0, sig.q - 1)
+        # e_j e_q is the blade e_jq itself, as j < q
+        images = [alg.blade(g | gens[-1]) for g in gens[:-1]]
     for i, img in enumerate(images):
         if grade(_term(img)[0]) % 2:
             raise IsoError(f"image {i + 1} is not even")

@@ -78,11 +78,6 @@ def square_candidates(alg):
             if (s := alg.square_sign(k)) == 1 or alg.field == "C"]
 
 
-def candidate_element(alg, cand) -> Multivector:
-    key, imag = cand
-    return alg.blade(key, QC_I if imag else 1)
-
-
 def key_coset(span, key):
     """key + span, the keys that `key` adds to the F2 span `span` (a set of
     keys holding the unit key), or None when key already lies in it."""
@@ -209,7 +204,8 @@ def idempotent_from_factors(alg, factors) -> Idempotent:
 
 
 def idempotent_of_candidates(alg, cands) -> Idempotent:
-    return idempotent_from_factors(alg, [candidate_element(alg, c) for c in cands])
+    return idempotent_from_factors(
+        alg, [alg.blade(key, QC_I if imag else 1) for key, imag in cands])
 
 
 def primitive_idempotent(sig, field: str = "R") -> Idempotent:

@@ -68,10 +68,6 @@ class StateVector:
         return Fraction(abs(self.k - self.r), 2)
 
     @property
-    def signed_spin(self) -> Fraction:
-        return Fraction(self.k - self.r, 2)
-
-    @property
     def l(self) -> Fraction:
         return Fraction(self.k, 2)
 

@@ -8,7 +8,7 @@ from cliffordkit import (ALL_SYMMETRIES, apply, clifford, composition_table,
                          conjugation, complexify, group_structure,
                          pseudo_automorphism, symmetry)
 from cliffordkit.automorphisms import LABELS, DiscreteSymmetry
-from cliffordkit.core import QC, Multivector
+from cliffordkit.core import QC, QC_I, Multivector
 from cliffordkit.factorize import tensor_algebra
 from conftest import complex_multivectors, multivectors
 
@@ -196,3 +196,108 @@ def test_non_involutive_map_matches_none(monkeypatch):
     for probe in (composition_table, group_structure):
         with pytest.raises(RuntimeError, match="matches none"):
             probe(C2)
+
+
+def _dense_probe(alg):
+    """The dense reference: (table, distinct maps) from applying every map
+    to every probe, then every map to those images, and naming each
+    composite by equality of whole image lists."""
+    units = (1, QC_I) if alg.field == "C" else (1,)
+    probes = [alg.blade(k, u) for k in alg.basis for u in units]
+    images = [[s(x) for x in probes] for s in ALL_SYMMETRIES]
+    distinct = []  # (label, images) of the first map with each image list
+    for s, imgs in zip(ALL_SYMMETRIES, images):
+        if all(imgs != d for _label, d in distinct):
+            distinct.append((s.label, imgs))
+    table = {}
+    for a in ALL_SYMMETRIES:
+        for b, imgs in zip(ALL_SYMMETRIES, images):
+            composite = [a(y) for y in imgs]
+            table[(a.label, b.label)] = next(
+                l for l, d in distinct if composite == d)
+    return table, len(distinct)
+
+
+@pytest.mark.parametrize("alg", SYMMETRY_ALGEBRAS, ids=repr)
+def test_tableau_matches_dense_reference(alg):
+    table, distinct = _dense_probe(alg)
+    assert composition_table(alg) == table
+    gs = group_structure(alg)
+    assert (gs.table, gs.distinct_maps) == (table, distinct)
+
+
+def test_each_map_applied_once_per_probe(monkeypatch):
+    honest = DiscreteSymmetry.__call__
+    calls = []
+    monkeypatch.setattr(DiscreteSymmetry, "__call__",
+                        lambda self, a: calls.append(1) or honest(self, a))
+    for alg in (clifford(1, 3), C4, clifford(3, 3, "C")):
+        calls.clear()
+        composition_table(alg)
+        probes = alg.dim * (2 if alg.field == "C" else 1)
+        assert len(calls) == 8 * probes, alg
+
+
+def test_map_off_its_key_is_rejected(monkeypatch):
+    honest = DiscreteSymmetry.__call__
+
+    def e1_to_e2(self, a):
+        out = honest(self, a)
+        if self.label != "T" or 0b01 not in out.c:
+            return out
+        return Multivector(a.alg, {0b10 if k == 0b01 else k: v
+                                   for k, v in out.c.items()})
+
+    monkeypatch.setattr(DiscreteSymmetry, "__call__", e1_to_e2)
+    for probe in (composition_table, group_structure):
+        with pytest.raises(RuntimeError, match="not a unit times e1"):
+            probe(C2)
+
+
+def test_map_neither_linear_nor_antilinear_is_rejected(monkeypatch):
+    honest = DiscreteSymmetry.__call__
+
+    def i_to_minus_one(self, a):
+        # R-linear, 1 -> 1 but i -> -1: neither i*u nor conj(i)*u
+        if self.label != "C":
+            return honest(self, a)
+        return Multivector(a.alg, {k: QC(v.re - v.im) for k, v in a.c.items()
+                                   if v.re != v.im})
+
+    monkeypatch.setattr(DiscreteSymmetry, "__call__", i_to_minus_one)
+    for probe in (composition_table, group_structure):
+        with pytest.raises(RuntimeError, match="neither C-linear nor antilinear"):
+            probe(C2)
+
+
+# the dihedral group of z -> i^k z and z -> i^k conj(z), under the eight labels
+DIHEDRAL = {"Id": (0, 0), "P": (1, 0), "T": (2, 0), "PT": (3, 0),
+            "C": (0, 1), "CP": (1, 1), "CT": (2, 1), "CPT": (3, 1)}
+
+
+def _dihedral(label, z):
+    k, conj = DIHEDRAL[label]
+    return (QC(1), QC_I, QC(-1), QC(0, -1))[k] * (z.conjugate() if conj else z)
+
+
+def test_tableau_composes_units_and_conjugation(monkeypatch):
+    # every map scales each blade by the same unit, with or without
+    # conjugation: the composites need the Z4 carry and the negation of
+    # an exponent under conjugation, which the eight genuine maps never do
+    def dihedral_map(self, a):
+        return Multivector(a.alg, {k: _dihedral(self.label, v)
+                                   for k, v in a.c.items()})
+
+    monkeypatch.setattr(DiscreteSymmetry, "__call__", dihedral_map)
+    want = {}
+    for a in LABELS:
+        for b in LABELS:
+            images = [_dihedral(a, _dihedral(b, z)) for z in (QC(1), QC_I)]
+            want[(a, b)] = next(l for l in LABELS if images
+                                == [_dihedral(l, z) for z in (QC(1), QC_I)])
+    assert want[("C", "P")] == "CPT" and want[("P", "C")] == "CP"
+    for alg in (C2, C4):
+        assert composition_table(alg) == want
+        gs = group_structure(alg)
+        assert (gs.distinct_maps, gs.abelian, gs.exponent) == (8, False, 4)
+        assert str(gs) == "group of order 8"

@@ -97,7 +97,7 @@ def test_witness_images_satisfy_relations():
             w = verify_tensor_iso((p, q), factors)
             _assert_generator_relations(w.target, w.images)
     for p, q in small_signatures(8):
-        if p >= 1 and p + q >= 2:
+        if p + q >= 2:
             w = even_subalgebra_iso((p, q))
             _assert_generator_relations(w.target, w.images)
 
@@ -105,7 +105,7 @@ def test_witness_images_satisfy_relations():
 def test_doubling_omega_commutes_with_images():
     for p, q in small_signatures(8):
         alg = clifford(p, q)
-        if p >= 1 and (p + q) % 2 and alg.square_sign(alg.volume_key) == -1:
+        if (p + q) % 2 and alg.square_sign(alg.volume_key) == -1:
             w = complex_doubling_iso((p, q))
             assert all(img * w.i_image == w.i_image * img
                        for img in w.images), (p, q)
@@ -205,8 +205,10 @@ def test_even_subalgebra_iso_examples():
 
 def test_even_subalgebra_iso_sweep():
     for p, q in small_signatures(6):
-        if p >= 1:
+        if p + q >= 1:
             even_subalgebra_iso((p, q))  # raises on any failed check
+    with pytest.raises(ValueError):
+        even_subalgebra_iso((0, 0))
 
 
 def test_complexify():
@@ -239,6 +241,20 @@ def test_complex_doubling_iso():
     assert (w.factor.p, w.factor.q) == (1, 3)
     with pytest.raises(IsoError):
         complex_doubling_iso((1, 0))  # omega^2 = +1: no complex center
+
+
+def test_complex_doubling_iso_without_positive_generators():
+    w = complex_doubling_iso((0, 1))  # C itself: i is e1, no generators
+    assert (w.factor.p, w.factor.q, w.images) == (0, 0, ())
+    assert w.i_image == clifford(0, 1).gen(1)
+    w = complex_doubling_iso((0, 5))
+    assert (w.factor.p, w.factor.q) == (0, 4)
+    assert [img.c for img in w.images] == [{0b10001: 1}, {0b10010: 1},
+                                          {0b10100: 1}, {0b11000: 1}]
+    assert all(img * img == -clifford(0, 5).one() for img in w.images)
+    for q in (3, 7):
+        with pytest.raises(IsoError):
+            complex_doubling_iso((0, q))  # omega^2 = +1
 
 
 def test_ring_transition_printed_rows():
