@@ -13,15 +13,17 @@ there; all eight separate on complexified algebras.  The composition table
 is probed on a full R-basis, never asserted from labels: each call applies
 the eight maps once to every probe e_A (and i*e_A over C) and reads from
 the images a verified unit tableau per map, e_A -> i^k e_A with or without
-conjugation.  A map is R-linear, so its tableau, checked on the R-basis of
-each span{e_A, i*e_A}, is the map itself; composites are therefore exact
-when computed on tableaux, and each is named by equality with a distinct
-base tableau.
+conjugation.  Each unit i^k is read from the integer parts (re, im) of the
+image's one coefficient, not by hashing or comparing it.  A map is
+R-linear, so its tableau, checked on the R-basis of each span{e_A, i*e_A},
+is the map itself; composites are therefore exact when computed on
+tableaux, and each is named by equality with a distinct base tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .core import QC, QC_I, Multivector, grade_flips, grade_map
 
@@ -66,14 +68,21 @@ def apply(sym, a: Multivector) -> Multivector:
     return sym(a)
 
 
-# the units i^k by exponent k; a real algebra has only +-1
-_UNITS = {"R": {1: 0, -1: 2}, "C": {1: 0, QC_I: 1, -1: 2, QC(0, -1): 3}}
+# the units i^k by exponent k, keyed by their integer parts (re, im)
+_UNITS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
 
 
 def _exponent(alg, s, x, key):
-    """k with s(x) = i^k e_A, for the probe x = e_A or i e_A of A = key."""
+    """k with s(x) = i^k e_A, for the probe x = e_A or i e_A of A = key: the
+    image must be one term on A whose coefficient, of the algebra's own type
+    (Fraction over R, QC over C), has integer parts (re, im) forming a unit."""
     img = s(x)
-    k = _UNITS[alg.field].get(img.c.get(key) if len(img.c) == 1 else None)
+    v = img.c.get(key) if len(img.c) == 1 else None
+    re, im = (v.re, v.im) if type(v) is QC else (v, 0)
+    k = None
+    if (type(v) is (QC if alg.field == "C" else Fraction)
+            and re.denominator == 1 and im.denominator == 1):
+        k = _UNITS.get((re.numerator, im.numerator))
     if k is None:
         raise RuntimeError(f"{s.label} sends {x} to {img}, not a unit times "
                            f"{alg.key_name(key)}: it matches none of the eight maps")
@@ -115,8 +124,9 @@ def _probe(alg):
     images must be unit multiples of e_A, read as a tableau.  Two R-linear
     maps that agree on an R-basis are equal, so the tableau is the map, and
     the composite of two tableaux is the tableau of the composite map."""
-    units = (1, QC_I) if alg.field == "C" else (1,)
-    probes = [[alg.blade(k, u) for u in units] for k in alg.basis]
+    # each unit coerced once; the probe keys are the basis itself
+    units = [alg.scalar(u) for u in ((1, QC_I) if alg.field == "C" else (1,))]
+    probes = [[Multivector(alg, {k: u}) for u in units] for k in alg.basis]
     tableaux = [_tableau(alg, s, probes) for s in ALL_SYMMETRIES]
     first = {}  # tableau -> label of the first map with it
     for s, t in zip(ALL_SYMMETRIES, tableaux):

@@ -551,15 +551,31 @@ def volume_element(alg) -> Multivector:
     return alg.blade(alg.volume_key)
 
 
+def commutation_form(alg):
+    """form[t]: the generators that anticommute with generator t, as a mask.
+
+    With m = `sign_mask`, blades a and b anticommute iff
+    popcount(a & m(b)) + popcount(b & m(a)) is odd.  Each m is F2-linear in
+    its key, so this is a bilinear form, fixed by its values on generators:
+    the generators that anticommute with blade a are the XOR of form[t] over
+    the bits t of a, and blade b anticommutes with a iff b meets that set an
+    odd number of times."""
+    n = alg.n
+    masks = [alg.sign_mask(1 << t) for t in range(n)]
+    return [sum(1 << s for s in range(n) if (masks[t] >> s ^ masks[s] >> t) & 1)
+            for t in range(n)]
+
+
 def center_basis(alg):
-    """Basis keys commuting with every generator, found by brute force."""
+    """Basis blades commuting with every generator: anti[k], the generators
+    that anticommute with blade k, is built up one bit of k at a time from
+    the commutation form, and the keys with anti[k] == 0 are central."""
     alg = as_algebra(alg)
-    gen_keys = alg.generator_keys()
-    out = []
-    for k in alg.basis:
-        if all(alg.keys_commute(k, g) for g in gen_keys):
-            out.append(k)
-    return [alg.blade(k) for k in out]
+    form = commutation_form(alg)
+    anti = [0] * alg.dim
+    for k in range(1, alg.dim):
+        anti[k] = anti[k & (k - 1)] ^ form[(k & -k).bit_length() - 1]
+    return [alg.blade(k) for k in alg.basis if not anti[k]]
 
 
 def even_subalgebra_basis(alg):

@@ -14,7 +14,7 @@ are F2-linearly independent and pairwise commuting, which already rules out
 bilinear form on keys: with m = `sign_mask`, blade(a) and blade(b)
 anticommute iff popcount(a & m(b)) + popcount(b & m(a)) is odd, in any such
 algebra.  So the search reads each commutation row off bit-sliced columns
-of the keys and their masks, with no pairwise loop.
+of the keys and `core.commutation_form`, with no pairwise loop.
 
 Such an f is a stabilizer projector (Gottesman, arXiv:quant-ph/9705052), so
 its ideals follow from the F2 span V of the T-keys (Lounesto, ch. 17).  In
@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Multivector, QC_I, as_algebra, as_signature, clifford
+from .core import (Multivector, QC_I, as_algebra, as_signature, clifford,
+                   commutation_form)
 
 # Frozen from the brute-force derivation over all signatures with p+q <= 8.
 RADON_HURWITZ_BASE = (0, 1, 2, 2, 3, 3, 3, 3)
@@ -87,30 +88,34 @@ def key_coset(span, key):
 
 
 def _bit_columns(vals, n):
-    """Bit-slice `vals`: column t has bit j set iff bit t of vals[j] is."""
-    return [sum(1 << j for j, v in enumerate(vals) if v >> t & 1)
-            for t in range(n)]
+    """Bit-slice `vals`, non-empty and each below 2^n (n >= 1): column t has
+    bit j set iff bit t of vals[j] is.  The fixed-width bit strings are
+    transposed, last value first, so that vals[j] lands on bit j of every
+    column."""
+    rows = [format(v, f"0{n}b") for v in reversed(vals)]
+    return [int("".join(col), 2) for col in zip(*rows)][::-1]
 
 
 def _adjacency(alg, keys):
     """adj[i] has bit j set iff keys[i] and keys[j] commute (i != j).
 
-    By the bilinear form above, the keys that anticommute with a = keys[i]
-    are the XOR of the mask columns at the bits of a and the key columns at
-    the bits of m(a): at most 2n big-int XORs per row.  Masks are cut to the
-    n key bits, as a prefix parity spills above them."""
-    low = alg.dim - 1
-    masks = [alg.sign_mask(k) & low for k in keys]
-    kcols, mcols = _bit_columns(keys, alg.n), _bit_columns(masks, alg.n)
+    By the commutation form, the keys that anticommute with a = keys[i] are
+    those meeting w, the generators that anticommute with a, an odd number
+    of times: the XOR of the key columns at the bits of w, at most n big-int
+    XORs per row."""
+    form = commutation_form(alg)
+    cols = _bit_columns(keys, alg.n)
     full = (1 << len(keys)) - 1
     adj = []
-    for i, (a, m) in enumerate(zip(keys, masks)):
-        anti = 1 << i  # a commutes with itself; clear bit i of the row
-        for bits, cols in ((a, mcols), (m, kcols)):
-            while bits:
-                anti ^= cols[(bits & -bits).bit_length() - 1]
-                bits &= bits - 1
-        adj.append(full & ~anti)
+    for i, a in enumerate(keys):
+        w = anti = 0
+        while a:
+            w ^= form[(a & -a).bit_length() - 1]
+            a &= a - 1
+        while w:
+            anti ^= cols[(w & -w).bit_length() - 1]
+            w &= w - 1
+        adj.append(full & ~anti & ~(1 << i))  # a commutes with itself
     return adj
 
 

@@ -301,3 +301,46 @@ def test_tableau_composes_units_and_conjugation(monkeypatch):
         gs = group_structure(alg)
         assert (gs.distinct_maps, gs.abelian, gs.exponent) == (8, False, 4)
         assert str(gs) == "group of order 8"
+
+
+def _rewriting_p(rewrite):
+    """P with each coefficient v of its honest image replaced by rewrite(v)."""
+    honest = DiscreteSymmetry.__call__
+
+    def rewritten(self, a):
+        out = honest(self, a)
+        if self.label != "P":
+            return out
+        return Multivector(a.alg, {k: rewrite(v) for k, v in out.c.items()})
+    return rewritten
+
+
+@pytest.mark.parametrize("coeff", [QC(Fraction(1, 2), 0), QC(0, Fraction(1, 2)),
+                                   QC(2), QC(1, 1)], ids=repr)
+def test_non_unit_coefficient_matches_none(monkeypatch, coeff):
+    monkeypatch.setattr(DiscreteSymmetry, "__call__",
+                        _rewriting_p(lambda v: coeff * v))
+    for probe in (composition_table, group_structure):
+        with pytest.raises(RuntimeError, match="matches none"):
+            probe(C2)
+
+
+@pytest.mark.parametrize("real", [lambda x: x, int], ids=["Fraction", "int"])
+def test_real_coefficient_in_complex_algebra_matches_none(monkeypatch, real):
+    # +-e_A goes to the real +-1 in place of QC(+-1, 0): a unit in value,
+    # but not a coefficient of a complexified algebra
+    monkeypatch.setattr(DiscreteSymmetry, "__call__",
+                        _rewriting_p(lambda v: real(v.re) if not v.im else v))
+    for probe in (composition_table, group_structure):
+        with pytest.raises(RuntimeError, match="matches none"):
+            probe(C2)
+
+
+@pytest.mark.parametrize("rewrite", [lambda v: 2 * v, lambda v: v / 2, QC],
+                         ids=["twice", "half", "QC"])
+def test_real_map_off_the_units_is_rejected(monkeypatch, rewrite):
+    # e_A -> 2 e_A, e_A -> e_A / 2, and a complex-typed unit in a real algebra
+    monkeypatch.setattr(DiscreteSymmetry, "__call__", _rewriting_p(rewrite))
+    for probe in (composition_table, group_structure):
+        with pytest.raises(RuntimeError, match="not a unit times 1"):
+            probe(clifford(1, 3))

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from cliffordkit import (QC, Signature, center_basis, clifford, conjugation,
-                         even_subalgebra_basis, grade, grade_involution,
-                         pseudo_automorphism, reversion, tensor_algebra,
-                         volume_element)
+from cliffordkit import (PAPER_CHAINS, QC, Signature, center_basis, clifford,
+                         conjugation, even_subalgebra_basis, grade,
+                         grade_involution, pseudo_automorphism, reversion,
+                         tensor_algebra, volume_element)
+from cliffordkit.classify import central_split_key
 from cliffordkit.exactla import Echelon
-from conftest import complex_multivectors, multivector_pairs, multivector_triples
+from conftest import (complex_multivectors, multivector_pairs,
+                      multivector_triples, small_signatures)
 
 
 def test_signature_validation():
@@ -150,6 +152,43 @@ def test_center_matches_parity_of_n():
         alg = clifford(p, q)
         want = 1 if alg.n % 2 == 0 else 2
         assert len(center_basis(alg)) == want
+
+
+def _reference_center_keys(alg):
+    """The brute-force scan: every key against every generator."""
+    return [k for k in alg.basis
+            if all(alg.keys_commute(k, g) for g in alg.generator_keys())]
+
+
+def test_center_matches_brute_force_scan():
+    algs = [clifford(p, q, field) for field in "RC"
+            for p, q in small_signatures(8)]
+    algs += [tensor_algebra(fac) for entries in PAPER_CHAINS.values()
+             for fac, _ring in entries]
+    # tensors with odd factors, whose centers are larger than {1}
+    algs += [tensor_algebra([(1, 0), (2, 1)]),
+             tensor_algebra([(1, 0), (0, 1), (0, 3)]),
+             tensor_algebra([clifford(1, 1, "C"), (0, 3)])]
+    for alg in algs:
+        want = [alg.blade(k).c for k in _reference_center_keys(alg)]
+        assert [z.c for z in center_basis(alg)] == want, alg
+
+
+def test_central_split_key_matches_brute_force_to_n12():
+    # the old reading (a central non-scalar key that squares to +1, any key
+    # over C) and the omega rule: only odd n has a non-scalar center, {1,
+    # omega}, and omega^2 = +1 there iff p - q = 1 (mod 4)
+    count = 0
+    for field in "RC":
+        for p, q in small_signatures(12):
+            alg = clifford(p, q, field)
+            want = next((k for k in _reference_center_keys(alg)[1:]
+                         if field == "C" or alg.square_sign(k) == 1), None)
+            omega = alg.n % 2 and (field == "C" or (p - q) % 4 == 1)
+            assert want == (alg.volume_key if omega else None), alg
+            assert central_split_key(alg) == want, alg
+            count += 1
+    assert count == 182
 
 
 def test_omega_square_mod4_rule():

@@ -8,7 +8,7 @@ from cliffordkit.core import QC_I
 from cliffordkit.exactla import Echelon, span_basis
 from cliffordkit.factorize import tensor_algebra
 from cliffordkit.ideals import (RADON_HURWITZ_BASE, SearchError, _adjacency,
-                                _canonical_chains, _factor_count,
+                                _bit_columns, _canonical_chains, _factor_count,
                                 find_square_set, idempotent_factor_count,
                                 idempotent_from_factors,
                                 idempotent_of_candidates,
@@ -138,6 +138,11 @@ def test_adjacency_matches_reference_rows():
         key_lists.append((alg, list(alg.basis[1:])))
     for alg, keys in key_lists:
         assert _adjacency(alg, keys) == _reference_adjacency(alg, keys), alg
+        if alg.n <= 8 and keys:
+            # the transposed columns against one sum per column
+            assert _bit_columns(keys, alg.n) == [
+                sum(1 << j for j, k in enumerate(keys) if k >> t & 1)
+                for t in range(alg.n)], alg
 
 
 def test_find_square_set_matches_reference_search():
