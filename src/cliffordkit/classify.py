@@ -5,11 +5,11 @@
 2^(p+q) = rank^2 * dim_R(ring) (doubled rings contribute twice the half-ring).
 
 `division_ring_oracle` recomputes the ring with no reference to that table:
-it builds a primitive idempotent f, takes the stabilizer-coset basis of
-f*Cl*f (see `ideals`), whose elements x are units with x*x = +-f, and
-certifies the result by dimension plus exact sign witnesses (x*x = -f for C,
-an anticommuting pair of such x for H, which also rules out the
-4-dimensional impostor Mat_2(R)).
+it builds a primitive idempotent f and reads f*Cl*f off the keys of its
+central stabilizer-coset heads e_A (see `ideals`), where (e_A f)^2 =
+square_sign(A) f: dimension, squares -f past f for C, and an anticommuting
+pair of heads for H, which also rules out the 4-dimensional impostor
+Mat_2(R).  No product is formed once f is built.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Multivector, as_signature, center_basis, clifford
-from .ideals import (OracleFailure, _division_tag, _heads_and_tag,
-                     idempotent_of_candidates, max_commuting_square_set,
-                     primitive_idempotent, ring_basis)
+from .ideals import (OracleFailure, _heads_and_tag, idempotent_of_candidates,
+                     max_commuting_square_set, primitive_idempotent)
 from .rings import RingTag
 
 _RING_BY_MOD8 = {
@@ -119,9 +118,9 @@ def central_split_key(alg):
 
 
 def division_tag_of_idempotent(alg, f: Multivector) -> str:
-    """Base tag 'R' | 'C' | 'H' of f*Cl*f, certified by sign witnesses: past
-    f itself, every square is -f, and for H basis[1] and basis[2] anticommute."""
-    return _division_tag(f, ring_basis(f))
+    """Base tag 'R' | 'C' | 'H' of f*Cl*f, read off the keys of f's central
+    coset heads with no product (see `ideals._division_tag`)."""
+    return _heads_and_tag(f)[1]
 
 
 def division_ring_oracle(sig) -> RingTag:

@@ -133,7 +133,6 @@ class QC:
 
 
 QC_I = QC(0, 1)
-QC_ONE = QC(1, 0)
 
 
 @dataclass(frozen=True, order=True)
@@ -439,9 +438,6 @@ class Multivector:
 
     def __hash__(self):
         return hash((id(self.alg), self.key()))
-
-    def coeff(self, mask):
-        return self.c.get(mask, self.alg.scalar(0))
 
     def columns(self):
         """Sparse coefficients {basis position: value} (nonzeros only)."""

@@ -21,9 +21,9 @@ its ideals follow from the F2 span V of the T-keys (Lounesto, ch. 17).  In
 Cl*f, e_A f is a unit multiple of e_B f when A + B lies in V, and the two
 have disjoint supports otherwise: the first key of each coset of V gives a
 basis.  In f*Cl*f, f e_A f is e_A f when e_A commutes with every T_i and 0
-otherwise, as (1 - T)(1 + T) = 0: the commuting coset heads give a basis.
-So `left_ideal_basis`, `ring_basis` and `is_primitive` take only such an f,
-read its T_i back off f and verify them; any other f is a ValueError.
+otherwise, as (1 - T)(1 + T) = 0: the commuting heads give a basis, whose
+squares (e_A f)^2 = square_sign(A) f name the ring.  Only such an f is taken,
+checked on its keys against prod (1 + T_i); any other f is a ValueError.
 """
 
 from __future__ import annotations
@@ -246,31 +246,32 @@ def _coset_heads(f: Multivector):
     """(heads, central): the first key A, in canonical order, of each coset
     of V, and those of them whose blade commutes with every T_i.
 
-    V is f's support: it must be spanned by k keys and hold the unit with
-    coefficient 1/2^k.  T_i = 2^k c_A e_A for each key A that opens a new
-    coset; each must square to +1, read as (2^k c_A)^2 * square_sign(A),
-    commute with the others, and together they must rebuild f."""
+    One walk over f's support in canonical order multiplies out P =
+    prod (1 + T_i) with `mul_key`: a key A outside P opens a new coset,
+    T = t e_A with t = c_A / c_1, if t^2 square_sign(A) = 1 and e_A commutes
+    with the earlier T's.  Then f = c_1 P term by term, with c_1 2^k = 1."""
     alg = f.alg
     c = f.c
-    span, keys = {alg.unit_key}, []
-    for key in sorted(c, key=alg.index.get):
-        coset = key_coset(span, key)
-        if coset is not None:
-            keys.append(key)
-            span |= coset
-    scale = 1 << len(keys)
-    if span != c.keys() or c[alg.unit_key] * scale != 1:
+    if alg.unit_key not in c:
         raise ValueError("f is not supported on an F2 span with unit 1/2^k")
-    ts = {a: c[a] * scale for a in keys}  # T_i = ts[A] e_A
-    if (any(t * t * alg.square_sign(a) != 1 for a, t in ts.items())
-            or not all(alg.keys_commute(a, b) for a in keys for b in keys)
-            or idempotent_from_factors(
-                alg, [alg.blade(a, t) for a, t in ts.items()]).element != f):
-        raise ValueError("f is not prod (1 + T_i)/2 of commuting blades T_i")
+    one = c[alg.unit_key]
+    prod, keys = {alg.unit_key: 1}, []
+    for a in sorted(c, key=alg.index.get):
+        t = c[a] / one
+        if a not in prod and t * t * alg.square_sign(a) == 1 and all(
+                alg.keys_commute(a, b) for b in keys):
+            keys.append(a)
+            for b, v in list(prod.items()):
+                k, sign = alg.mul_key(b, a)
+                prod[k] = sign * v * t
+        if t != prod.get(a, 0):  # c_A = c_1 P_A; a rejected T is not in P
+            raise ValueError("f is not prod (1 + T_i)/2 of commuting blades T_i")
+    if len(prod) != len(c) or one * len(prod) != 1:
+        raise ValueError("f is not supported on an F2 span with unit 1/2^k")
     heads, seen = [], set()
     for a in alg.basis:
         if a not in seen:
-            seen.update(a ^ s for s in span)
+            seen.update(a ^ s for s in prod)
             heads.append(a)
     return heads, [a for a in heads
                    if all(alg.keys_commute(a, t) for t in keys)]
@@ -293,12 +294,12 @@ def ring_basis(f) -> list:
     return _times_f(_coset_heads(fe)[1], fe)
 
 
-def _division_tag(f: Multivector, basis: list) -> str:
-    """Base tag 'R' | 'C' | 'H' of the ring f*Cl*f with the given basis,
-    certified by sign witnesses: past f itself, every square is -f, and for
-    H basis[1] and basis[2] anticommute."""
-    d = len(basis)
-    if f.alg.field == "C":
+def _division_tag(alg, central: list) -> str:
+    """Base tag 'R' | 'C' | 'H' of f*Cl*f, read off its central coset heads,
+    unit key first: as (e_A f)^2 = square_sign(A) f, past f every square is
+    -f, and for H the next two heads anticommute, as in Cl(0, log2 d)."""
+    d = len(central)
+    if alg.field == "C":
         if d == 1:
             return "C"
         raise OracleFailure(f"complexified ring dimension {d} not 1")
@@ -306,13 +307,12 @@ def _division_tag(f: Multivector, basis: list) -> str:
         return "R"
     if d not in (2, 4):
         raise OracleFailure(f"ring dimension {d} not in {{1, 2, 4}}")
-    if any(x * x != -f for x in basis[1:]):
+    if any(alg.square_sign(a) != -1 for a in central[1:]):
         raise OracleFailure(f"{d}-dim ring with a non-negative square")
     if d == 2:
         return "C"
-    u, v = basis[1], basis[2]
-    if u * v + v * u:
-        raise OracleFailure("4-dim ring: basis[1] and basis[2] commute")
+    if alg.keys_commute(central[1], central[2]):
+        raise OracleFailure("4-dim ring: heads[1] and heads[2] commute")
     return "H"
 
 
@@ -324,7 +324,7 @@ def _heads_and_tag(f: Multivector):
     """(heads, tag): the coset heads of Cl*f and the certified base tag of
     f*Cl*f, from one verified reading of f."""
     heads, central = _coset_heads(f)
-    return heads, _division_tag(f, _times_f(central, f))
+    return heads, _division_tag(f.alg, central)
 
 
 def is_primitive(f) -> bool:

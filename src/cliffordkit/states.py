@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .core import clifford
 from .rings import StateRingTag, ring_transition
 
 
@@ -220,7 +221,7 @@ def annihilate(s: StateVector, sbar: StateVector) -> StateSum:
     Requires conjugate rings and opposite charges.  Complexified rings expand
     as (K (+) iK) (x) (K (-) iK): the four cross terms carry coefficients
     1, -i, +i, +1, the imaginary pair cancels, and the fused state comes out
-    with multiplicity 2.  Undoubled rings contract by plain fusion.
+    with the multiplicity (1 + i)(1 - i) = 2.  Undoubled rings contract by plain fusion.
     """
     if sbar.ring != s.ring.conjugate():
         raise StateError(f"rings {s.ring} and {sbar.ring} are not conjugate")
@@ -228,14 +229,16 @@ def annihilate(s: StateVector, sbar: StateVector) -> StateSum:
         raise StateError("annihilation requires opposite (b, l) sectors")
     fused = fuse(s, sbar)
     if s.ring.base == "C":
-        # (1)(1), (1)(-i), (i)(1), (i)(-i) -> 1 - i + i + 1; the underlying
+        # (1 + i)(1 - i) by the product kernel, with i = e1 in Cl(0,1): the
+        # cross terms cancel, the scalar left is the multiplicity, and the
         # base (H for active, R for inert doubling) fuses to R either way
-        re = 1 + 0 + 0 + 1
-        im = 0 - 1 + 1 + 0
-        if (re, im) != (2, 0):
+        alg = clifford(0, 1)
+        pair = (alg.one() + alg.gen(1)) * (alg.one() - alg.gen(1))
+        mult = pair.c.get(alg.unit_key, 0)
+        if pair.c.keys() != {alg.unit_key} or mult.denominator != 1 or mult < 1:
             raise StateError("complex cross terms of the pair do not cancel")
         fused = replace(fused, ring=StateRingTag("R"))
-        return StateSum({fused: re})
+        return StateSum({fused: mult.numerator})
     return StateSum({fused: 1})
 
 

@@ -3,13 +3,15 @@ import pytest
 from cliffordkit import (clifford, ideals, is_primitive, left_ideal_basis,
                          paper_idempotents, primitive_idempotent,
                          radon_hurwitz, spinor_dimension)
-from cliffordkit.classify import classify, division_tag_of_idempotent
-from cliffordkit.core import QC_I
+from cliffordkit.classify import (_ring_and_heads, classify,
+                                  division_tag_of_idempotent)
+from cliffordkit.core import QC_I, Multivector
 from cliffordkit.exactla import Echelon, span_basis
 from cliffordkit.factorize import tensor_algebra
-from cliffordkit.ideals import (RADON_HURWITZ_BASE, SearchError, _adjacency,
-                                _bit_columns, _canonical_chains, _factor_count,
-                                find_square_set, idempotent_factor_count,
+from cliffordkit.ideals import (RADON_HURWITZ_BASE, OracleFailure, SearchError,
+                                _adjacency, _bit_columns, _canonical_chains,
+                                _factor_count, find_square_set,
+                                idempotent_factor_count,
                                 idempotent_from_factors,
                                 idempotent_of_candidates,
                                 max_commuting_square_set, realify, ring_basis,
@@ -352,10 +354,72 @@ def _reference_ring_basis(fe):
     return out
 
 
+def _product_tag(fe):
+    """The former ring tag, certified by product witnesses on the basis e_A f
+    of f*Cl*f: past f every x*x is -f, and for H the second and third
+    elements anticommute.  None where the key reading raises OracleFailure."""
+    basis = ring_basis(fe)
+    d = len(basis)
+    if fe.alg.field == "C":
+        return "C" if d == 1 else None
+    if d == 1:
+        return "R"
+    if d not in (2, 4) or any(x * x != -fe for x in basis[1:]):
+        return None
+    if d == 2:
+        return "C"
+    u, v = basis[1], basis[2]
+    return None if u * v + v * u else "H"
+
+
+def _key_tag(fe):
+    try:
+        return division_tag_of_idempotent(fe.alg, fe)
+    except OracleFailure:
+        return None
+
+
+def _read_factors(fe):
+    """The T_i the former reading took off f: T = 2^k c_A e_A for each key A
+    that opens a new coset of the span, in canonical order; None unless f's
+    support is that span and holds the unit with coefficient 1/2^k."""
+    alg, c = fe.alg, fe.c
+    span, keys = {alg.unit_key}, []
+    for key in sorted(c, key=alg.index.get):
+        if key not in span:
+            keys.append(key)
+            span |= {key ^ s for s in span}
+    scale = 1 << len(keys)
+    if span != c.keys() or c.get(alg.unit_key, 0) * scale != 1:
+        return None
+    return [alg.blade(a, c[a] * scale) for a in keys]
+
+
+def _rebuilds(fe):
+    """The former product check: the T_i read off f rebuild f."""
+    ts = _read_factors(fe)
+    if ts is None:
+        return False
+    try:
+        return idempotent_from_factors(fe.alg, ts).element == fe
+    except ValueError:
+        return False
+
+
+def _keys_accept(fe):
+    try:
+        ideals._coset_heads(fe)
+    except ValueError:
+        return False
+    return True
+
+
 def _assert_matches_references(f):
     fe = f.element
     assert left_ideal_basis(f).basis == _reference_left_ideal_basis(fe), f
     assert ring_basis(f) == _reference_ring_basis(fe), f
+    assert _rebuilds(fe), f
+    assert _key_tag(fe) == _product_tag(fe), f
 
 
 def test_coset_bases_match_reference_on_primitive_idempotents():
@@ -384,6 +448,49 @@ def test_coset_bases_match_reference_on_other_idempotents():
         _assert_matches_references(f)
 
 
+def _two_factor_elements(alg):
+    """c (1 + t e_A)(1 + u e_B), multiplied out with the product kernel, for
+    every pair of keys and unit-like t, u: the expansions of commuting,
+    anticommuting and -1-square generators, with right and wrong c, and
+    each with its e_(A+B) term dropped."""
+    units = [1, -1, 2] + ([QC_I] if alg.field == "C" else [])
+    one, out = alg.one(), []
+    for a in alg.basis[1:]:
+        for t in units:
+            x = one + alg.blade(a, t)
+            out += [x / 2, x / 4]
+            for b in alg.basis[alg.index[a] + 1:]:
+                for u in units[:2]:
+                    y = x * (one + alg.blade(b, u)) / 4
+                    out += [y, alg.mv({k: v for k, v in y.c.items()
+                                       if k != a ^ b})]
+    return out
+
+
+def test_key_reading_accepts_exactly_what_the_product_rebuild_accepts():
+    seen = {True: 0, False: 0}
+    for field in "RC":
+        for p, q in small_signatures(3):
+            for fe in _two_factor_elements(clifford(p, q, field)):
+                accepted = _keys_accept(fe)
+                assert accepted == _rebuilds(fe), (field, p, q, fe)
+                seen[accepted] += 1
+                if accepted:
+                    assert _key_tag(fe) == _product_tag(fe), fe
+    assert min(seen.values()) > 100, seen
+
+
+def test_division_tag_reads_the_relations_of_cl0d():
+    # keys of Cl(0,4): e1 e2 e4 give H; e12 and e34 square to -1 but commute
+    alg = clifford(0, 4)
+    assert ideals._division_tag(alg, [0, 0b1, 0b10, 0b100]) == "H"
+    assert ideals._division_tag(alg, [0, 0b11]) == "C"
+    with pytest.raises(OracleFailure, match="commute"):
+        ideals._division_tag(alg, [0, 0b11, 0b1100, 0b101])
+    with pytest.raises(OracleFailure, match="non-negative square"):
+        ideals._division_tag(alg, [0, 0b1111])
+
+
 def _tag(f):
     return division_tag_of_idempotent(f.alg, f)
 
@@ -404,7 +511,7 @@ def test_idempotents_outside_the_stabilizer_form_are_rejected():
 
 def test_generator_squaring_to_minus_one_is_rejected(monkeypatch):
     # T = e3 in Cl(2,1) and T = i e1 in C(x)Cl(1,0) square to -1: rejected
-    # from the key's square sign, before f is rebuilt
+    # from the key's square sign, with no rebuild of f
     rebuilds = []
     monkeypatch.setattr(ideals, "idempotent_from_factors",
                         lambda alg, ts: rebuilds.append(ts))
@@ -416,9 +523,23 @@ def test_generator_squaring_to_minus_one_is_rejected(monkeypatch):
     assert rebuilds == []
 
 
+def test_anticommuting_generators_are_rejected():
+    # (1 + e1)(1 + e2)/4 in Cl(2,0): support, unit and every coefficient
+    # match the expansion of prod (1 + T_i), but e1 and e2 anticommute
+    alg = clifford(2, 0)
+    one = alg.one()
+    f = (one + alg.gen(1) + alg.gen(2) + alg.blade(0b11)) / 4
+    assert f == (one + alg.gen(1)) * (one + alg.gen(2)) / 4
+    assert not _rebuilds(f)
+    for check in (left_ideal_basis, ring_basis, _tag):
+        with pytest.raises(ValueError, match="commuting blades"):
+            check(f)
+    assert not is_primitive(f)
+
+
 def test_one_wrong_coefficient_is_rejected():
     # (1 + e1)(1 + e23)/4 in Cl(2,2) with the sign of e123 flipped: the
-    # support, unit coefficient and generators pass, the rebuild does not
+    # support, unit coefficient and generators pass, the expansion does not
     alg = clifford(2, 2)
     f = (alg.one() + alg.gen(1) + alg.blade(0b0110) - alg.blade(0b0111)) / 4
     for check in (left_ideal_basis, ring_basis, _tag):
@@ -431,15 +552,35 @@ def test_one_wrong_coefficient_is_rejected():
 
 def test_is_primitive_and_spinor_dimension_verify_f_once(monkeypatch):
     f41 = paper_idempotents()["f41_real"]
-    honest = ideals.idempotent_from_factors
+    honest = ideals._coset_heads
     calls = []
 
-    def counted(alg, factors):
-        calls.append(alg)
-        return honest(alg, factors)
+    def counted(f):
+        calls.append(f)
+        return honest(f)
 
-    monkeypatch.setattr(ideals, "idempotent_from_factors", counted)
+    monkeypatch.setattr(ideals, "_coset_heads", counted)
     assert is_primitive(f41)
     assert len(calls) == 1
     assert spinor_dimension(f41) == 4
     assert len(calls) == 2
+
+
+def test_ring_reading_makes_no_products(monkeypatch):
+    # once f is built, its ring, tag and spinor dimension are read off keys
+    fs = [primitive_idempotent((p, q), field)
+          for field in "RC" for p, q in small_signatures(6)]
+    fs += [f for f in paper_idempotents().values() if is_primitive(f)]
+    honest = Multivector.__mul__
+    calls = []
+
+    def counted(a, b):
+        calls.append(b)
+        return honest(a, b)
+
+    monkeypatch.setattr(Multivector, "__mul__", counted)
+    for f in fs:
+        _ring_and_heads(f.alg, f)
+        division_tag_of_idempotent(f.alg, f.element)
+        spinor_dimension(f)
+    assert calls == []

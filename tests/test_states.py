@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -6,9 +7,10 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from cliffordkit import (StateRingTag, StateSum, additive_spin, annihilate,
-                         conjugate, double, fundamental_states, fuse,
+                         clifford, conjugate, double, fundamental_states, fuse,
                          fuse_detailed, mass, named_states, parse_state,
                          sector_of, state, statistics, superposable)
+from cliffordkit.core import Multivector
 from cliffordkit.states import StateError
 
 NU = named_states()["nu"]
@@ -66,6 +68,25 @@ def test_annihilation_of_electron_positron():
     assert str(sv.ring) == "R" and (sv.b, sv.lepton) == (0, 0)
     assert sv.spin == 1  # e+ keeps the electron's chirality counts: (2,0)
     assert str(out) == "2|R,0,0,1⟩"
+
+
+def test_annihilation_multiplicity_from_the_product_kernel(monkeypatch):
+    # the multiplicity is the scalar (1 + e1)(1 - e1) of Cl(0,1), one product
+    honest = Multivector.__mul__
+    calls = []
+
+    def counted(a, b):
+        calls.append(b)
+        return honest(a, b)
+
+    monkeypatch.setattr(Multivector, "__mul__", counted)
+    assert annihilate(EMINUS, EPLUS).total_multiplicity == 2
+    assert len(calls) == 1
+    # in Cl(1,0), where e1 squares to +1, the pair cancels to 0: rejected
+    module = importlib.import_module("cliffordkit.states")
+    monkeypatch.setattr(module, "clifford", lambda p, q: clifford(1, 0))
+    with pytest.raises(StateError, match="do not cancel"):
+        annihilate(EMINUS, EPLUS)
 
 
 def test_annihilation_of_neutrino_pair_is_plain_fusion():
