@@ -7,7 +7,7 @@ from .core import (CliffordAlgebra, Multivector, QC, Signature, as_signature,
 from .classify import (AlgebraType, classify, classify_complex,
                        division_ring_of, division_ring_oracle,
                        omega_square_sign)
-from .ideals import (Idempotent, LeftIdealBasis, idempotent_factor_count,
+from .ideals import (Idempotent, idempotent_factor_count,
                      idempotent_from_factors, is_primitive, left_ideal_basis,
                      max_commuting_square_set, paper_idempotents,
                      primitive_idempotent, radon_hurwitz, spinor_dimension)

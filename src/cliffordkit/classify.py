@@ -9,14 +9,16 @@ it builds a primitive idempotent f and reads f*Cl*f off the keys of its
 central stabilizer-coset heads e_A (see `ideals`), where (e_A f)^2 =
 square_sign(A) f: dimension, squares -f past f for C, and an anticommuting
 pair of heads for H, which also rules out the 4-dimensional impostor
-Mat_2(R).  No product is formed once f is built.
+Mat_2(R).  No product is formed once f is built.  The readers of f take f
+alone, an `Idempotent` or its element, and read the ring in f's algebra;
+`division_ring_of(alg)` builds its own f in `alg`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Multivector, as_signature, center_basis, clifford
+from .core import as_signature, center_basis, clifford
 from .ideals import (OracleFailure, _heads_and_tag, idempotent_of_candidates,
                      max_commuting_square_set, primitive_idempotent)
 from .rings import RingTag
@@ -25,8 +27,6 @@ _RING_BY_MOD8 = {
     0: RingTag.R, 1: RingTag.RR, 2: RingTag.R, 3: RingTag.C,
     4: RingTag.H, 5: RingTag.HH, 6: RingTag.H, 7: RingTag.C,
 }
-_LOG2_DIM = {RingTag.R: 0, RingTag.C: 1, RingTag.H: 2,
-             RingTag.RR: 1, RingTag.HH: 3}
 
 # Display aliases for the three two-dimensional building blocks
 # (Rosenfeld's terminology); ring-theoretic data is what the code exposes.
@@ -60,7 +60,7 @@ def classify(sig) -> AlgebraType:
     m8 = (sig.p - sig.q) % 8
     ring = _RING_BY_MOD8[m8]
     # 2^n = rank^2 * dim_R(ring); doubled tags already carry both blocks
-    exp = sig.n - _LOG2_DIM[ring]
+    exp = sig.n - ring.dim_r.bit_length() + 1
     if exp % 2:
         raise OracleFailure("dimension identity violated")
     return AlgebraType(m8, ring, 1 << (exp // 2), m8 not in (1, 5))
@@ -117,9 +117,9 @@ def central_split_key(alg):
     return None
 
 
-def division_tag_of_idempotent(alg, f: Multivector) -> str:
-    """Base tag 'R' | 'C' | 'H' of f*Cl*f, read off the keys of f's central
-    coset heads with no product (see `ideals._division_tag`)."""
+def division_tag_of_idempotent(f) -> RingTag:
+    """Base tag R | C | H of f*Cl*f, read off the keys of f's central coset
+    heads with no product (see `ideals._division_tag`)."""
     return _heads_and_tag(f)[1]
 
 
@@ -127,31 +127,29 @@ def division_ring_oracle(sig) -> RingTag:
     """Recompute the division ring of Cl(p,q) by exact span, table-free.
 
     The primitive idempotent comes from the Radon-Hurwitz count and the
-    lexicographic factor search; f*Cl*f is then spanned and its signs
-    certified.  `division_ring_of(alg)` with no idempotent re-derives the
-    factor count by the brute-force maximum search instead.
+    lexicographic factor search; f*Cl*f is then read and its signs
+    certified.  `division_ring_of` re-derives the factor count by the
+    brute-force maximum search instead.
     """
-    sig = as_signature(sig)
-    return division_ring_of(clifford(sig.p, sig.q), primitive_idempotent(sig))
+    return _ring_and_heads(primitive_idempotent(sig))[0]
 
 
-def division_ring_of(alg, f=None) -> RingTag:
+def division_ring_of(alg) -> RingTag:
     """Division ring tag of a blade-indexed algebra (Clifford or tensor).
 
-    `f` is an `Idempotent` of `alg`; by default it is built from the maximum
-    commuting square set.  Semisimple algebras (a central +1-square present)
-    report the doubled tag of one factor, matching the lambda+- split.
+    The idempotent is built from the maximum commuting square set.
+    Semisimple algebras (a central +1-square present) report the doubled tag
+    of one factor, matching the lambda+- split.
     """
-    if f is None:
-        f = idempotent_of_candidates(alg, max_commuting_square_set(alg)[1])
-    return _ring_and_heads(alg, f)[0]
+    return _ring_and_heads(
+        idempotent_of_candidates(alg, max_commuting_square_set(alg)[1]))[0]
 
 
-def _ring_and_heads(alg, f):
+def _ring_and_heads(f):
     """(RingTag, coset heads of Cl*f): the oracle ring of `division_ring_of`
-    and the left-ideal keys, from one verified reading of f."""
-    heads, base = _heads_and_tag(f.element)
-    tag = {"R": RingTag.R, "C": RingTag.C, "H": RingTag.H}[base]
-    if central_split_key(alg) is not None:
+    and the left-ideal keys, from one verified reading of f, an `Idempotent`
+    or its element, in the algebra f lives in."""
+    heads, tag = _heads_and_tag(f)
+    if central_split_key(f.alg) is not None:
         return RingTag.doubled_of(tag), heads
     return tag, heads

@@ -26,7 +26,7 @@ from .core import MAX_N, Signature
 from .factorize import (FACTOR_RINGS, IsoError, PAPER_CHAINS, karoubi_factorize,
                         split_semisimple, verify_tensor_iso)
 from .ideals import (OracleFailure, SearchError, idempotent_factor_count,
-                     left_ideal_basis, paper_idempotents, primitive_idempotent)
+                     paper_idempotents, primitive_idempotent)
 from .states import (StateError, additive_spin, annihilate, exact_fraction,
                      fuse_detailed, double, parse_state)
 
@@ -100,18 +100,18 @@ def cmd_classify(args):
 def cmd_idempotent(args):
     sig = _signature(args.p, args.q)
     f = primitive_idempotent(sig)
-    ideal = left_ideal_basis(f)
+    dimension = len(_ring_and_heads(f)[1])
     payload = {
         "signature": {"p": sig.p, "q": sig.q},
         "factor_count": idempotent_factor_count(sig),
         "factors": [str(t) for t in f.factors],
         "element": _mv_json(f.element),
         "display": str(f),
-        "ideal_dimension": ideal.dimension,
+        "ideal_dimension": dimension,
     }
     lines = [f"f_{sig.p},{sig.q} = {f}",
              f"  = {f.element}",
-             f"ideal dimension: {ideal.dimension}"]
+             f"ideal dimension: {dimension}"]
     paper = _paper_form(sig)
     if paper is not None:
         payload["paper_form"] = {"factors": [str(t) for t in paper.factors],
@@ -216,17 +216,13 @@ def cmd_cpt(args):
     return _emit(args, payload, lines)
 
 
-def _state_json(sv):
-    return sv.to_json()
-
-
 def cmd_fuse(args):
     s1 = _parse(args.state1)
     s2 = _parse(args.state2)
     res = fuse_detailed(s1, s2)
     payload = {
-        "operands": [_state_json(s1), _state_json(s2)],
-        "state": _state_json(res.state),
+        "operands": [s1.to_json(), s2.to_json()],
+        "state": res.state.to_json(),
         "label": res.label(),
         "spin_additive": str(res.spin_additive),
         "spin_vector_label": str(res.spin_vector),
@@ -245,8 +241,8 @@ def cmd_double(args):
         out = double(s, args.sign)
     except StateError as e:
         raise CliError(str(e)) from None
-    payload = {"operand": _state_json(s), "sign": args.sign,
-               "state": _state_json(out), "label": str(out)}
+    payload = {"operand": s.to_json(), "sign": args.sign,
+               "state": out.to_json(), "label": str(out)}
     return _emit(args, payload, [f"double({s}, {args.sign}) = {out}"])
 
 
@@ -261,10 +257,10 @@ def cmd_annihilate(args):
     terms = []
     text = []
     for sv, mult in out:
-        terms.append({"multiplicity": mult, "state": _state_json(sv),
+        terms.append({"multiplicity": mult, "state": sv.to_json(),
                       "label": sv.label(spin=spin)})
         text.append((f"{mult}" if mult != 1 else "") + sv.label(spin=spin))
-    payload = {"operands": [_state_json(s), _state_json(sbar)],
+    payload = {"operands": [s.to_json(), sbar.to_json()],
                "terms": terms, "total_multiplicity": out.total_multiplicity}
     return _emit(args, payload, [f"{s} (x) {sbar} -> " + " + ".join(text)])
 
@@ -301,7 +297,7 @@ def _atlas_entry(p, q):
     sig = Signature(p, q)
     at = classify(sig)
     f = primitive_idempotent(sig)
-    oracle, heads = _ring_and_heads(f.alg, f)
+    oracle, heads = _ring_and_heads(f)
     entry = {
         "p": p, "q": q, "n": sig.n,
         "type": _type_json(at),

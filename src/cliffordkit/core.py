@@ -143,7 +143,7 @@ class Signature:
     q: int
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
+        if not all(type(x) is int for x in (self.p, self.q)):
             raise TypeError("signature components must be integers")
         if self.p < 0 or self.q < 0:
             raise ValueError("signature components must be non-negative")

@@ -24,14 +24,18 @@ basis.  In f*Cl*f, f e_A f is e_A f when e_A commutes with every T_i and 0
 otherwise, as (1 - T)(1 + T) = 0: the commuting heads give a basis, whose
 squares (e_A f)^2 = square_sign(A) f name the ring.  Only such an f is taken,
 checked on its keys against prod (1 + T_i); any other f is a ValueError.
+
+Each reader of f takes f alone, an `Idempotent` or its element, reads the
+algebra off f and shares the one walk `_coset_heads`; ring tags are `RingTag`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (Multivector, QC_I, as_algebra, as_signature, clifford,
-                   commutation_form)
+from .core import (CliffordAlgebra, Multivector, QC_I, as_algebra,
+                   as_signature, clifford, commutation_form)
+from .rings import RingTag
 
 # Frozen from the brute-force derivation over all signatures with p+q <= 8.
 RADON_HURWITZ_BASE = (0, 1, 2, 2, 3, 3, 3, 3)
@@ -224,32 +228,16 @@ def primitive_idempotent(sig, field: str = "R") -> Idempotent:
     return idempotent_of_candidates(alg, find_square_set(alg, _factor_count(alg)))
 
 
-@dataclass
-class LeftIdealBasis:
-    """Exact basis of Cl*f, one element per stabilizer coset, and its size."""
-
-    idempotent: Idempotent
-    basis: list
-
-    @property
-    def dimension(self) -> int:
-        """Dimension over the algebra's base field (R or C)."""
-        return len(self.basis)
-
-
-def _as_idempotent(f) -> Idempotent:
-    """A bare multivector f, taken as an idempotent with no recorded factors."""
-    return Idempotent(f, ()) if isinstance(f, Multivector) else f
-
-
-def _coset_heads(f: Multivector):
-    """(heads, central): the first key A, in canonical order, of each coset
-    of V, and those of them whose blade commutes with every T_i.
+def _coset_heads(f):
+    """(element, heads, central): the element of f, an `Idempotent` or a bare
+    multivector; the first key A, in canonical order, of each coset of V; and
+    those of them whose blade commutes with every T_i.
 
     One walk over f's support in canonical order multiplies out P =
     prod (1 + T_i) with `mul_key`: a key A outside P opens a new coset,
     T = t e_A with t = c_A / c_1, if t^2 square_sign(A) = 1 and e_A commutes
     with the earlier T's.  Then f = c_1 P term by term, with c_1 2^k = 1."""
+    f = f.element if isinstance(f, Idempotent) else f
     alg = f.alg
     c = f.c
     if alg.unit_key not in c:
@@ -273,78 +261,73 @@ def _coset_heads(f: Multivector):
         if a not in seen:
             seen.update(a ^ s for s in prod)
             heads.append(a)
-    return heads, [a for a in heads
-                   if all(alg.keys_commute(a, t) for t in keys)]
+    return f, heads, [a for a in heads
+                      if all(alg.keys_commute(a, t) for t in keys)]
 
 
-def _times_f(keys, f: Multivector) -> list:
-    return [f.alg.blade(a) * f for a in keys]
-
-
-def left_ideal_basis(f) -> LeftIdealBasis:
+def left_ideal_basis(f) -> list:
     """Basis of Cl*f: e_A f for the first key A of each stabilizer coset."""
-    f = _as_idempotent(f)
-    return LeftIdealBasis(f, _times_f(_coset_heads(f.element)[0], f.element))
+    fe, heads, _central = _coset_heads(f)
+    return [fe.alg.blade(a) * fe for a in heads]
 
 
 def ring_basis(f) -> list:
     """Basis of f*Cl*f (the division ring of f when f is primitive): the
     left-ideal basis elements e_A f whose key A commutes with every T_i."""
-    fe = _as_idempotent(f).element
-    return _times_f(_coset_heads(fe)[1], fe)
+    fe, _heads, central = _coset_heads(f)
+    return [fe.alg.blade(a) * fe for a in central]
 
 
-def _division_tag(alg, central: list) -> str:
-    """Base tag 'R' | 'C' | 'H' of f*Cl*f, read off its central coset heads,
+def _division_tag(alg, central: list) -> RingTag:
+    """Base tag R | C | H of f*Cl*f, read off its central coset heads,
     unit key first: as (e_A f)^2 = square_sign(A) f, past f every square is
     -f, and for H the next two heads anticommute, as in Cl(0, log2 d)."""
     d = len(central)
     if alg.field == "C":
         if d == 1:
-            return "C"
+            return RingTag.C
         raise OracleFailure(f"complexified ring dimension {d} not 1")
     if d == 1:
-        return "R"
+        return RingTag.R
     if d not in (2, 4):
         raise OracleFailure(f"ring dimension {d} not in {{1, 2, 4}}")
     if any(alg.square_sign(a) != -1 for a in central[1:]):
         raise OracleFailure(f"{d}-dim ring with a non-negative square")
     if d == 2:
-        return "C"
+        return RingTag.C
     if alg.keys_commute(central[1], central[2]):
         raise OracleFailure("4-dim ring: heads[1] and heads[2] commute")
-    return "H"
+    return RingTag.H
 
 
-def expected_ideal_dimension(alg) -> int:
-    return 1 << (alg.n - _factor_count(alg))
-
-
-def _heads_and_tag(f: Multivector):
+def _heads_and_tag(f):
     """(heads, tag): the coset heads of Cl*f and the certified base tag of
     f*Cl*f, from one verified reading of f."""
-    heads, central = _coset_heads(f)
-    return heads, _division_tag(f.alg, central)
+    fe, heads, central = _coset_heads(f)
+    return heads, _division_tag(fe.alg, central)
 
 
 def is_primitive(f) -> bool:
-    """Certify minimality: ideal dimension 2^(n-k) and a division-ring f*Cl*f."""
-    fe = _as_idempotent(f).element
+    """Certify minimality: ideal dimension 2^(n-k) and a division-ring f*Cl*f.
+
+    The count 2^(n-k) is that of Cl(p,q) and its complexification; any other
+    algebra is a TypeError."""
+    if not isinstance(f.alg, CliffordAlgebra):
+        raise TypeError(f"is_primitive needs a Clifford algebra, not {f.alg!r}")
+    fe = f.element if isinstance(f, Idempotent) else f
     if not fe or fe * fe != fe:
         return False
     try:
         heads, _tag = _heads_and_tag(fe)
     except OracleFailure:
         return False
-    return len(heads) == expected_ideal_dimension(fe.alg)
+    return len(heads) == 1 << (fe.alg.n - _factor_count(fe.alg))
 
 
 def spinor_dimension(f) -> int:
     """Ideal dimension over the division ring f*Cl*f (the spinspace dimension)."""
-    fe = _as_idempotent(f).element
-    heads, tag = _heads_and_tag(fe)
-    per = {"R": 1, "C": 2, "H": 4}[tag] if fe.alg.field == "R" else 1
-    return len(heads) // per
+    heads, tag = _heads_and_tag(f)
+    return len(heads) // (tag.dim_r if f.alg.field == "R" else 1)
 
 
 def paper_idempotents() -> dict:

@@ -2,7 +2,9 @@ import pytest
 
 from cliffordkit import (RingTag, classify, classify_complex, clifford,
                          division_ring_of, division_ring_oracle,
-                         max_commuting_square_set, omega_square_sign)
+                         max_commuting_square_set, omega_square_sign,
+                         primitive_idempotent)
+from cliffordkit.classify import _ring_and_heads
 from cliffordkit.ideals import complex_factor_count
 from conftest import small_signatures
 
@@ -62,6 +64,15 @@ def test_oracle_matches_classify_small():
 def test_oracle_exhaustive_path():
     for p, q in small_signatures(4):
         assert division_ring_of(clifford(p, q)) is classify((p, q)).ring
+
+
+def test_division_ring_is_read_in_the_algebra_of_f():
+    # Cl(3,3) is R(8) and Cl(2,4) is H(4): the ring is f's, and
+    # division_ring_of takes no idempotent of another algebra beside its own
+    assert division_ring_of(clifford(3, 3)) is RingTag.R
+    assert _ring_and_heads(primitive_idempotent((2, 4)))[0] is RingTag.H
+    with pytest.raises(TypeError):
+        division_ring_of(clifford(3, 3), primitive_idempotent((2, 4)))
 
 
 def test_omega_square_sign():

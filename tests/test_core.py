@@ -272,7 +272,7 @@ def test_qc_admits_only_exact_parts():
 
 def test_clifford_rejects_non_integer_signatures():
     clifford(1, 0)  # a cached Cl(1,0) must not answer for 1.0
-    for p, q in [(1.7, 0), (1.0, 0), (1, 2.0), ("1", 0)]:
+    for p, q in [(1.7, 0), (1.0, 0), (1, 2.0), ("1", 0), (True, 0), (1, False)]:
         with pytest.raises(TypeError):
             clifford(p, q)
         with pytest.raises(TypeError):
