@@ -1,4 +1,10 @@
-"""cliffordkit: exact Clifford algebra kernel and symbolic state calculus."""
+"""cliffordkit: exact Clifford algebra kernel and symbolic state calculus.
+
+Its records (signatures, ring tags, idempotents, algebra types, witnesses,
+states, cone rows) are immutable `typing.NamedTuple`s, and a record that
+checks a field does so in `__new__`, so that every construction runs it;
+`DiscreteSymmetry`, read once per map and probe, is a slotted class.
+"""
 
 from .core import (CliffordAlgebra, Multivector, QC, Signature, as_signature,
                    blade_name, center_basis, clifford, conjugation,

@@ -22,26 +22,46 @@ tableaux, and each is named by equality with a distinct base tableau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import QC, QC_I, Multivector, grade_flips, grade_map
 
 LABELS = ("Id", "P", "T", "PT", "C", "CP", "CT", "CPT")
 
 
-@dataclass(frozen=True)
 class DiscreteSymmetry:
-    """One of the eight maps, decomposed into its commuting components."""
+    """One of the eight maps, decomposed into its commuting components.
 
-    label: str
-    star: bool
-    tilde: bool
-    bar: bool
-    flips: tuple = field(init=False, repr=False, compare=False)
+    Immutable, compared and hashed by (label, star, tilde, bar); `flips`,
+    the grade signs of (star, tilde), is derived once per symmetry.  A
+    slotted class rather than a NamedTuple, as `__call__` runs once per map
+    and probe, and slots are the fastest fields to read."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "flips", grade_flips(self.star, self.tilde))
+    __slots__ = ("label", "star", "tilde", "bar", "flips")
+
+    def __init__(self, label, star, tilde, bar):
+        for name, value in zip(self.__slots__, (label, star, tilde, bar,
+                                                grade_flips(star, tilde))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self):
+        return self.label, self.star, self.tilde, self.bar
+
+    def __eq__(self, other):
+        if type(other) is not DiscreteSymmetry:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return ("DiscreteSymmetry(label=%r, star=%r, tilde=%r, bar=%r)"
+                % self._key())
 
     def __call__(self, a: Multivector) -> Multivector:
         return grade_map(a, self.flips, self.bar)
@@ -151,13 +171,17 @@ def composition_table(alg) -> dict:
     return _probe(alg)[0]
 
 
-@dataclass
-class GroupStructure:
+class GroupStructure(NamedTuple):
     order: int
     abelian: bool
     exponent: int
     distinct_maps: int
-    table: dict = field(repr=False, compare=False)
+    table: dict
+
+    def __repr__(self):  # the table is a field, but left out
+        return (f"GroupStructure(order={self.order!r}, "
+                f"abelian={self.abelian!r}, exponent={self.exponent!r}, "
+                f"distinct_maps={self.distinct_maps!r})")
 
     @property
     def elementary_abelian(self) -> bool:

@@ -16,7 +16,7 @@ alone, an `Idempotent` or its element, and read the ring in f's algebra;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import as_signature, center_basis, clifford
 from .ideals import (OracleFailure, _heads_and_tag, idempotent_of_candidates,
@@ -37,8 +37,7 @@ DISPLAY_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class AlgebraType:
+class AlgebraType(NamedTuple):
     mod8_class: int
     ring: RingTag
     matrix_rank: int
@@ -66,8 +65,7 @@ def classify(sig) -> AlgebraType:
     return AlgebraType(m8, ring, 1 << (exp // 2), m8 not in (1, 5))
 
 
-@dataclass(frozen=True)
-class ComplexAlgebraType:
+class ComplexAlgebraType(NamedTuple):
     """Type of the complexified algebra C (x) Cl(p,q): depends only on n mod 2."""
 
     n: int
@@ -103,6 +101,14 @@ def omega_square_sign(sig) -> int:
     return computed
 
 
+def _central_square_keys(alg):
+    """Keys, in canonical order and from the scalar on, of the central blades
+    that square to +1 (i-phased over C, so every central blade there): as
+    many as the algebra has simple summands."""
+    return [k for z in center_basis(alg) for k in z.c
+            if alg.field == "C" or alg.square_sign(k) == 1]
+
+
 def central_split_key(alg):
     """The key of a central non-scalar square candidate, or None.
 
@@ -110,11 +116,8 @@ def central_split_key(alg):
     algebra split as a direct sum (semisimple over its base field); (1 +- z)/2
     are then the central projectors.
     """
-    for z in center_basis(alg)[1:]:
-        (k,) = z.c
-        if alg.field == "C" or alg.square_sign(k) == 1:
-            return k
-    return None
+    keys = _central_square_keys(alg)
+    return keys[1] if len(keys) > 1 else None
 
 
 def division_tag_of_idempotent(f) -> RingTag:
@@ -138,8 +141,9 @@ def division_ring_of(alg) -> RingTag:
     """Division ring tag of a blade-indexed algebra (Clifford or tensor).
 
     The idempotent is built from the maximum commuting square set.
-    Semisimple algebras (a central +1-square present) report the doubled tag
-    of one factor, matching the lambda+- split.
+    An algebra of two simple summands (a central non-scalar +1-square
+    present) reports the doubled tag of one summand, matching the lambda+-
+    split; more summands, as in R^4 = Cl(1,0) (x) Cl(1,0), are a ValueError.
     """
     return _ring_and_heads(
         idempotent_of_candidates(alg, max_commuting_square_set(alg)[1]))[0]
@@ -150,6 +154,8 @@ def _ring_and_heads(f):
     and the left-ideal keys, from one verified reading of f, an `Idempotent`
     or its element, in the algebra f lives in."""
     heads, tag = _heads_and_tag(f)
-    if central_split_key(f.alg) is not None:
-        return RingTag.doubled_of(tag), heads
-    return tag, heads
+    summands = len(_central_square_keys(f.alg))
+    if summands > 2:
+        raise ValueError(f"{f.alg!r} has {summands} simple summands; "
+                         "a ring tag names one or two")
+    return (RingTag.doubled_of(tag) if summands == 2 else tag), heads

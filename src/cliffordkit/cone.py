@@ -8,7 +8,6 @@ spintensor space, with no reference to the formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -89,8 +88,7 @@ def sym_dimension_oracle(k: int, r: int) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class ConeRow:
+class ConeRow(NamedTuple):
     label: ReprLabel
     spin: Fraction
     statistics: str

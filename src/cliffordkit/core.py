@@ -20,10 +20,10 @@ e_i^2 = -1 for i > p; distinct generators anticommute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 MAX_N = 12  # dimension cap: 2^12 basis blades at most
 
@@ -135,20 +135,19 @@ class QC:
 QC_I = QC(0, 1)
 
 
-@dataclass(frozen=True, order=True)
-class Signature:
+class Signature(NamedTuple("Signature", [("p", int), ("q", int)])):
     """Pseudo-Euclidean signature (p,q): p generators square to +1, q to -1."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(type(x) is int for x in (self.p, self.q)):
+    def __new__(cls, p, q):
+        if not all(type(x) is int for x in (p, q)):
             raise TypeError("signature components must be integers")
-        if self.p < 0 or self.q < 0:
+        if p < 0 or q < 0:
             raise ValueError("signature components must be non-negative")
-        if self.p + self.q > MAX_N:
-            raise ValueError(f"p+q = {self.p + self.q} exceeds the cap {MAX_N}")
+        if p + q > MAX_N:
+            raise ValueError(f"p+q = {p + q} exceeds the cap {MAX_N}")
+        return super().__new__(cls, p, q)
 
     @property
     def n(self):

@@ -27,8 +27,8 @@ verified as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (MAX_N, BladeAlgebra, CliffordAlgebra, Multivector,
                    Signature, as_algebra, as_signature, blade_name, clifford,
@@ -105,8 +105,7 @@ def tensor_algebra(factors) -> TensorAlgebra:
     return _tensor_cached(tuple(as_algebra(f) for f in factors))
 
 
-@dataclass
-class TensorWitness:
+class TensorWitness(NamedTuple):
     """Verified generator images of `target` inside the tensor algebra.
 
     images[i] realizes target generator e_{i+1}; all Clifford relations and
@@ -179,8 +178,7 @@ def verify_tensor_iso(target, factors) -> TensorWitness:
     return TensorWitness(target, tuple(sigs), ta, images)
 
 
-@dataclass
-class FactorChain:
+class FactorChain(NamedTuple):
     """Karoubi chain of two-dimensional factors with its verified witness."""
 
     target: Signature
@@ -267,8 +265,7 @@ PAPER_CHAINS = {
 }
 
 
-@dataclass
-class SemisimpleSplit:
+class SemisimpleSplit(NamedTuple):
     """Central projectors lambda+- and the factor signature Cl(q,p-1).
 
     For omega^2 = +1 (p-q = 1,5 mod 8) the projectors are real; for
@@ -309,8 +306,7 @@ def split_semisimple(sig) -> SemisimpleSplit:
     return SemisimpleSplit(sig, lp, lm, factor, complexified)
 
 
-@dataclass
-class EvenIsoWitness:
+class EvenIsoWitness(NamedTuple):
     """Verified images of Cl(q,p-1) generators inside the even part of Cl(p,q)."""
 
     source: Signature
@@ -346,8 +342,7 @@ def even_subalgebra_iso(sig) -> EvenIsoWitness:
     return EvenIsoWitness(sig, target, tuple(images))
 
 
-@dataclass
-class DoublingWitness:
+class DoublingWitness(NamedTuple):
     """Verified iso C (x) Cl(q,p-1) ~ Cl(p,q) with i realized as omega."""
 
     target: Signature

@@ -31,7 +31,7 @@ algebra off f and shares the one walk `_coset_heads`; ring tags are `RingTag`s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (CliffordAlgebra, Multivector, QC_I, as_algebra,
                    as_signature, clifford, commutation_form)
@@ -183,8 +183,7 @@ def max_commuting_square_set(alg):
     return len(best), best
 
 
-@dataclass(frozen=True)
-class Idempotent:
+class Idempotent(NamedTuple):
     """f = prod (1 + T_i)/2 together with its commuting factor blades T_i."""
 
     element: Multivector

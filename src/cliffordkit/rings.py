@@ -14,8 +14,8 @@ are kept verbatim in PRINTED_TRANSITIONS for oracle cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class RingTag(Enum):
@@ -50,24 +50,22 @@ class RingTag(Enum):
                 RingTag.C: RingTag.CC}[base]
 
 
-@dataclass(frozen=True)
-class StateRingTag:
+class StateRingTag(NamedTuple("StateRingTag", [("base", str), ("conjugated", bool),
+                                                 ("doubled", bool)])):
     """State-calculus ring label: base in {R, C, H}, optional conjugation bar.
 
     `doubled` exists for displaying R(+)R / H(+)H forms; the fusion calculus
     itself only composes undoubled tags.
     """
 
-    base: str
-    conjugated: bool = False
-    doubled: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.base not in ("R", "C", "H"):
-            raise ValueError(f"unknown ring base {self.base!r}")
-        if self.base == "R" and self.conjugated:
-            # R is self-conjugate: normalize
-            object.__setattr__(self, "conjugated", False)
+    def __new__(cls, base, conjugated=False, doubled=False):
+        if base not in ("R", "C", "H"):
+            raise ValueError(f"unknown ring base {base!r}")
+        if base == "R":
+            conjugated = False  # R is self-conjugate: normalize
+        return super().__new__(cls, base, conjugated, doubled)
 
     def conjugate(self) -> "StateRingTag":
         if self.base == "R":

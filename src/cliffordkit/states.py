@@ -12,13 +12,15 @@ charges add, factor counts add), double (complexification H -> C or R -> C;
 the ominus variant conjugates the ring and negates the charges), annihilate
 (conjugate pair contraction; complexified rings expand as K (+) iK and yield
 multiplicity 2), plus sector/superposition predicates and the mass rule
-m = m_e (l + 1/2)(l-dot + 1/2).
+m = m_e (l + 1/2)(l-dot + 1/2).  Every state, the doubled and annihilated
+ones too, is built by the `StateVector` constructor, whose checks reject
+negative factor counts and doubled rings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import clifford
 from .rings import StateRingTag, ring_transition
@@ -28,8 +30,7 @@ class StateError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Sector:
+class Sector(NamedTuple):
     """Coherent-subspace label: the (baryon, lepton) charge pair."""
 
     b: int
@@ -42,21 +43,19 @@ class Sector:
         return f"({self.b},{self.lepton})"
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(NamedTuple("StateVector", [
+        ("ring", StateRingTag), ("b", int), ("lepton", int), ("k", int),
+        ("r", int)])):
     """|K, b, l, s> with the (k, r) tensor bookkeeping behind the spin label."""
 
-    ring: StateRingTag
-    b: int
-    lepton: int
-    k: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 0 or self.r < 0:
+    def __new__(cls, ring, b, lepton, k, r):
+        if k < 0 or r < 0:
             raise StateError("factor counts must be non-negative")
-        if self.ring.doubled:
+        if ring.doubled:
             raise StateError("state vectors carry undoubled ring tags")
+        return super().__new__(cls, ring, b, lepton, k, r)
 
     @property
     def m(self) -> int:
@@ -127,8 +126,7 @@ def additive_spin(s1: StateVector, s2: StateVector) -> Fraction:
     return s1.spin + s2.spin
 
 
-@dataclass(frozen=True)
-class FusionResult:
+class FusionResult(NamedTuple):
     """A fused state together with both spin readings.
 
     The printed fusion rule adds the operand spins; the fused vector's own
@@ -166,7 +164,7 @@ def double(s: StateVector, sign: str) -> StateVector:
     if s.ring.base == "C":
         raise StateError("cannot double an already-complex ring")
     if sign == "+":
-        return replace(s, ring=StateRingTag("C"))
+        return StateVector(StateRingTag("C"), s.b, s.lepton, s.k, s.r)
     return StateVector(StateRingTag("C", conjugated=True),
                        -s.b, -s.lepton, s.k, s.r)
 
@@ -237,7 +235,8 @@ def annihilate(s: StateVector, sbar: StateVector) -> StateSum:
         mult = pair.c.get(alg.unit_key, 0)
         if pair.c.keys() != {alg.unit_key} or mult.denominator != 1 or mult < 1:
             raise StateError("complex cross terms of the pair do not cancel")
-        fused = replace(fused, ring=StateRingTag("R"))
+        fused = StateVector(StateRingTag("R"), fused.b, fused.lepton,
+                            fused.k, fused.r)
         return StateSum({fused: mult.numerator})
     return StateSum({fused: 1})
 

@@ -1,12 +1,24 @@
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 
 from cliffordkit import clifford
 
 
 def small_signatures(max_n=4):
     return [(p, n - p) for n in range(max_n + 1) for p in range(n + 1)]
+
+
+def check_record(record, **fields):
+    """`record` is rebuilt equal, with the same repr, from `fields` by
+    keyword and by position, and none of its fields can be set."""
+    cls = type(record)
+    for rebuilt in (cls(**fields), cls(*fields.values())):
+        assert rebuilt == record and repr(rebuilt) == repr(record)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, fields[name])
 
 
 @st.composite

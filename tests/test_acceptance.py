@@ -124,13 +124,13 @@ def test_criterion_4_ring_transition_cross_validation():
             assert classify(target).ring.base is RingTag(want.base)
         computed = tensor_division_ring(factors)
         if k1.conjugated or k2.conjugated:
-            # conjugate rows: the doubling expansion (1, -i, +i, 1) cancels
+            # conjugate rows: the doubling expansion (1 + i)(1 - i) cancels
             # the imaginary pair and contracts the underlying bases, which
-            # the unbarred algebra-level product already realizes
-            coeffs = [(1, 0), (0, -1), (0, 1), (1, 0)]
-            re = sum(c[0] for c in coeffs)
-            im = sum(c[1] for c in coeffs)
-            assert (re, im) == (2, 0)
+            # the unbarred algebra-level product already realizes; the
+            # kernel forms it with i = e1 in Cl(0,1), as `annihilate` does
+            c01 = clifford(0, 1)
+            pair = (c01.one() + c01.gen(1)) * (c01.one() - c01.gen(1))
+            assert pair == c01.blade(c01.unit_key, 2)
             if k1.base == "C":
                 # both provenances of the doubled ring contract to R
                 assert tensor_division_ring([(0, 2), (0, 2)]) is RingTag.R

@@ -8,9 +8,9 @@ from cliffordkit import (ALL_SYMMETRIES, apply, clifford, composition_table,
                          conjugation, complexify, group_structure,
                          pseudo_automorphism, symmetry)
 from cliffordkit.automorphisms import LABELS, DiscreteSymmetry
-from cliffordkit.core import QC, QC_I, Multivector
+from cliffordkit.core import QC, QC_I, Multivector, grade_flips
 from cliffordkit.factorize import tensor_algebra
-from conftest import complex_multivectors, multivectors
+from conftest import check_record, complex_multivectors, multivectors
 
 C2 = complexify((2, 0))
 C4 = complexify((1, 3))
@@ -56,6 +56,11 @@ def test_group_is_elementary_abelian_of_order_8():
         assert gs.order == 8 and gs.elementary_abelian
         assert gs.distinct_maps == 8
         assert str(gs) == "Z2 x Z2 x Z2"
+    # the table is a field, but no argument of repr
+    check_record(gs, order=8, abelian=True, exponent=2, distinct_maps=8,
+                 table=gs.table)
+    assert repr(gs) == ("GroupStructure(order=8, abelian=True, exponent=2, "
+                        "distinct_maps=8)")
 
 
 def test_maps_collapse_on_real_algebra():
@@ -94,6 +99,14 @@ def test_bar_commutes_with_star_and_tilde(a):
 def test_apply_accepts_labels():
     a = C2.gen(1)
     assert apply("P", a) == -a
+    # a symmetry is the record of its label and components; its grade
+    # flips are derived, once, and no constructor argument
+    s = symmetry("CP")
+    check_record(s, label="CP", star=True, tilde=False, bar=True)
+    assert repr(s) == "DiscreteSymmetry(label='CP', star=True, tilde=False, bar=True)"
+    assert s.flips == grade_flips(True, False)
+    with pytest.raises(TypeError):
+        DiscreteSymmetry("CP", True, False, True, flips=s.flips)
 
 
 # (star, tilde, bar) of each label, written out independently of the program

@@ -3,10 +3,10 @@ import pytest
 from cliffordkit import (RingTag, classify, classify_complex, clifford,
                          division_ring_of, division_ring_oracle,
                          max_commuting_square_set, omega_square_sign,
-                         primitive_idempotent)
-from cliffordkit.classify import _ring_and_heads
+                         primitive_idempotent, tensor_algebra)
+from cliffordkit.classify import _central_square_keys, _ring_and_heads
 from cliffordkit.ideals import complex_factor_count
-from conftest import small_signatures
+from conftest import check_record, small_signatures
 
 
 def test_table_examples():
@@ -23,6 +23,9 @@ def test_table_examples():
     assert at.ring is RingTag.HH and at.matrix_rank == 1
     at = classify((3, 0))
     assert at.ring is RingTag.C and at.matrix_rank == 2
+    check_record(classify((4, 1)), mod8_class=3, ring=RingTag.C,
+                 matrix_rank=4, simple=True)
+    check_record(classify_complex(5), n=5, matrix_rank=4, simple=False)
 
 
 def test_dimension_identity():
@@ -73,6 +76,28 @@ def test_division_ring_is_read_in_the_algebra_of_f():
     assert _ring_and_heads(primitive_idempotent((2, 4)))[0] is RingTag.H
     with pytest.raises(TypeError):
         division_ring_of(clifford(3, 3), primitive_idempotent((2, 4)))
+
+
+def test_summands_are_the_central_plus_square_keys():
+    # R^4 = Cl(1,0)(x)Cl(1,0) and C^4 have four central +1-square keys, more
+    # summands than a tag names; C(+)C = Cl(0,1)(x)Cl(0,1) and
+    # C(2)(+)C(2) = Cl(3,0)(x)Cl(1,0) have two
+    c10 = clifford(1, 0, "C")
+    for factors in ([(1, 0), (1, 0)], [c10, c10]):
+        with pytest.raises(ValueError, match="4 simple summands"):
+            division_ring_of(tensor_algebra(factors))
+    for factors in ([(0, 1), (0, 1)], [(3, 0), (1, 0)]):
+        assert division_ring_of(tensor_algebra(factors)) is RingTag.CC
+    # a Clifford algebra has one summand, or two exactly when it is not simple
+    count = 0
+    for field in "RC":
+        for p, q in small_signatures(12):
+            alg = clifford(p, q, field)
+            simple = (classify((p, q)) if field == "R"
+                      else classify_complex(p + q)).simple
+            assert len(_central_square_keys(alg)) == (1 if simple else 2), alg
+            count += 1
+    assert count == 182
 
 
 def test_omega_square_sign():

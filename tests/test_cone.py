@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cliffordkit import ReprLabel, degree, enumerate_cone, sym_dimension_oracle
+from conftest import check_record
 
 
 def test_degree_examples():
@@ -33,6 +34,8 @@ def test_cone_base():
     rows = enumerate_cone(1)
     labels = {(r.label.k, r.label.r) for r in rows}
     assert labels == {(0, 0), (1, 0), (0, 1)}
+    check_record(rows[1], label=ReprLabel(0, 1), spin=Fraction(1, 2),
+                 statistics="fermion", degree=2, mass=Fraction(1, 2))
 
 
 def test_cone_spin_lines():

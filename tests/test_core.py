@@ -10,7 +10,7 @@ from cliffordkit import (PAPER_CHAINS, QC, Signature, center_basis, clifford,
                          tensor_algebra, volume_element)
 from cliffordkit.classify import central_split_key
 from cliffordkit.exactla import Echelon
-from conftest import (complex_multivectors, multivector_pairs,
+from conftest import (check_record, complex_multivectors, multivector_pairs,
                       multivector_triples, small_signatures)
 
 
@@ -20,6 +20,14 @@ def test_signature_validation():
         Signature(13, 0)
     with pytest.raises(ValueError):
         Signature(-1, 2)
+    sig = clifford(1, 3).sig
+    check_record(sig, p=1, q=3)
+    assert repr(sig) == "Signature(p=1, q=3)"
+    # ordered by (p, q), and found as a dict key by any equal signature
+    assert (sorted([Signature(2, 0), Signature(0, 2), Signature(1, 0),
+                    Signature(1, 1)])
+            == [Signature(0, 2), Signature(1, 0), Signature(1, 1), Signature(2, 0)])
+    assert {sig: "x"}[Signature(p=1, q=3)] == "x"
 
 
 def test_generator_relations():

@@ -13,7 +13,7 @@ from cliffordkit.core import QC_I, Multivector, Signature
 from cliffordkit.factorize import (_require_generators, _require_span,
                                    karoubi_factor_signatures)
 from cliffordkit.rings import PRINTED_TRANSITIONS
-from conftest import small_signatures
+from conftest import check_record, small_signatures
 
 
 def chain_tuple(chain):
@@ -140,6 +140,23 @@ def test_witnesses_form_no_products(monkeypatch):
     even_subalgebra_iso((2, 4))
     complex_doubling_iso((4, 1))
     assert calls == []
+
+
+def test_witnesses_are_records():
+    w = verify_tensor_iso((3, 3), [(2, 0), (2, 0), (1, 1)])
+    check_record(w, target=w.target, factors=w.factors, tensor=w.tensor,
+                 images=w.images)
+    c = karoubi_factorize((1, 3))
+    check_record(c, target=c.target, factors=c.factors, witness=c.witness)
+    s = split_semisimple((3, 0))
+    check_record(s, sig=s.sig, lambda_plus=s.lambda_plus,
+                 lambda_minus=s.lambda_minus, factor=s.factor,
+                 complexified=s.complexified)
+    e = even_subalgebra_iso((2, 4))
+    check_record(e, source=e.source, target=e.target, images=e.images)
+    d = complex_doubling_iso((4, 1))
+    check_record(d, target=d.target, factor=d.factor, images=d.images,
+                 i_image=d.i_image)
 
 
 def test_periodicity_iso():

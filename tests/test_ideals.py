@@ -17,7 +17,7 @@ from cliffordkit.ideals import (RADON_HURWITZ_BASE, OracleFailure, SearchError,
                                 max_commuting_square_set, realify, ring_basis,
                                 square_candidates)
 from cliffordkit.rings import RingTag
-from conftest import small_signatures
+from conftest import check_record, small_signatures
 
 # ---------------------------------------------------------------------------
 # The two former recursive searches, kept as independent references for the
@@ -227,6 +227,7 @@ def test_canonical_idempotents_frozen():
     assert [str(t) for t in f.factors] == ["e1"]
     f = primitive_idempotent((2, 4))
     assert [str(t) for t in f.factors] == ["e1", "e23"]
+    check_record(f, element=f.element, factors=f.factors)
 
 
 def test_idempotents_are_idempotent_and_primitive():

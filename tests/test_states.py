@@ -11,7 +11,8 @@ from cliffordkit import (StateRingTag, StateSum, additive_spin, annihilate,
                          fuse_detailed, mass, named_states, parse_state,
                          sector_of, state, statistics, superposable)
 from cliffordkit.core import Multivector
-from cliffordkit.states import StateError
+from cliffordkit.states import StateError, StateVector
+from conftest import check_record
 
 NU = named_states()["nu"]
 NUBAR = named_states()["nubar"]
@@ -174,6 +175,37 @@ def test_ring_tag_parsing():
     assert StateRingTag.parse("C(+)C").doubled
     with pytest.raises(StateError if False else ValueError):
         StateRingTag.parse("X")
+    check_record(StateRingTag.parse("H~"), base="H", conjugated=True,
+                 doubled=False)
+    assert StateRingTag("C") == StateRingTag(base="C", conjugated=False,
+                                             doubled=False)
+    assert StateRingTag("R", conjugated=True).conjugated is False
+    with pytest.raises(ValueError, match="unknown ring base 'X'"):
+        StateRingTag("X")
+
+
+def test_state_checks_run_on_every_built_state():
+    check_record(NU, ring=StateRingTag("H"), b=0, lepton=1, k=1, r=0)
+    check_record(sector_of(NU), b=0, lepton=1)
+    check_record(fuse_detailed(NU, NUBAR), state=fuse(NU, NUBAR),
+                 spin_additive=Fraction(1))
+    with pytest.raises(StateError, match="factor counts must be non-negative"):
+        state("H", 0, 1, -1, 0)
+    for bad in (lambda: state("H(+)H", 0, 1, 1, 0),
+                lambda: parse_state("|C(+)C,0,1,1/2>")):
+        with pytest.raises(StateError, match="undoubled ring tags"):
+            bad()
+    # double and fuse build their states through the same checks: a state
+    # that skipped them (as tuple.__new__ does) fails in the next one built
+    negative = tuple.__new__(StateVector, (StateRingTag("H"), 0, 1, -1, 0))
+    for bad in (lambda: double(negative, "+"), lambda: double(negative, "-"),
+                lambda: fuse(negative, NUBAR)):
+        with pytest.raises(StateError, match="factor counts must be non-negative"):
+            bad()
+    doubled = tuple.__new__(StateVector, (StateRingTag("H", doubled=True),
+                                          0, 1, 1, 0))
+    with pytest.raises(ValueError, match="undoubled tags only"):
+        fuse(doubled, NUBAR)
 
 
 def test_state_sum_accumulates():
