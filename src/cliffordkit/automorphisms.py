@@ -66,11 +66,6 @@ class DiscreteSymmetry:
     def __call__(self, a: Multivector) -> Multivector:
         return grade_map(a, self.flips, self.bar)
 
-    @property
-    def antiautomorphism(self) -> bool:
-        """True when the map reverses products (reversion occurs oddly)."""
-        return self.tilde
-
 
 def symmetry(label: str) -> DiscreteSymmetry:
     if label not in LABELS:
@@ -80,12 +75,6 @@ def symmetry(label: str) -> DiscreteSymmetry:
 
 
 ALL_SYMMETRIES = tuple(symmetry(l) for l in LABELS)
-
-
-def apply(sym, a: Multivector) -> Multivector:
-    if isinstance(sym, str):
-        sym = symmetry(sym)
-    return sym(a)
 
 
 # the units i^k by exponent k, keyed by their integer parts (re, im)

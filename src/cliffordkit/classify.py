@@ -109,17 +109,6 @@ def _central_square_keys(alg):
             if alg.field == "C" or alg.square_sign(k) == 1]
 
 
-def central_split_key(alg):
-    """The key of a central non-scalar square candidate, or None.
-
-    The candidate squares to +1 (i-phased over C), so its presence makes the
-    algebra split as a direct sum (semisimple over its base field); (1 +- z)/2
-    are then the central projectors.
-    """
-    keys = _central_square_keys(alg)
-    return keys[1] if len(keys) > 1 else None
-
-
 def division_tag_of_idempotent(f) -> RingTag:
     """Base tag R | C | H of f*Cl*f, read off the keys of f's central coset
     heads with no product (see `ideals._division_tag`)."""

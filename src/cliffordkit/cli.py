@@ -23,8 +23,8 @@ from .classify import (DISPLAY_ALIASES, _ring_and_heads, classify,
                        division_ring_oracle, omega_square_sign)
 from .cone import enumerate_cone
 from .core import MAX_N, Signature
-from .factorize import (FACTOR_RINGS, IsoError, PAPER_CHAINS, karoubi_factorize,
-                        split_semisimple, verify_tensor_iso)
+from .factorize import (FACTOR_RINGS, IsoError, PAPER_CHAINS, complexify,
+                        karoubi_factorize, split_semisimple, verify_tensor_iso)
 from .ideals import (OracleFailure, SearchError, idempotent_factor_count,
                      paper_idempotents, primitive_idempotent)
 from .states import (StateError, additive_spin, annihilate, exact_fraction,
@@ -195,7 +195,6 @@ def cmd_iso_check(args):
 
 def cmd_cpt(args):
     sig = _signature(args.p, args.q)
-    from .factorize import complexify
     alg = complexify(sig)
     gs = group_structure(alg)
     table = gs.table

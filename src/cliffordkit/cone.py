@@ -1,9 +1,10 @@
 """The cone of representation labels (l, l-dot) and its degree oracle.
 
 A label is the factor-count pair (k, r) with l = k/2, l-dot = r/2.  The
-closed-form degree is (k+1)(r+1); `sym_dimension_oracle` recomputes it as the
-exact rank of the symmetrization projector on the full 2^(k+r)-dimensional
-spintensor space, with no reference to the formula.
+closed-form degree is `degree(k, r)` = (k+1)(r+1); `sym_dimension_oracle`
+recomputes it as the exact rank of the symmetrization projector on the full
+2^(k+r)-dimensional spintensor space, with no reference to the formula.
+Each row's mass is `states.mass`, which takes an exact m_e only.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ class ReprLabel(NamedTuple):
         return f"({self.l},{self.ldot})"
 
 
-def degree(label, r=None) -> int:
+def degree(k: int, r: int) -> int:
     """dim Sym_(k,r) = (k+1)(r+1)."""
-    k, r = (label, r) if r is not None else (label.k, label.r)
     if k < 0 or r < 0:
         raise ValueError("labels are non-negative")
     return (k + 1) * (r + 1)
@@ -110,6 +110,6 @@ def enumerate_cone(max_m: int, m_e=1) -> list:
             lab = ReprLabel(k, m - k)
             rows.append(ConeRow(lab, lab.spin,
                                 "fermion" if m % 2 else "boson",
-                                degree(lab), mass(lab, m_e)))
+                                degree(lab.k, lab.r), mass(lab, m_e)))
     rows.sort(key=lambda row: (row.spin, row.label.k + row.label.r, row.label.k))
     return rows

@@ -31,7 +31,13 @@ MAX_N = 12  # dimension cap: 2^12 basis blades at most
 def _exact_part(x) -> Fraction:
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    raise TypeError(f"inexact QC part {x!r}: use int or Fraction")
+    raise TypeError(f"inexact scalar {x!r}: use int or Fraction")
+
+
+def _checked_make(cls, fields):
+    """A record's `_make` through its `__new__`, so that `_make` and
+    `_replace` (which builds through `_make`) run the record's checks."""
+    return cls(*fields)
 
 
 class QC:
@@ -117,9 +123,6 @@ class QC:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def conjugate(self):
-        return QC(self.re, -self.im)
-
     def __repr__(self):
         return f"QC({self.re!r}, {self.im!r})"
 
@@ -148,6 +151,8 @@ class Signature(NamedTuple("Signature", [("p", int), ("q", int)])):
         if p + q > MAX_N:
             raise ValueError(f"p+q = {p + q} exceeds the cap {MAX_N}")
         return super().__new__(cls, p, q)
+
+    _make = classmethod(_checked_make)
 
     @property
     def n(self):

@@ -71,28 +71,6 @@ class Echelon:
         self.pivots.insert(at, j)
         return j
 
-    def contains(self, vec) -> bool:
-        return not self._reduce(vec)
-
-
-def span_rank(vectors, width: int) -> int:
-    ech = Echelon(width)
-    for v in vectors:
-        ech.insert(v)
-    return ech.rank
-
-
-def span_basis(mvs):
-    """Reduce multivectors to a linearly independent sublist (same order)."""
-    out = []
-    ech = None
-    for mv in mvs:
-        if ech is None:
-            ech = Echelon(mv.alg.dim)
-        if ech.insert(mv.columns()) is not None:
-            out.append(mv)
-    return out
-
 
 def express(target, basis):
     """Coefficients c with target = sum c_i * basis_i, or None if not in span.

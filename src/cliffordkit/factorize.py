@@ -34,9 +34,8 @@ from .core import (MAX_N, BladeAlgebra, CliffordAlgebra, Multivector,
                    Signature, as_algebra, as_signature, blade_name, clifford,
                    grade)
 from .ideals import key_coset
-from .rings import RingTag, StateRingTag, ring_transition
+from .rings import StateRingTag, ring_transition
 
-TWO_DIM_FACTORS = (Signature(2, 0), Signature(1, 1), Signature(0, 2))
 FACTOR_RINGS = {Signature(2, 0): StateRingTag("R"),
                 Signature(1, 1): StateRingTag("R"),
                 Signature(0, 2): StateRingTag("H")}
@@ -411,9 +410,3 @@ def complexify(sig) -> CliffordAlgebra:
     """C (x) Cl(p,q): same blades, complex-rational coefficients."""
     sig = as_signature(sig)
     return clifford(sig.p, sig.q, "C")
-
-
-def tensor_division_ring(factors) -> RingTag:
-    """Division ring of a verified plain tensor of Clifford algebras."""
-    from .classify import division_ring_of
-    return division_ring_of(tensor_algebra(factors))

@@ -1,9 +1,10 @@
 """Division-ring tags and the K (x) K transition table.
 
-Two tag flavors share this module: `RingTag`, the classification-side label
-(R, C, H and the semisimple doubles), and `StateRingTag`, the state-calculus
-label which additionally carries a conjugation bar (C~, H~; R is
-self-conjugate).
+Two tag flavors share this module.  `RingTag`, the classification-side
+label, carries doubling: R, C, H and the semisimple doubles R(+)R, H(+)H,
+C(+)C of an algebra.  `StateRingTag`, the state-calculus label, carries the
+conjugation bar instead: R, C, C~, H, H~ (R is self-conjugate).  A doubled
+ring describes an algebra, never a state, so a state tag has no doubled form.
 
 `ring_transition` implements the eleven printed K (x) K rows plus their
 conjugate-symmetric completion: bars flip under conjugation of both inputs,
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 from enum import Enum
 from typing import NamedTuple
+
+from .core import _checked_make
 
 
 class RingTag(Enum):
@@ -50,48 +53,39 @@ class RingTag(Enum):
                 RingTag.C: RingTag.CC}[base]
 
 
-class StateRingTag(NamedTuple("StateRingTag", [("base", str), ("conjugated", bool),
-                                                 ("doubled", bool)])):
-    """State-calculus ring label: base in {R, C, H}, optional conjugation bar.
-
-    `doubled` exists for displaying R(+)R / H(+)H forms; the fusion calculus
-    itself only composes undoubled tags.
-    """
+class StateRingTag(NamedTuple("StateRingTag", [("base", str),
+                                                 ("conjugated", bool)])):
+    """State-calculus ring label: base in {R, C, H} and a conjugation bar."""
 
     __slots__ = ()
 
-    def __new__(cls, base, conjugated=False, doubled=False):
+    def __new__(cls, base, conjugated=False):
         if base not in ("R", "C", "H"):
             raise ValueError(f"unknown ring base {base!r}")
+        if type(conjugated) is not bool:
+            raise ValueError(f"ring conjugation must be a bool: {conjugated!r}")
         if base == "R":
             conjugated = False  # R is self-conjugate: normalize
-        return super().__new__(cls, base, conjugated, doubled)
+        return super().__new__(cls, base, conjugated)
+
+    _make = classmethod(_checked_make)
 
     def conjugate(self) -> "StateRingTag":
         if self.base == "R":
             return self
-        return StateRingTag(self.base, not self.conjugated, self.doubled)
+        return StateRingTag(self.base, not self.conjugated)
 
     def __str__(self):
-        s = self.base + ("~" if self.conjugated else "")
-        return f"{s}(+){s}" if self.doubled else s
+        return self.base + ("~" if self.conjugated else "")
 
     @staticmethod
     def parse(text: str) -> "StateRingTag":
         t = text.strip()
-        doubled = False
-        for sep in ("(+)", "+", "⊕"):
-            if sep in t:
-                a, b = t.split(sep, 1)
-                if a.strip() != b.strip():
-                    raise ValueError(f"unbalanced doubled ring {text!r}")
-                t, doubled = a.strip(), True
-                break
         conj = False
         if t.endswith("~") or t.endswith("̄") or t.endswith("¯"):
             conj, t = True, t[:-1]
         t = {"ℝ": "R", "ℂ": "C", "ℍ": "H"}.get(t, t)
-        return StateRingTag(t, conj, doubled)
+        return StateRingTag(t, conj)
 
 
 R = StateRingTag("R")
@@ -124,8 +118,9 @@ def ring_transition(k1: StateRingTag, k2: StateRingTag) -> StateRingTag:
     opposite, contract to R; without complex factors the quaternionic parity
     adds mod 2 and the surviving H inherits the product of bars.
     """
-    if k1.doubled or k2.doubled:
-        raise ValueError("ring_transition composes undoubled tags only")
+    if type(k1) is not StateRingTag or type(k2) is not StateRingTag:
+        raise TypeError(f"ring_transition composes StateRingTags, not "
+                        f"{k1!r} and {k2!r}")
     c1, c2 = k1.base == "C", k2.base == "C"
     if c1 and c2:
         if k1.conjugated == k2.conjugated:

@@ -12,9 +12,10 @@ charges add, factor counts add), double (complexification H -> C or R -> C;
 the ominus variant conjugates the ring and negates the charges), annihilate
 (conjugate pair contraction; complexified rings expand as K (+) iK and yield
 multiplicity 2), plus sector/superposition predicates and the mass rule
-m = m_e (l + 1/2)(l-dot + 1/2).  Every state, the doubled and annihilated
-ones too, is built by the `StateVector` constructor, whose checks reject
-negative factor counts and doubled rings.
+m = m_e (l + 1/2)(l-dot + 1/2) for an exact m_e.  Every state, the doubled
+and annihilated ones too, is built by the `StateVector` constructor (so are
+`_make` and `_replace`), whose checks require a `StateRingTag` ring and
+integer charges and factor counts, and reject negative factor counts.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import clifford
+from .core import _checked_make, _exact_part, clifford
 from .rings import StateRingTag, ring_transition
 
 
@@ -51,11 +52,15 @@ class StateVector(NamedTuple("StateVector", [
     __slots__ = ()
 
     def __new__(cls, ring, b, lepton, k, r):
+        if type(ring) is not StateRingTag:
+            raise StateError(f"a state's ring must be a StateRingTag: {ring!r}")
+        if not (type(b) is type(lepton) is type(k) is type(r) is int):
+            raise StateError("b, lepton, k and r must be integers")
         if k < 0 or r < 0:
             raise StateError("factor counts must be non-negative")
-        if ring.doubled:
-            raise StateError("state vectors carry undoubled ring tags")
         return super().__new__(cls, ring, b, lepton, k, r)
+
+    _make = classmethod(_checked_make)
 
     @property
     def m(self) -> int:
@@ -86,11 +91,6 @@ class StateVector(NamedTuple("StateVector", [
     def label(self, spin=None) -> str:
         s = self.spin if spin is None else Fraction(spin)
         return f"|{self.ring},{self.b},{self.lepton},{s}⟩"
-
-    def same_label(self, other) -> bool:
-        """Equality of the printed |K,b,l,s> data (blind to k/r orientation)."""
-        return (self.ring == other.ring and self.b == other.b
-                and self.lepton == other.lepton and self.spin == other.spin)
 
     def to_json(self) -> dict:
         return {"ring": self.ring.base, "conjugated": self.ring.conjugated,
@@ -241,20 +241,12 @@ def annihilate(s: StateVector, sbar: StateVector) -> StateSum:
     return StateSum({fused: 1})
 
 
-def statistics(s: StateVector) -> str:
-    return s.statistics
-
-
 def mass(s: StateVector, m_e=1) -> Fraction:
     """m = m_e (l + 1/2)(l-dot + 1/2), exactly."""
-    m_e = Fraction(m_e)
+    m_e = _exact_part(m_e)
     if m_e <= 0:
         raise StateError("m_e must be positive")
     return m_e * (s.l + Fraction(1, 2)) * (s.ldot + Fraction(1, 2))
-
-
-def sector_of(s: StateVector) -> Sector:
-    return s.sector
 
 
 def superposable(s1: StateVector, s2: StateVector) -> bool:
@@ -317,13 +309,8 @@ def parse_state(text: str) -> StateVector:
     if t.startswith("{"):
         import json
         d = json.loads(t)
-        counts = [d.get(name) for name in ("b", "lepton", "k", "r")]
-        conjugated = d.get("conjugated", False)
-        if (type(d.get("ring")) is not str or type(conjugated) is not bool
-                or any(type(x) is not int for x in counts)):
-            raise StateError("JSON state needs a string ring, a boolean "
-                             f"conjugated and integer b, lepton, k, r: {text!r}")
-        return StateVector(StateRingTag(d["ring"], conjugated), *counts)
+        return StateVector(StateRingTag(d.get("ring"), d.get("conjugated", False)),
+                           *[d.get(name) for name in ("b", "lepton", "k", "r")])
     if t.startswith("|"):
         body = t[1:]
         for closer in ("⟩", ">"):

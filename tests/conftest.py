@@ -12,9 +12,13 @@ def small_signatures(max_n=4):
 
 def check_record(record, **fields):
     """`record` is rebuilt equal, with the same repr, from `fields` by
-    keyword and by position, and none of its fields can be set."""
+    keyword and by position (and, for a NamedTuple, by `_replace` and
+    `_make`), and none of its fields can be set."""
     cls = type(record)
-    for rebuilt in (cls(**fields), cls(*fields.values())):
+    rebuilds = [cls(**fields), cls(*fields.values())]
+    if isinstance(record, tuple):
+        rebuilds += [record._replace(**fields), cls._make(fields.values())]
+    for rebuilt in rebuilds:
         assert rebuilt == record and repr(rebuilt) == repr(record)
     for name in fields:
         with pytest.raises(AttributeError):

@@ -13,14 +13,13 @@ from fractions import Fraction
 
 from cliffordkit import (PAPER_CHAINS, RingTag, StateRingTag, classify,
                          classify_complex, clifford, complex_doubling_iso,
-                         division_ring_oracle, even_subalgebra_iso,
-                         fuse, is_primitive, karoubi_factorize,
-                         left_ideal_basis, named_states, paper_idempotents,
-                         annihilate, ring_transition, sector_of, state,
-                         superposable, tensor_algebra, tensor_division_ring,
-                         verify_tensor_iso)
+                         division_ring_of, division_ring_oracle,
+                         even_subalgebra_iso, fuse, is_primitive,
+                         karoubi_factorize, left_ideal_basis, named_states,
+                         paper_idempotents, annihilate, ring_transition, state,
+                         superposable, tensor_algebra, verify_tensor_iso)
 from cliffordkit.automorphisms import ALL_SYMMETRIES, LABELS, composition_table
-from cliffordkit.classify import central_split_key
+from cliffordkit.classify import _central_square_keys
 from cliffordkit.cli import main
 from cliffordkit.cone import degree, sym_dimension_oracle
 from cliffordkit.ideals import (idempotent_factor_count, find_square_set,
@@ -122,7 +121,7 @@ def test_criterion_4_ring_transition_cross_validation():
         if target is not None:
             verify_tensor_iso(target, factors)
             assert classify(target).ring.base is RingTag(want.base)
-        computed = tensor_division_ring(factors)
+        computed = division_ring_of(tensor_algebra(factors))
         if k1.conjugated or k2.conjugated:
             # conjugate rows: the doubling expansion (1 + i)(1 - i) cancels
             # the imaginary pair and contracts the underlying bases, which
@@ -133,8 +132,8 @@ def test_criterion_4_ring_transition_cross_validation():
             assert pair == c01.blade(c01.unit_key, 2)
             if k1.base == "C":
                 # both provenances of the doubled ring contract to R
-                assert tensor_division_ring([(0, 2), (0, 2)]) is RingTag.R
-                assert tensor_division_ring([(1, 1), (1, 1)]) is RingTag.R
+                for pair in ([(0, 2), (0, 2)], [(1, 1), (1, 1)]):
+                    assert division_ring_of(tensor_algebra(pair)) is RingTag.R
             else:
                 assert computed.base is RingTag(want.base)
         else:
@@ -211,15 +210,15 @@ def test_criterion_7_conservation_properties():
                  for _ in range(rng.randint(2, 6))]
         total = chain[0]
         parity = chain[0].m % 2
-        sector = sector_of(chain[0])
+        sector = chain[0].sector
         for s in chain[1:]:
             total = fuse(total, s)
             parity = (parity + s.m) % 2
-            sector = sector + sector_of(s)
+            sector = sector + s.sector
         assert total.b == sum(s.b for s in chain)
         assert total.lepton == sum(s.lepton for s in chain)
         assert total.m % 2 == parity
-        assert sector_of(total) == sector
+        assert total.sector == sector
     # no coherent superposition of bosonic and fermionic states, ever
     for _ in range(200):
         f = state(rng.choice(rings), rng.randint(-2, 2), rng.randint(-2, 2),
@@ -251,7 +250,7 @@ def test_criterion_9_automorphism_group():
         x = alg.gen(1) + alg.blade(alg.basis[-1], Fraction(1, 2)) * alg.i()
         y = alg.one() + alg.gen(alg.n) * 3
         for s in ALL_SYMMETRIES:
-            if s.antiautomorphism:
+            if s.tilde:  # reversion reverses products
                 assert s(x * y) == s(y) * s(x)
             else:
                 assert s(x * y) == s(x) * s(y)
@@ -274,6 +273,6 @@ def test_criterion_10_radon_hurwitz_regression():
         assert len(left_ideal_basis(f)) == 1 << (p + q - k)
         ring = division_ring_oracle((p, q))
         assert ring.base.dim_r in (1, 2, 4)
-        if central_split_key(alg) is not None:
+        if len(_central_square_keys(alg)) > 1:
             assert ring.doubled
     budget.done("10 (Radon-Hurwitz table reproduces every k, p+q <= 8)")

@@ -265,6 +265,7 @@ def _failing(exc):
     (["fuse", '{"ring": "H"}', "nu"], None, 2),
     (["fuse", '{"ring": "H", "b": 0, "lepton": 1, "k": 1.5, "r": 0}', "nu"],
      None, 2),
+    (["fuse", "|C(+)C,0,1,1/2>", "nu"], None, 2),
     (["spectrum", "--max-m", "2", "--electron-mass", "-3"], None, 2),
     (["spectrum", "--max-m", "-1"], None, 2),
     (["spectrum", "--max-m", "2", "--electron-mass", "abc"], None, 2),
@@ -274,9 +275,9 @@ def _failing(exc):
      ("primitive_idempotent", SearchError("no commuting set")), 3),
     (["factorize", "2", "0"],
      ("karoubi_factorize", IsoError("images do not anticommute")), 3),
-], ids=["json-missing-fields", "json-float-count", "negative-mass",
-        "negative-max-m", "bad-mass", "oracle-failure", "search-error",
-        "iso-error"])
+], ids=["json-missing-fields", "json-float-count", "doubled-label",
+        "negative-mass", "negative-max-m", "bad-mass", "oracle-failure",
+        "search-error", "iso-error"])
 def test_exit_code_contract(capsys, monkeypatch, argv, broken, code):
     if broken:
         monkeypatch.setattr(cli, broken[0], _failing(broken[1]))

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 
 from cliffordkit import (IsoError, PAPER_CHAINS, RingTag, StateRingTag,
                          classify, clifford, complex_doubling_iso, complexify,
-                         even_subalgebra_iso, karoubi_factorize, ring_transition,
-                         split_semisimple, tensor_algebra,
-                         tensor_division_ring, verify_tensor_iso)
+                         division_ring_of, even_subalgebra_iso,
+                         karoubi_factorize, ring_transition, split_semisimple,
+                         tensor_algebra, verify_tensor_iso)
 from cliffordkit.core import QC_I, Multivector, Signature
 from cliffordkit.factorize import (_require_generators, _require_span,
                                    karoubi_factor_signatures)
@@ -277,6 +277,11 @@ def test_complex_doubling_iso_without_positive_generators():
 def test_ring_transition_printed_rows():
     for k1, k2, want in PRINTED_TRANSITIONS:
         assert ring_transition(k1, k2) == want
+    # state tags only: a classification tag has no bar to compose
+    for k1, k2 in ((RingTag.C, RingTag.R), (StateRingTag("C"), RingTag.R),
+                   (RingTag.H, StateRingTag("H"))):
+        with pytest.raises(TypeError):
+            ring_transition(k1, k2)
 
 
 def test_ring_transition_conjugate_symmetry():
@@ -323,7 +328,7 @@ def test_ring_transition_cross_validated_against_algebra_oracle():
     for s1, k1 in blocks.items():
         for s2, k2 in blocks.items():
             want = ring_transition(k1, k2)
-            got = tensor_division_ring([s1, s2])
+            got = division_ring_of(tensor_algebra([s1, s2]))
             assert str(got.base) == want.base, (s1, s2)
 
 

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from cliffordkit import (StateRingTag, StateSum, additive_spin, annihilate,
-                         clifford, conjugate, double, fundamental_states, fuse,
-                         fuse_detailed, mass, named_states, parse_state,
-                         sector_of, state, statistics, superposable)
+from cliffordkit import (RingTag, StateRingTag, StateSum, additive_spin,
+                         annihilate, clifford, conjugate, double,
+                         enumerate_cone, fundamental_states, fuse,
+                         fuse_detailed, mass, named_states, parse_state, state,
+                         superposable)
 from cliffordkit.core import Multivector
 from cliffordkit.states import StateError, StateVector
 from conftest import check_record
@@ -106,11 +107,11 @@ def test_annihilation_rejects_mismatched_pairs():
 
 
 def test_statistics():
-    assert statistics(state("R", 0, 0, 1, 0)) == "fermion"
-    assert statistics(state("R", 0, 0, 1, 1)) == "boson"
+    assert state("R", 0, 0, 1, 0).statistics == "fermion"
+    assert state("R", 0, 0, 1, 1).statistics == "boson"
     f1 = state("H", 0, 1, 1, 0)
     f2 = state("H~", 0, -1, 0, 1)
-    assert statistics(fuse(f1, f2)) == "boson"
+    assert fuse(f1, f2).statistics == "boson"
 
 
 def test_mass_formula():
@@ -120,10 +121,14 @@ def test_mass_formula():
     assert mass(state("R", 0, 0, 1, 1), m_e=Fraction(3, 2)) == Fraction(3, 2)
     with pytest.raises(StateError):
         mass(NU, m_e=0)
+    # only exact scalars enter the arithmetic: a float m_e is rejected
+    for bad in (lambda: mass(NU, 0.1), lambda: enumerate_cone(1, m_e=0.1)):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_sectors_and_superposition():
-    assert sector_of(EMINUS) == sector_of(NU)  # both (0,1)
+    assert EMINUS.sector == NU.sector  # both (0,1)
     assert superposable(EMINUS, NU)
     gamma = named_states()["gamma"]
     assert not superposable(gamma, EMINUS)  # sector and statistics differ
@@ -147,8 +152,8 @@ def test_fundamental_states():
 
 def test_conjugate_swaps_chirality_and_charges():
     assert conjugate(NU) == NUBAR
-    assert conjugate(conjugate(EMINUS)) .same_label(EMINUS)
-    assert conjugate(QS).same_label(QS)  # self-conjugate label
+    assert conjugate(conjugate(EMINUS)).label() == EMINUS.label()
+    assert conjugate(QS).label() == QS.label()  # self-conjugate label
 
 
 def test_parse_and_serialize():
@@ -172,28 +177,48 @@ def test_parse_and_serialize():
 def test_ring_tag_parsing():
     assert str(StateRingTag.parse("H~")) == "H~"
     assert StateRingTag.parse("R~") == StateRingTag("R")  # normalized
-    assert StateRingTag.parse("C(+)C").doubled
+    # a doubled ring describes an algebra, never a state
+    for doubled in ("C(+)C", "H+H", "R⊕R"):
+        with pytest.raises(ValueError, match="unknown ring base"):
+            StateRingTag.parse(doubled)
     with pytest.raises(StateError if False else ValueError):
         StateRingTag.parse("X")
-    check_record(StateRingTag.parse("H~"), base="H", conjugated=True,
-                 doubled=False)
-    assert StateRingTag("C") == StateRingTag(base="C", conjugated=False,
-                                             doubled=False)
+    check_record(StateRingTag.parse("H~"), base="H", conjugated=True)
+    assert StateRingTag("C") == StateRingTag(base="C", conjugated=False)
     assert StateRingTag("R", conjugated=True).conjugated is False
     with pytest.raises(ValueError, match="unknown ring base 'X'"):
         StateRingTag("X")
+    with pytest.raises(ValueError, match="unknown ring base 'X'"):
+        StateRingTag._make(("X", True))
+    with pytest.raises(ValueError, match="must be a bool"):
+        StateRingTag("C", 1)
 
 
 def test_state_checks_run_on_every_built_state():
     check_record(NU, ring=StateRingTag("H"), b=0, lepton=1, k=1, r=0)
-    check_record(sector_of(NU), b=0, lepton=1)
+    check_record(NU.sector, b=0, lepton=1)
     check_record(fuse_detailed(NU, NUBAR), state=fuse(NU, NUBAR),
                  spin_additive=Fraction(1))
-    with pytest.raises(StateError, match="factor counts must be non-negative"):
-        state("H", 0, 1, -1, 0)
+    for bad in (lambda: state("H", 0, 1, -1, 0), lambda: NU._replace(k=-1),
+                lambda: StateVector._make((StateRingTag("H"), 0, 1, 1, -1))):
+        with pytest.raises(StateError, match="factor counts must be non-negative"):
+            bad()
+    # charges and counts are integers (bools too are out), the ring a state tag
+    for bad in (lambda: state("H", Fraction(1, 2), 1, 1, 0),
+                lambda: state("H", 0.5, 1, 1, 0), lambda: state("R", 0, 0, True, 0),
+                lambda: NU._replace(lepton=1.0),
+                lambda: parse_state('{"ring": "H", "conjugated": false, "b": 0.5, '
+                                    '"lepton": 1, "k": 1, "r": 0}')):
+        with pytest.raises(StateError, match="must be integers"):
+            bad()
+    for bad in (lambda: StateVector(RingTag.H, 0, 1, 1, 0),
+                lambda: NU._replace(ring="H")):
+        with pytest.raises(StateError, match="must be a StateRingTag"):
+            bad()
+    # a doubled label fails at parse
     for bad in (lambda: state("H(+)H", 0, 1, 1, 0),
                 lambda: parse_state("|C(+)C,0,1,1/2>")):
-        with pytest.raises(StateError, match="undoubled ring tags"):
+        with pytest.raises(ValueError, match="unknown ring base"):
             bad()
     # double and fuse build their states through the same checks: a state
     # that skipped them (as tuple.__new__ does) fails in the next one built
@@ -202,10 +227,9 @@ def test_state_checks_run_on_every_built_state():
                 lambda: fuse(negative, NUBAR)):
         with pytest.raises(StateError, match="factor counts must be non-negative"):
             bad()
-    doubled = tuple.__new__(StateVector, (StateRingTag("H", doubled=True),
-                                          0, 1, 1, 0))
-    with pytest.raises(ValueError, match="undoubled tags only"):
-        fuse(doubled, NUBAR)
+    algebra_tag = tuple.__new__(StateVector, (RingTag.H, 0, 1, 1, 0))
+    with pytest.raises(TypeError, match="composes StateRingTags"):
+        fuse(algebra_tag, NUBAR)
 
 
 def test_state_sum_accumulates():
@@ -240,7 +264,7 @@ def test_fuse_conserves_charges_and_parity(s1, s2):
     assert out.b == s1.b + s2.b
     assert out.lepton == s1.lepton + s2.lepton
     assert out.m == s1.m + s2.m
-    assert sector_of(out) == sector_of(s1) + sector_of(s2)
+    assert out.sector == s1.sector + s2.sector
     parity = {"fermion": 1, "boson": 0}
     assert parity[out.statistics] == (parity[s1.statistics]
                                       + parity[s2.statistics]) % 2
