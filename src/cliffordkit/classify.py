@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import as_signature, center_basis, clifford
+from .core import as_signature, clifford, commutation_form, linear_rows
 from .ideals import (OracleFailure, _heads_and_tag, idempotent_of_candidates,
                      max_commuting_square_set, primitive_idempotent)
 from .rings import RingTag
@@ -105,8 +105,9 @@ def _central_square_keys(alg):
     """Keys, in canonical order and from the scalar on, of the central blades
     that square to +1 (i-phased over C, so every central blade there): as
     many as the algebra has simple summands."""
-    return [k for z in center_basis(alg) for k in z.c
-            if alg.field == "C" or alg.square_sign(k) == 1]
+    anti = linear_rows(commutation_form(alg))
+    return [k for k in alg.basis if not anti[k]
+            and (alg.field == "C" or alg.square_sign(k) == 1)]
 
 
 def division_tag_of_idempotent(f) -> RingTag:

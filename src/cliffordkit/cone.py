@@ -12,15 +12,28 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from .core import _checked_make
 from .exactla import Echelon
 from .states import mass
 
 ORACLE_CAP = 8  # the projector space is 2^(k+r)-dimensional
 
 
-class ReprLabel(NamedTuple):
-    k: int
-    r: int
+def _check_label(k, r):
+    if not (type(k) is type(r) is int):
+        raise TypeError(f"labels are integers, not {k!r}, {r!r}")
+    if k < 0 or r < 0:
+        raise ValueError("labels are non-negative")
+
+
+class ReprLabel(NamedTuple("ReprLabel", [("k", int), ("r", int)])):
+    __slots__ = ()
+
+    def __new__(cls, k, r):
+        _check_label(k, r)
+        return super().__new__(cls, k, r)
+
+    _make = classmethod(_checked_make)
 
     @property
     def l(self):
@@ -40,8 +53,7 @@ class ReprLabel(NamedTuple):
 
 def degree(k: int, r: int) -> int:
     """dim Sym_(k,r) = (k+1)(r+1)."""
-    if k < 0 or r < 0:
-        raise ValueError("labels are non-negative")
+    _check_label(k, r)
     return (k + 1) * (r + 1)
 
 
@@ -70,8 +82,7 @@ def sym_dimension_oracle(k: int, r: int) -> int:
     the uniform average over the permutation orbit of its index word) and
     row-reduce.  Capped at k + r <= 8.
     """
-    if k < 0 or r < 0:
-        raise ValueError("labels are non-negative")
+    _check_label(k, r)
     m = k + r
     if m > ORACLE_CAP:
         raise ValueError(f"oracle capped at k+r <= {ORACLE_CAP}")

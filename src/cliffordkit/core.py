@@ -29,7 +29,7 @@ MAX_N = 12  # dimension cap: 2^12 basis blades at most
 
 
 def _exact_part(x) -> Fraction:
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and type(x) is not bool:
         return Fraction(x)
     raise TypeError(f"inexact scalar {x!r}: use int or Fraction")
 
@@ -58,7 +58,7 @@ class QC:
     def _coerce(x):
         if isinstance(x, QC):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, (int, Fraction)) and type(x) is not bool:
             return QC(x)
         return None
 
@@ -221,9 +221,11 @@ class BladeAlgebra:
       blade(a ^ b), for every key a;
     - `key_name(a)`: the printed name of blade a.
 
-    `mul_key(a, b)`, the (key, sign) of blade(a) * blade(b), and
-    `keys_commute(a, b)` follow from `sign_mask`; each subclass states them
-    in its own body, where `perfbench/layers.py` counts their calls.
+    `mul_key(a, b)`, the (key, sign) of blade(a) * blade(b),
+    `keys_commute(a, b)` and `square_sign(a)`, the sign of blade(a)^2,
+    follow from `sign_mask`; each subclass states all three in its own body,
+    the last two in closed form (`perfbench/layers.py` counts the calls of
+    the first two there).
 
     This base adds the unit and generator keys and the coefficient handling:
     `scalar` admits only exact scalars (int, Fraction, QC), and `mv` passes
@@ -243,7 +245,7 @@ class BladeAlgebra:
             if x.im != 0:
                 raise TypeError("complex coefficient in a real algebra")
             return x.re
-        if not isinstance(x, (int, Fraction)):
+        if not isinstance(x, (int, Fraction)) or type(x) is bool:
             raise TypeError(f"inexact scalar {x!r}: use int, Fraction or QC")
         if self.field == "C":
             return QC(x)
@@ -264,9 +266,6 @@ class BladeAlgebra:
 
     def one(self) -> "Multivector":
         return self.blade(self.unit_key)
-
-    def square_sign(self, a) -> int:
-        return self.mul_key(a, a)[1]
 
 
 class CliffordAlgebra(BladeAlgebra):
@@ -305,6 +304,12 @@ class CliffordAlgebra(BladeAlgebra):
     def keys_commute(self, a: int, b: int) -> bool:
         # e_A e_B = (-1)^(|A||B| - |A & B|) e_B e_A, whatever the signature
         return not (a.bit_count() * b.bit_count() - (a & b).bit_count()) & 1
+
+    def square_sign(self, a: int) -> int:
+        # putting e_A e_A in order takes g(g-1)/2 swaps for g = |A|, and
+        # each factor in the minus block then squares to -1
+        g = a.bit_count()
+        return -1 if (g * (g - 1) // 2 + (a & self.minus_mask).bit_count()) & 1 else 1
 
     def key_name(self, a: int) -> str:
         return blade_name(a)
@@ -566,15 +571,23 @@ def commutation_form(alg):
             for t in range(n)]
 
 
+def linear_rows(gens):
+    """rows[k] = the XOR of gens[t] over the bits t of k, for every k < 2^n
+    (n = len(gens)): an F2-linear map of keys, with one XOR per key, as
+    rows[k | 1 << t] = rows[k] ^ gens[t] for k < 2^t.  With gens the
+    commutation form, rows[k] is the set of generators that anticommute
+    with blade k."""
+    rows = [0]
+    for g in gens:
+        rows += [r ^ g for r in rows]
+    return rows
+
+
 def center_basis(alg):
-    """Basis blades commuting with every generator: anti[k], the generators
-    that anticommute with blade k, is built up one bit of k at a time from
-    the commutation form, and the keys with anti[k] == 0 are central."""
+    """Basis blades commuting with every generator: those whose row of
+    `linear_rows` over the commutation form is empty."""
     alg = as_algebra(alg)
-    form = commutation_form(alg)
-    anti = [0] * alg.dim
-    for k in range(1, alg.dim):
-        anti[k] = anti[k & (k - 1)] ^ form[(k & -k).bit_length() - 1]
+    anti = linear_rows(commutation_form(alg))
     return [alg.blade(k) for k in alg.basis if not anti[k]]
 
 

@@ -87,8 +87,17 @@ class TensorAlgebra(BladeAlgebra):
         return a ^ b, -1 if (a & self.sign_mask(b)).bit_count() & 1 else 1
 
     def keys_commute(self, a, b):
-        return not ((a & self.sign_mask(b)).bit_count()
-                    ^ (b & self.sign_mask(a)).bit_count()) & 1
+        # the factors commute, so the blades do iff evenly many blocks do not
+        anti = 0
+        for f, off, low in self._blocks:
+            anti ^= not f.keys_commute(a >> off & low, b >> off & low)
+        return not anti
+
+    def square_sign(self, a):
+        sign = 1
+        for f, off, low in self._blocks:
+            sign *= f.square_sign(a >> off & low)
+        return sign
 
     def key_name(self, a):
         return "(x)".join(blade_name(a >> off & low)

@@ -13,8 +13,13 @@ are F2-linearly independent and pairwise commuting, which already rules out
 -1 from the generated group, hence f != 0.  Commutation is itself an F2
 bilinear form on keys: with m = `sign_mask`, blade(a) and blade(b)
 anticommute iff popcount(a & m(b)) + popcount(b & m(a)) is odd, in any such
-algebra.  So the search reads each commutation row off bit-sliced columns
-of the keys and `core.commutation_form`, with no pairwise loop.
+algebra.  So the candidates that anticommute with a blade are F2-linear in
+its key: the search reads the n generator rows off bit-sliced columns of
+the candidate keys and `core.commutation_form`, and `core.linear_rows`
+gives every other row with one XOR per key (the same recursion gives the
+center).  The chain search tests each candidate it passes down only
+against the coset of the span that the newest generator added; f itself is
+multiplied out on keys with `mul_key`, and only f^2 = f takes a product.
 
 Such an f is a stabilizer projector (Gottesman, arXiv:quant-ph/9705052), so
 its ideals follow from the F2 span V of the T-keys (Lounesto, ch. 17).  In
@@ -31,10 +36,12 @@ algebra off f and shares the one walk `_coset_heads`; ring tags are `RingTag`s.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
-from .core import (CliffordAlgebra, Multivector, QC_I, as_algebra,
-                   as_signature, clifford, commutation_form)
+from .core import (QC, QC_I, CliffordAlgebra, Multivector, _from_gaussian,
+                   _gaussian_terms, as_algebra, as_signature, clifford,
+                   commutation_form, linear_rows)
 from .rings import RingTag
 
 # Frozen from the brute-force derivation over all signatures with p+q <= 8.
@@ -103,24 +110,26 @@ def _bit_columns(vals, n):
 def _adjacency(alg, keys):
     """adj[i] has bit j set iff keys[i] and keys[j] commute (i != j).
 
-    By the commutation form, the keys that anticommute with a = keys[i] are
-    those meeting w, the generators that anticommute with a, an odd number
-    of times: the XOR of the key columns at the bits of w, at most n big-int
-    XORs per row."""
-    form = commutation_form(alg)
-    cols = _bit_columns(keys, alg.n)
-    full = (1 << len(keys)) - 1
-    adj = []
-    for i, a in enumerate(keys):
-        w = anti = 0
-        while a:
-            w ^= form[(a & -a).bit_length() - 1]
-            a &= a - 1
+    The keys that anticommute with generator t are those meeting form[t],
+    the generators that anticommute with it, an odd number of times: the
+    XOR of the key columns at the bits of form[t].  The keys that
+    anticommute with blade a are F2-linear in a, so `linear_rows` builds
+    every row from these n with one big-int XOR per basis key."""
+    if not keys:
+        return []
+    n = alg.n
+    cols = _bit_columns(keys, n)
+    gens = []
+    for w in commutation_form(alg):
+        anti = 0
         while w:
             anti ^= cols[(w & -w).bit_length() - 1]
             w &= w - 1
-        adj.append(full & ~anti & ~(1 << i))  # a commutes with itself
-    return adj
+        gens.append(anti)
+    anti = linear_rows(gens)
+    full = (1 << len(keys)) - 1
+    # a commutes with itself
+    return [full & ~anti[a] & ~(1 << i) for i, a in enumerate(keys)]
 
 
 def _canonical_chains(alg, cands):
@@ -133,29 +142,40 @@ def _canonical_chains(alg, cands):
     the lexicographically smallest valid set of that size, since a smaller
     key c in a generator's coset would give a smaller valid set (commutation
     is bilinear over F2 and c squares to +1 too).
+
+    A candidate passed down has already been tested against every coset an
+    ancestor added, and those tests do not change, so each node tests its
+    candidates against the one coset its own step added.
     """
     keys = [c[0] for c in cands]
     idx = {k: i for i, k in enumerate(keys)}
     adj = _adjacency(alg, keys)
 
-    def rec(chain, span, candmask):
+    def rec(chain, span, added, candmask):
         yield chain
-        # Keep the candidates that open their coset.  One that fails here
-        # fails below too, as the span only grows.  None lies in the span:
-        # had it entered with keys[i], that earlier key would be in its coset.
-        opens = []
-        while candmask:
-            i = (candmask & -candmask).bit_length() - 1
-            candmask &= candmask - 1
-            if all(idx[keys[i] ^ s] >= i for s in span):
-                opens.append(i)
-        viable = sum(1 << i for i in opens)
-        for i in opens:
-            yield from rec(chain + [cands[i]],
-                           span | key_coset(span, keys[i]),
-                           viable >> (i + 1) << (i + 1) & adj[i])
+        # Drop the candidates that do not open their coset.  One that fails
+        # here fails below too, as the span only grows.  None lies in the
+        # span: had it entered with keys[i], that earlier key would be in
+        # its coset.
+        viable = m = candmask
+        while m:
+            low = m & -m
+            m ^= low
+            i = low.bit_length() - 1
+            k = keys[i]
+            for s in added:
+                if idx[k ^ s] < i:
+                    viable ^= low
+                    break
+        while viable:
+            low = viable & -viable
+            viable ^= low
+            i = low.bit_length() - 1
+            coset = key_coset(span, keys[i])
+            yield from rec(chain + [cands[i]], span | coset, coset,
+                           viable & adj[i])
 
-    return rec([], {alg.unit_key}, (1 << len(keys)) - 1)
+    return rec([], {alg.unit_key}, (), (1 << len(keys)) - 1)
 
 
 def find_square_set(alg, k: int):
@@ -200,12 +220,33 @@ class Idempotent(NamedTuple):
 
 
 def idempotent_from_factors(alg, factors) -> Idempotent:
-    """Build prod (1+T)/2 from multivector factors, verifying f^2 = f."""
+    """Build prod (1+T)/2 from single-blade factors T, verifying f^2 = f.
+
+    prod (1 + T) is multiplied out on keys with `mul_key`, one factor at a
+    time, over Gaussian integers and one denominator, as the product kernel
+    counts: a repeated or dependent key adds its coefficient, and a zero
+    drops."""
     alg = as_algebra(alg)
-    f = alg.one()
-    half = alg.scalar(1) / 2
+    re, im, den = {alg.unit_key: 1}, {alg.unit_key: 0}, 1
     for t in factors:
-        f = f * ((alg.one() + t) * half)
+        if t.alg is not alg or len(t.c) != 1:
+            raise ValueError(f"factor {t} is not a single blade of {alg!r}")
+        (a, v), = t.c.items()
+        d, ((_a, vr, vi),) = _gaussian_terms({a: QC._coerce(v)})
+        nre, nim = {}, {}
+        for b, wr in re.items():
+            wi = im[b]
+            nre[b] = nre.get(b, 0) + wr * d
+            nim[b] = nim.get(b, 0) + wi * d
+            k, sign = alg.mul_key(b, a)
+            nre[k] = nre.get(k, 0) + sign * (wr * vr - wi * vi)
+            nim[k] = nim.get(k, 0) + sign * (wr * vi + wi * vr)
+        re, im, den = nre, nim, den * d
+    den <<= len(factors)
+    if alg.field == "C":
+        f = _from_gaussian(alg, re, im, den)
+    else:
+        f = Multivector(alg, {k: Fraction(r, den) for k, r in re.items() if r})
     if (not f) or f * f != f:
         raise ValueError("factors do not yield a nonzero idempotent")
     return Idempotent(f, tuple(factors))

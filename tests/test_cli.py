@@ -204,10 +204,12 @@ def test_atlas_entry_verifies_f_once(monkeypatch):
 
 
 # SHA-256 of the stdout of `cliffordkit atlas --max-n N --out -`, recorded
-# while f*Cl*f and Cl*f were still spanned by product-and-echelon
+# while f*Cl*f and Cl*f were still spanned by product-and-echelon (N = 12:
+# recorded while f was still built as the product of its (1 + T_i)/2)
 ATLAS_DIGESTS = {
     8: "659f3b9260e0bb8c3bf99e4917722e68d89e262f2a056de753e1359e553314c5",
     10: "5ae1a5b937804901e50a37cb84925e23e978dea1bddf6ee33bce9eda029b128b",
+    12: "6d8837bd0c7bb296027e82813c2642ae4e6f739d656fcc9e237f39803b98ef69",
 }
 
 

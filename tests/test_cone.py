@@ -75,3 +75,19 @@ def test_label_fields():
     assert lab.ldot == Fraction(1, 2)
     assert lab.spin == 1
     assert str(lab) == "(3/2,1/2)"
+
+
+def test_labels_are_non_negative_integers():
+    lab = ReprLabel(2, 1)
+    check_record(lab, k=2, r=1)
+    assert str(lab) == "(1,1/2)"
+    builds = [ReprLabel, degree, lambda k, r: ReprLabel._make((k, r)),
+              lambda k, r: lab._replace(k=k, r=r)]
+    for k, r in [(1.5, 0), (True, 0), (0, False), ("1", 0), (Fraction(1), 0)]:
+        for build in builds:
+            with pytest.raises(TypeError):
+                build(k, r)
+    for k, r in [(-1, 0), (0, -2)]:
+        for build in builds + [sym_dimension_oracle]:
+            with pytest.raises(ValueError):
+                build(k, r)

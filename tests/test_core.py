@@ -264,7 +264,8 @@ def test_only_exact_scalars_enter(alg):
     ech.insert(x.columns())
     assert all(type(v) is exact for v in ech.rows[0])
     assert ech.rows[0][:2] == [1, Fraction(1, 3)]
-    for bad in (0.5, 0.0, Decimal("0.5"), "1/2"):
+    # bools are not scalars, as they are not signature components
+    for bad in (0.5, 0.0, Decimal("0.5"), "1/2", True, False):
         with pytest.raises(TypeError):
             alg.scalar(bad)
         with pytest.raises(TypeError):
@@ -277,11 +278,14 @@ def test_qc_admits_only_exact_parts():
     third = Fraction(1, 3)
     assert QC(third, 2).re is third
     assert QC(third, 2).im == 2 and type(QC(third, 2).im) is Fraction
-    for bad in (0.1, 0.0, Decimal("0.1"), "1/2", None):
+    for bad in (0.1, 0.0, Decimal("0.1"), "1/2", None, True, False):
         with pytest.raises(TypeError):
             QC(bad)
         with pytest.raises(TypeError):
             QC(1, bad)
+        with pytest.raises(TypeError):
+            QC(1) + bad
+    assert QC(1) != True  # noqa: E712 - a bool is no scalar, not even 1
 
 
 def test_clifford_rejects_non_integer_signatures():

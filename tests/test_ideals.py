@@ -399,15 +399,75 @@ def _read_factors(fe):
     return [alg.blade(a, c[a] * scale) for a in keys]
 
 
+def _product_idempotent(alg, factors):
+    """The former body of `idempotent_from_factors`: prod (1+T)/2 as
+    multivector products, with f^2 = f checked."""
+    f = alg.one()
+    half = alg.scalar(1) / 2
+    for t in factors:
+        f = f * ((alg.one() + t) * half)
+    if (not f) or f * f != f:
+        raise ValueError("factors do not yield a nonzero idempotent")
+    return f
+
+
 def _rebuilds(fe):
     """The former product check: the T_i read off f rebuild f."""
     ts = _read_factors(fe)
     if ts is None:
         return False
     try:
-        return idempotent_from_factors(fe.alg, ts).element == fe
+        return _product_idempotent(fe.alg, ts) == fe
     except ValueError:
         return False
+
+
+def _same_build(alg, factors):
+    """`idempotent_from_factors` and the product reference agree: both raise
+    ValueError, or both give f with the same coefficients and types."""
+    try:
+        want = _product_idempotent(alg, factors)
+    except ValueError:
+        with pytest.raises(ValueError):
+            idempotent_from_factors(alg, factors)
+        return False
+    got = idempotent_from_factors(alg, factors).element
+    assert got == want, (alg, factors)
+    assert [type(v) for v in got.c.values()] == \
+        [type(want.c[k]) for k in got.c], (alg, factors)
+    return True
+
+
+def test_key_built_idempotent_matches_product_reference():
+    for field in "RC":
+        for p, q in small_signatures(8):
+            f = primitive_idempotent((p, q), field)
+            assert _same_build(f.alg, f.factors), (field, p, q)
+
+
+def test_key_built_idempotent_adds_repeated_and_dependent_keys():
+    # repeated, dependent, negated and scalar factors, with coefficients
+    # 1, -1, 2 (and i): the keys add and cancel as in the product
+    built = 0
+    for field in "RC":
+        for p, q in small_signatures(3):
+            alg = clifford(p, q, field)
+            units = [1, -1, 2] + ([QC_I] if field == "C" else [])
+            blades = [alg.blade(k, u) for k in alg.basis for u in units]
+            for x in blades:
+                for y in blades[:8]:
+                    built += _same_build(alg, [x, y, x])
+    assert built > 50, built
+
+
+def test_multi_term_factor_is_rejected():
+    alg = clifford(1, 1)
+    with pytest.raises(ValueError, match="single blade"):
+        idempotent_from_factors(alg, [alg.one() + alg.gen(1)])
+    with pytest.raises(ValueError, match="single blade"):
+        idempotent_from_factors(alg, [alg.zero()])
+    with pytest.raises(ValueError, match="single blade"):
+        idempotent_from_factors(alg, [clifford(2, 0).gen(1)])
 
 
 def _keys_accept(fe):

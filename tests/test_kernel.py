@@ -62,6 +62,7 @@ def check_blade_pair(alg, a, b):
     assert alg.mul_key(a, b) == ref_key_sign(alg, a, b), (alg, a, b)
     commute = ref_key_sign(alg, a, b)[1] == ref_key_sign(alg, b, a)[1]
     assert alg.keys_commute(a, b) == commute, (alg, a, b)
+    assert alg.square_sign(a) == ref_key_sign(alg, a, a)[1], (alg, a)
 
 
 def test_blade_signs_every_pair_up_to_n6():

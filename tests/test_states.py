@@ -121,8 +121,9 @@ def test_mass_formula():
     assert mass(state("R", 0, 0, 1, 1), m_e=Fraction(3, 2)) == Fraction(3, 2)
     with pytest.raises(StateError):
         mass(NU, m_e=0)
-    # only exact scalars enter the arithmetic: a float m_e is rejected
-    for bad in (lambda: mass(NU, 0.1), lambda: enumerate_cone(1, m_e=0.1)):
+    # only exact scalars enter the arithmetic: a float or bool m_e is rejected
+    for bad in (lambda: mass(NU, 0.1), lambda: enumerate_cone(1, m_e=0.1),
+                lambda: mass(NU, True), lambda: enumerate_cone(1, m_e=True)):
         with pytest.raises(TypeError):
             bad()
 
