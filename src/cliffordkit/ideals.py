@@ -223,8 +223,8 @@ def idempotent_from_factors(alg, factors) -> Idempotent:
     """Build prod (1+T)/2 from single-blade factors T, verifying f^2 = f.
 
     prod (1 + T) is multiplied out on keys with `mul_key`, one factor at a
-    time, over Gaussian integers and one denominator, as the product kernel
-    counts: a repeated or dependent key adds its coefficient, and a zero
+    time, over Gaussian integers and one denominator as in the product
+    kernel: a repeated or dependent key adds its coefficient, and a zero
     drops."""
     alg = as_algebra(alg)
     re, im, den = {alg.unit_key: 1}, {alg.unit_key: 0}, 1
@@ -232,7 +232,7 @@ def idempotent_from_factors(alg, factors) -> Idempotent:
         if t.alg is not alg or len(t.c) != 1:
             raise ValueError(f"factor {t} is not a single blade of {alg!r}")
         (a, v), = t.c.items()
-        d, ((_a, vr, vi),) = _gaussian_terms({a: QC._coerce(v)})
+        d, ((_, vr, vi),) = _gaussian_terms({a: QC._coerce(v)})
         nre, nim = {}, {}
         for b, wr in re.items():
             wi = im[b]
