@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
 """Alternating before/after benchmark pairs: this checkout against a parent.
 
-    python3 scripts/bench_pairs.py --pr 17 --parent HEAD~1 --pairs 10 \\
-        --seconds 20 --workload atlas-8 --workload cli-cold
+    python3 scripts/bench_pairs.py --pr 17 --parent HEAD~1
     python3 scripts/bench_pairs.py --smoke
 
 Run from the repository root.  The parent commit is extracted with
-`git archive <rev> | tar -x` into a temporary directory.  Each pair runs this
-checkout's `perfbench/run.py` once with the working directory set to each
-tree, the side that goes first alternating from pair to pair, so that a
-drift in the host's speed falls on both sides alike.  The last stdout line
-of each run is its JSON result.
+`git archive <rev> | tar -x` into a temporary directory.  Every workload of
+`BENCHMARK.json` gets ten pairs of `run_seconds` runs with seed 2.  Each
+pair runs this checkout's `perfbench/run.py` once with the working
+directory set to each tree, the side that goes first alternating from pair
+to pair, so that a drift in the host's speed falls on both sides alike.
+The last stdout line of each run is its JSON result; a run whose last line
+is no result object did not run.
 
 `BENCH_<pr>.json` gets, for each workload and end-to-end metric of
 `BENCHMARK.json`, each side's runs, median and quartiles and the number of
 pairs the change won, together with the host, the Python version, the
-seeds, both commit ids and whether the runs could cache bytecode (when they
+seed, both commit ids and whether the runs could cache bytecode (when they
 can, both trees' `src` is compiled before the first pair).  `--smoke` runs
 one short pair of atlas-8 against HEAD and writes its file into the
 temporary directory.  Exits 1 if a run fails or reports a failed check.
@@ -32,6 +33,8 @@ import sys
 import tempfile
 
 RUN = os.path.join("perfbench", "run.py")
+PAIRS = 10
+SEED = 2
 
 
 def git(*argv, cwd="."):
@@ -50,21 +53,50 @@ def extract(rev, dest):
 
 
 def last_json(stdout):
-    """The JSON object on the last line of a run's stdout."""
+    """The result object on the last line of a run's stdout, or None when
+    that line is no JSON object with `metrics` (a crash, or no output)."""
     lines = stdout.strip().splitlines()
-    return json.loads(lines[-1]) if lines else None
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except ValueError:
+        return None
+    if not (isinstance(result, dict) and isinstance(result.get("metrics"), dict)):
+        return None
+    return result
 
 
-def run_side(tree, workload, seed, seconds):
+def run_side(tree, workload, seconds):
     """One run of this checkout's perfbench/run.py on `tree`; its result."""
     proc = subprocess.run(
         [sys.executable, os.path.abspath(RUN), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
-    if proc.returncode not in (0, 1):
+    result = last_json(proc.stdout) if proc.returncode in (0, 1) else None
+    if result is None:
         sys.stderr.write(proc.stderr)
-        return None
-    return last_json(proc.stdout)
+    return result
+
+
+def run_pairs(trees, workload, count, seconds, names):
+    """`count` alternating pairs of `workload` on trees {'parent', 'change'};
+    returns (pairs, failed), failed when a run did not run or failed a check."""
+    pairs, failed = [], False
+    for i in range(count):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = run_side(trees[side], workload, seconds)
+        if any(pair[side] is None for side in order):
+            print(f"bench_pairs: {workload} pair {i + 1} did not run", file=sys.stderr)
+            failed = True
+            continue
+        failed = failed or not (pair["parent"]["correct"] and pair["change"]["correct"])
+        pairs.append(pair)
+        print(f"{workload} pair {i + 1}/{count} ({order[0]} first): " + ", ".join(
+            f"{name} {pair['parent']['metrics'][name]['value']:.4g} -> "
+            f"{pair['change']['metrics'][name]['value']:.4g}"
+            for name in names), flush=True)
+    return pairs, failed
 
 
 def _spread(vals):
@@ -78,7 +110,7 @@ def _spread(vals):
 def summarize(pairs, better):
     """Per metric of `better` (name -> 'higher' | 'lower'): each side's runs,
     quartiles and the change's wins over `pairs`, a list of
-    {'seed', 'first', 'parent', 'change'} with run.py's JSON results."""
+    {'first', 'parent', 'change'} with run.py's JSON results."""
     out = {}
     for name, direction in better.items():
         sides = {side: [p[side]["metrics"][name]["value"] for p in pairs]
@@ -101,7 +133,6 @@ def bench_document(meta, results, better):
     doc["workloads"] = {}
     for workload, pairs in results.items():
         doc["workloads"][workload] = {
-            "seeds": [p["seed"] for p in pairs],
             "first": [p["first"] for p in pairs],
             "jobs": {side: [[p[side]["attempted"], p[side]["failed"]]
                             for p in pairs] for side in ("parent", "change")},
@@ -124,27 +155,23 @@ def host():
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--pr", default="smoke", help="names BENCH_<pr>.json")
+    ap.add_argument("--pr", help="names BENCH_<pr>.json (required unless --smoke)")
     ap.add_argument("--parent", default="HEAD~1", help="the commit compared against")
-    ap.add_argument("--workload", action="append",
-                    help="a workload of BENCHMARK.json (repeatable; default all)")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--seeds", default="2", help="comma-separated; pair i takes seed i mod count")
-    ap.add_argument("--out", help="output path (default BENCH_<pr>.json)")
     ap.add_argument("--smoke", action="store_true",
                     help="one short atlas-8 pair against HEAD, written to a temp dir")
     args = ap.parse_args()
+    if not (args.smoke or args.pr):
+        ap.error("--pr is required unless --smoke")
     if not os.path.isfile(RUN):
         print("bench_pairs: run from the repository root", file=sys.stderr)
         return 2
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    count, seconds = PAIRS, bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     if args.smoke:
-        args.parent, args.pairs, args.seconds, workloads = "HEAD", 1, 1.0, ["atlas-8"]
-    seeds = [int(s) for s in args.seeds.split(",")]
+        args.pr, args.parent, count, seconds, workloads = "smoke", "HEAD", 1, 1, ["atlas-8"]
     cached = not os.environ.get("PYTHONDONTWRITEBYTECODE")
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent_tree = os.path.join(tmp, "parent")
@@ -152,7 +179,7 @@ def main():
         trees = {"parent": parent_tree, "change": os.getcwd()}
         meta = {
             "pr": args.pr, "host": host(), "python": platform.python_version(),
-            "bytecode_cached": cached, "seconds": args.seconds,
+            "bytecode_cached": cached, "seconds": seconds, "seed": SEED,
             "commits": {"parent": extract(args.parent, parent_tree),
                         "change": git("rev-parse", "HEAD"),
                         "change_worktree_dirty": bool(git("status", "--porcelain",
@@ -163,28 +190,12 @@ def main():
                 compileall.compile_dir(os.path.join(tree, "src"), quiet=1)
         results, code = {}, 0
         for workload in workloads:
-            pairs = []
-            for i in range(args.pairs):
-                seed = seeds[i % len(seeds)]
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = run_side(trees[side], workload, seed, args.seconds)
-                if any(pair[side] is None for side in order):
-                    print(f"bench_pairs: {workload} pair {i} did not run", file=sys.stderr)
-                    code = 1
-                    continue
-                code = code or int(not (pair["parent"]["correct"] and pair["change"]["correct"]))
-                pairs.append(pair)
-                print(f"{workload} pair {i + 1}/{args.pairs} (seed {seed}, "
-                      f"{order[0]} first): " + ", ".join(
-                          f"{name} {pair['parent']['metrics'][name]['value']:.4g} -> "
-                          f"{pair['change']['metrics'][name]['value']:.4g}"
-                          for name in better), flush=True)
+            pairs, failed = run_pairs(trees, workload, count, seconds, better)
+            code = code or int(failed)
             if pairs:
                 results[workload] = pairs
-        out = args.out or (os.path.join(tmp, "BENCH_smoke.json") if args.smoke
-                           else f"BENCH_{args.pr}.json")
+        out = (os.path.join(tmp, "BENCH_smoke.json") if args.smoke
+               else f"BENCH_{args.pr}.json")
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(bench_document(meta, results, better), fh, indent=1)
             fh.write("\n")

@@ -23,21 +23,20 @@ def test_bench_document_schema():
     better = {"jobs_per_s": "higher", "job_p90_ms": "lower"}
     runs = [((1000, 1.8), (1300, 1.3)), ((1100, 1.7), (1050, 1.4)),
             ((1050, 1.75), (1350, 1.9))]
-    pairs = [{"seed": 2, "first": "parent" if i % 2 == 0 else "change",
+    pairs = [{"first": "parent" if i % 2 == 0 else "change",
               "parent": bench_pairs.last_json(canned(*before)),
               "change": bench_pairs.last_json(canned(*after))}
              for i, (before, after) in enumerate(runs)]
     meta = {"pr": "0", "host": bench_pairs.host(), "python": "3.x",
-            "bytecode_cached": True, "seconds": 1.0,
+            "bytecode_cached": True, "seconds": 1, "seed": 2,
             "commits": {"parent": "a" * 40, "change": "b" * 40,
                         "change_worktree_dirty": False}}
     doc = json.loads(json.dumps(bench_pairs.bench_document(
         meta, {"atlas-8": pairs}, better)))
-    assert {"pr", "host", "python", "bytecode_cached", "seconds",
+    assert {"pr", "host", "python", "bytecode_cached", "seconds", "seed",
             "commits", "workloads"} <= doc.keys()
     assert set(doc["host"]) == {"platform", "machine", "cpu", "cpus"}
     wl = doc["workloads"]["atlas-8"]
-    assert wl["seeds"] == [2, 2, 2]
     assert wl["first"] == ["parent", "change", "parent"]
     assert wl["jobs"] == {"parent": [[400, 0]] * 3, "change": [[400, 0]] * 3}
     assert set(wl["metrics"]) == set(better)
@@ -51,4 +50,13 @@ def test_bench_document_schema():
             assert set(s) == {"median", "q1", "q3", "runs"}
             assert len(s["runs"]) == 3
             assert s["q1"] <= s["median"] <= s["q3"]
+
+
+def test_last_json_rejects_what_is_no_result():
+    # a run that crashes after its table leaves no result on its last line
     assert bench_pairs.last_json("") is None
+    assert bench_pairs.last_json(canned(1000, 1.8) + "Traceback (most recent call last):\n"
+                                 "ValueError: boom\n") is None
+    assert bench_pairs.last_json('{"correct": true}\n') is None
+    assert bench_pairs.last_json("[1, 2]\n") is None
+    assert bench_pairs.last_json(canned(1000, 1.8))["attempted"] == 400
