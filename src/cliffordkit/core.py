@@ -7,12 +7,17 @@ products of `factorize` run through the same product kernel.
 Coefficients are exact: `fractions.Fraction` for real algebras, `QC`
 (complex rationals) for complexified ones.  No floating point anywhere.
 
-The geometric product reorders blades by the bitmap method of Dorst,
-Fontijne and Mann (Geometric Algebra for Computer Science, ch. 19): the sign
-of e_A e_B is the parity of popcount(A & sign_mask(B)), one mask per
-right-hand blade, which the algebra supplies.  Coefficients are multiplied
-as integer numerators over one shared denominator per operand and turned
-back into fractions once per output blade.
+The geometric product has two exact paths; both multiply integer numerators
+over one shared denominator per operand and turn them back into fractions
+once per output blade.  The pair path, the reference and the only one for
+tensor algebras, reorders blades by the bitmap method of Dorst, Fontijne and
+Mann (Geometric Algebra for Computer Science, ch. 19): the sign of e_A e_B is
+the parity of popcount(A & sign_mask(B)), one mask per right-hand blade,
+which the algebra supplies.  The spinor path multiplies Gaussian-integer
+matrices on the complex spinor module C^m, m = 2^(n//2), of Cl(p,q), in the
+Jordan-Wigner representation (two summands for odd n).  A product in Cl(p,q)
+takes it when |a|*|b| blade pairs exceed 36 * 2^n over R or 18 * 2^n over C,
+the measured cost of a spinor product in pairs (scripts/kernel_crossover.py).
 
 Generator squares follow the (p,q) convention: e_i^2 = +1 for i <= p and
 e_i^2 = -1 for i > p; distinct generators anticommute.
@@ -23,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add, mul, sub
 from typing import NamedTuple
 
 MAX_N = 12  # dimension cap: 2^12 basis blades at most
@@ -233,6 +239,7 @@ class BladeAlgebra:
     """
 
     unit_key = 0
+    spinor_pairs = 1 << 2 * MAX_N  # no |a| * |b| exceeds it: pairs only
 
     def generator_keys(self):
         return [1 << i for i in range(self.n)]
@@ -275,6 +282,8 @@ class CliffordAlgebra(BladeAlgebra):
     identity comparison of parents is meaningful.
     """
 
+    _pauli = None  # the table of `_pauli_table`, built by the first dense product
+
     def __init__(self, sig: Signature, field: str):
         if field not in ("R", "C"):
             raise ValueError("field must be 'R' or 'C'")
@@ -286,6 +295,8 @@ class CliffordAlgebra(BladeAlgebra):
         self.basis = tuple(sorted(range(self.dim), key=lambda m: (grade(m), m)))
         self.index = {k: i for i, k in enumerate(self.basis)}
         self.volume_key = self.dim - 1
+        # the spinor path's cost in blade pairs (see the module docstring)
+        self.spinor_pairs = (36 if field == "R" else 18) << sig.n
 
     def __repr__(self):
         pre = "C(x)" if self.field == "C" else ""
@@ -380,43 +391,11 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._check(other)
-            alg = self.alg
             if not (self.c and other.c):
-                return Multivector(alg, {})
-            # one sign mask per right-hand blade; the left blade's parity
-            # against it is the sign, tested inline
-            signs = alg.sign_mask
-            if alg.field == "R":
-                da, a = _integer_terms(self.c)
-                db, b = _integer_terms(other.c)
-                b = [(kb, signs(kb), vb) for kb, vb in b]
-                acc = {}
-                get = acc.get
-                for ka, va in a:
-                    for kb, m, vb in b:
-                        k = ka ^ kb
-                        if (ka & m).bit_count() & 1:
-                            acc[k] = get(k, 0) - va * vb
-                        else:
-                            acc[k] = get(k, 0) + va * vb
-                den = da * db
-                return Multivector(alg, {k: Fraction(v, den)
-                                         for k, v in acc.items() if v})
-            da, a = _gaussian_terms(self.c)
-            db, b = _gaussian_terms(other.c)
-            b = [(kb, signs(kb), br, bi) for kb, br, bi in b]
-            re, im = {}, {}
-            rget, iget = re.get, im.get
-            for ka, ar, ai in a:
-                for kb, m, br, bi in b:
-                    k = ka ^ kb
-                    if (ka & m).bit_count() & 1:
-                        re[k] = rget(k, 0) - ar * br + ai * bi
-                        im[k] = iget(k, 0) - ar * bi - ai * br
-                    else:
-                        re[k] = rget(k, 0) + ar * br - ai * bi
-                        im[k] = iget(k, 0) + ar * bi + ai * br
-            return _from_gaussian(alg, re, im, da * db)
+                return Multivector(self.alg, {})
+            if len(self.c) * len(other.c) > self.alg.spinor_pairs:
+                return _spinor_product(self, other)
+            return _pair_product(self, other)
         try:
             s = self.alg.scalar(other)
         except (TypeError, ValueError):
@@ -506,6 +485,139 @@ def _from_gaussian(alg, re: dict, im: dict, den: int) -> Multivector:
     """The nonzero re[k] + i im[k] over den, as QCs."""
     return Multivector(alg, {k: QC(Fraction(r, den), Fraction(im[k], den))
                              for k, r in re.items() if r or im[k]})
+
+
+def _pair_product(x: Multivector, y: Multivector) -> Multivector:
+    """x * y blade pair by blade pair, the reference path (module docstring)."""
+    alg = x.alg
+    signs = alg.sign_mask
+    if alg.field == "R":
+        da, a = _integer_terms(x.c)
+        db, b = _integer_terms(y.c)
+        b = [(kb, signs(kb), vb) for kb, vb in b]
+        acc = {}
+        get = acc.get
+        for ka, va in a:
+            for kb, m, vb in b:
+                k = ka ^ kb
+                if (ka & m).bit_count() & 1:
+                    acc[k] = get(k, 0) - va * vb
+                else:
+                    acc[k] = get(k, 0) + va * vb
+        den = da * db
+        return Multivector(alg, {k: Fraction(v, den) for k, v in acc.items() if v})
+    da, a = _gaussian_terms(x.c)
+    db, b = _gaussian_terms(y.c)
+    b = [(kb, signs(kb), br, bi) for kb, br, bi in b]
+    re, im = {}, {}
+    rget, iget = re.get, im.get
+    for ka, ar, ai in a:
+        for kb, m, br, bi in b:
+            k = ka ^ kb
+            if (ka & m).bit_count() & 1:
+                re[k] = rget(k, 0) - ar * br + ai * bi
+                im[k] = iget(k, 0) - ar * bi - ai * br
+            else:
+                re[k] = rget(k, 0) + ar * br - ai * bi
+                im[k] = iget(k, 0) + ar * bi + ai * br
+    return _from_gaussian(alg, re, im, da * db)
+
+
+def _pauli_table(alg) -> list:
+    """(f, z, x) per blade key A: rho(e_A) = i^f X^x Z^z on k = n // 2 qubits,
+    X^x Z^z taking |c> to (-1)^popcount(z & c) |c ^ x>.  Generator t < 2k is
+    Z on the qubits below t // 2, then X (even t) or Y = iXZ (odd t); for odd
+    n the last is Z on all k, negated in the second simple summand, which
+    bit k of z marks.  A generator squaring to -1 takes a factor i.  Built
+    by doubling, as `linear_rows`: e_A e_t has f + g + 2 popcount(z & y)."""
+    if alg._pauli is None:
+        k, rows = alg.n // 2, [(0, 0, 0)]
+        for t in range(alg.n):
+            j = t >> 1
+            if t < 2 * k:
+                y, w, g = 1 << j, (1 << j + (t & 1)) - 1, t & 1
+            else:
+                y, w, g = 0, (2 << k) - 1, 0
+            g += t >= alg.sig.p
+            rows += [((f + g + 2 * (z & y).bit_count()) & 3, z ^ w, x ^ y)
+                     for f, z, x in rows]
+        alg._pauli = rows
+    return alg._pauli
+
+
+def _hadamard(rows: list) -> list:
+    """In place, rows[z] = the sum over u of (-1)^popcount(z & u) rows[u]."""
+    h = 1
+    while h < len(rows):
+        for u in range(len(rows)):
+            if not u & h:
+                s, t = rows[u], rows[u | h]
+                rows[u], rows[u | h] = list(map(add, s, t)), list(map(sub, s, t))
+        h <<= 1
+    return rows
+
+
+def _spinor_product(x: Multivector, y: Multivector) -> Multivector:
+    """x * y as matrices on the spinor module of Cl(p,q) (`_pauli_table`).
+
+    A Walsh-Hadamard pass over z turns each operand's Gaussian-integer
+    numerators of one x-mask into the XOR-diagonal d[u][x] = rho[c ^ x][c]
+    of each summand (c = u mod m, the summand u // m); the m x m products
+    take three integer dot products per entry; each coefficient is read
+    back, over the one denominator, as tr(rho(e_A)^-1 P) summed over the
+    summands and divided by m per summand, by the same pass over P."""
+    alg = x.alg
+    table = _pauli_table(alg)
+    m, rows = 1 << alg.n // 2, 1 << (alg.n + 1) // 2
+    lo, cols = m - 1, range(m)
+    mats = []
+    for v in (x, y):
+        if alg.field == "R":
+            den, terms = _integer_terms(v.c)
+            terms = [(k, a, 0) for k, a in terms]
+        else:
+            den, terms = _gaussian_terms(v.c)
+        re, im = [[0] * m for _ in range(rows)], [[0] * m for _ in range(rows)]
+        for k, a, b in terms:
+            f, z, xm = table[k]
+            if f & 2:
+                a, b = -a, -b
+            if f & 1:
+                a, b = -b, a
+            re[z][xm], im[z][xm] = a, b
+        mats.append((den, _hadamard(re), _hadamard(im)))
+    (da, xr, xi), (db, yr, yi) = mats
+    # row v of rho(x) and column u of rho(y); P's diagonal c at column u is
+    # row u ^ c times column u
+    lr = [[xr[v & -m | j][v & lo ^ j] for j in cols] for v in range(rows)]
+    li = [[xi[v & -m | j][v & lo ^ j] for j in cols] for v in range(rows)]
+    ls = [list(map(add, a, b)) for a, b in zip(lr, li)]
+    pr, pi = [], []
+    for u in range(rows):
+        cr = [yr[u][u & lo ^ j] for j in cols]
+        ci = [yi[u][u & lo ^ j] for j in cols]
+        cs = list(map(add, cr, ci))
+        t1 = [sum(map(mul, lr[u ^ c], cr)) for c in cols]
+        t2 = [sum(map(mul, li[u ^ c], ci)) for c in cols]
+        pr.append(list(map(sub, t1, t2)))
+        pi.append([sum(map(mul, ls[u ^ c], cs)) - a - b
+                   for c, a, b in zip(cols, t1, t2)])
+    pr, pi = _hadamard(pr), _hadamard(pi)
+    den, out = da * db * rows, {}
+    for k, (f, z, xm) in enumerate(table):
+        a, b = pr[z][xm], pi[z][xm]  # times i^-f
+        if f & 2:
+            a, b = -a, -b
+        if f & 1:
+            a, b = b, -a
+        if alg.field == "C":
+            if a or b:
+                out[k] = QC(Fraction(a, den), Fraction(b, den))
+        elif b:  # not an assert: the check must hold under python -O
+            raise ArithmeticError(f"imaginary part in a product in {alg!r}")
+        elif a:
+            out[k] = Fraction(a, den)
+    return Multivector(alg, out)
 
 
 def grade_flips(star: bool, tilde: bool) -> tuple:

@@ -4,6 +4,7 @@ Blade signs are recounted pair by pair on index lists, and products are
 summed term by term in Fraction / QC arithmetic, with no shared code path.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from cliffordkit import QC, clifford, tensor_algebra
+from cliffordkit import QC, cli, clifford, core, primitive_idempotent, tensor_algebra
 from conftest import (complex_multivectors, multivector_pairs,
                       multivector_triples, small_signatures)
 
@@ -163,3 +164,84 @@ def test_real_associativity_up_to_n6(triple):
 def test_complex_associativity_up_to_n6(triple):
     a, b, c = triple
     assert (a * b) * c == a * (b * c)
+
+
+def seeded_operand(alg, rng, terms):
+    """`terms` random blades of alg with nonzero exact coefficients."""
+    def coeff():
+        re = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+        if alg.field == "R":
+            return re
+        return QC(re, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+
+    return alg.mv({k: coeff() for k in rng.sample(alg.basis, terms)})
+
+
+def check_spinor_product(x, y):
+    got, want = core._spinor_product(x, y), core._pair_product(x, y)
+    assert got.c == want.c, (x.alg, len(x.c), len(y.c))
+    want_type = QC if x.alg.field == "C" else Fraction
+    assert all(type(v) is want_type and v for v in got.c.values())
+
+
+def test_spinor_product_equals_pair_product_up_to_n8():
+    rng = random.Random(18)
+    for p, q in small_signatures(8):
+        for field in ("R", "C"):
+            alg = clifford(p, q, field)
+            for terms in (alg.dim, max(1, alg.dim // 2)):
+                check_spinor_product(seeded_operand(alg, rng, terms),
+                                     seeded_operand(alg, rng, terms))
+
+
+@pytest.mark.parametrize("sig", [(6, 6), (0, 12), (12, 0), (5, 6), (0, 11)], ids=str)
+def test_spinor_product_equals_pair_product_at_150_terms(sig):
+    rng = random.Random(f"150/{sig}")
+    for field in ("R", "C"):
+        alg = clifford(*sig, field)
+        check_spinor_product(seeded_operand(alg, rng, 150), seeded_operand(alg, rng, 150))
+
+
+def test_real_spinor_product_rejects_a_complex_result(monkeypatch):
+    # a table with rho(e2) = XZ in place of Y = iXZ still squares to -1,
+    # but reads e1 e2 = Z back as -i e12: a real product with an imaginary
+    # part left over raises
+    alg = clifford(2, 0)
+    monkeypatch.setattr(alg, "_pauli", [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 0)])
+    with pytest.raises(ArithmeticError):
+        core._spinor_product(alg.gen(1), alg.gen(2))
+
+
+def refuse(*_args):
+    raise RuntimeError("this product path must not be taken")
+
+
+def test_sparse_products_stay_on_pairs(monkeypatch, capsys):
+    from test_cli import ATLAS_DIGESTS
+
+    monkeypatch.setattr(core, "_spinor_product", refuse)
+    assert cli.main(["atlas", "--max-n", "8", "--out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ATLAS_DIGESTS[8]
+    for field in ("R", "C"):
+        f = primitive_idempotent((6, 6), field).element
+        assert f * f == f
+    # dense products below the switch: every n <= 4, and Cl(p,q) at n = 5
+    rng = random.Random(4)
+    for p, q in small_signatures(5):
+        for field in ("R", "C") if p + q < 5 else ("R",):
+            alg = clifford(p, q, field)
+            seeded_operand(alg, rng, alg.dim) * seeded_operand(alg, rng, alg.dim)
+
+
+@pytest.mark.parametrize("field, n", [("R", 6), ("R", 7), ("C", 5), ("C", 6)])
+def test_dense_products_take_the_spinor_path(monkeypatch, field, n):
+    rng = random.Random(f"{field}{n}")
+    operands = []
+    for p in range(n + 1):
+        alg = clifford(p, n - p, field)
+        x, y = seeded_operand(alg, rng, alg.dim), seeded_operand(alg, rng, alg.dim)
+        operands.append((x, y, core._pair_product(x, y)))
+    monkeypatch.setattr(core, "_pair_product", refuse)
+    for x, y, want in operands:
+        assert x * y == want
