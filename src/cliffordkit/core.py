@@ -9,7 +9,11 @@ Coefficients are exact: `fractions.Fraction` for real algebras, `QC`
 
 The geometric product has two exact paths; both multiply integer numerators
 over one shared denominator per operand and turn them back into fractions
-once per output blade.  The pair path, the reference and the only one for
+once per output blade.  This module owns that format both ways:
+`_numerators` reads coefficients as (den, [(key, re, im)]), im = 0 over R,
+and `_from_numerators` reads sums back as Fractions over R (an imaginary
+part left over is an ArithmeticError) or QCs over C; `ideals` multiplies
+its idempotents out in it too.  The pair path, the reference and the only one for
 tensor algebras, reorders blades by the bitmap method of Dorst, Fontijne and
 Mann (Geometric Algebra for Computer Science, ch. 19): the sign of e_A e_B is
 the parity of popcount(A & sign_mask(B)), one mask per right-hand blade,
@@ -465,15 +469,13 @@ def _pruned(alg, acc: dict) -> Multivector:
     return Multivector(alg, {k: v for k, v in acc.items() if v})
 
 
-def _integer_terms(c: dict):
-    """(den, [(key, num)]) with c[key] == num / den; den is the lcm."""
-    ratios = [(k, *v.as_integer_ratio()) for k, v in c.items()]
-    den = lcm(*[d for _k, _n, d in ratios])
-    return den, [(k, n * (den // d)) for k, n, d in ratios]
-
-
-def _gaussian_terms(c: dict):
-    """(den, [(key, re, im)]) with c[key] == QC(re, im) / den; den is the lcm."""
+def _numerators(alg, c: dict):
+    """(den, [(key, re, im)]) with c[key] == (re + i im) / den, den the lcm
+    of c's denominators; im is 0 over R."""
+    if alg.field == "R":
+        ratios = [(k, *v.as_integer_ratio()) for k, v in c.items()]
+        den = lcm(*[d for _k, _n, d in ratios])
+        return den, [(k, n * (den // d), 0) for k, n, d in ratios]
     ratios = [(k, *v.re.as_integer_ratio(), *v.im.as_integer_ratio())
               for k, v in c.items()]
     den = lcm(*[d for _k, _rn, rd, _in, id_ in ratios for d in (rd, id_)])
@@ -481,10 +483,16 @@ def _gaussian_terms(c: dict):
                  for k, rn, rd, in_, id_ in ratios]
 
 
-def _from_gaussian(alg, re: dict, im: dict, den: int) -> Multivector:
-    """The nonzero re[k] + i im[k] over den, as QCs."""
-    return Multivector(alg, {k: QC(Fraction(r, den), Fraction(im[k], den))
-                             for k, r in re.items() if r or im[k]})
+def _from_numerators(alg, re: dict, im: dict, den: int) -> Multivector:
+    """The nonzero (re[k] + i im[k]) / den: QCs over C, Fractions over R,
+    where a nonzero im[k] is an ArithmeticError (not an assert: the check
+    must hold under python -O)."""
+    if alg.field == "C":
+        return Multivector(alg, {k: QC(Fraction(r, den), Fraction(im[k], den))
+                                 for k, r in re.items() if r or im[k]})
+    if any(im.values()):
+        raise ArithmeticError(f"imaginary part in a product in {alg!r}")
+    return Multivector(alg, {k: Fraction(r, den) for k, r in re.items() if r})
 
 
 def _pair_product(x: Multivector, y: Multivector) -> Multivector:
@@ -492,22 +500,21 @@ def _pair_product(x: Multivector, y: Multivector) -> Multivector:
     alg = x.alg
     signs = alg.sign_mask
     if alg.field == "R":
-        da, a = _integer_terms(x.c)
-        db, b = _integer_terms(y.c)
-        b = [(kb, signs(kb), vb) for kb, vb in b]
+        da, a = _numerators(alg, x.c)
+        db, b = _numerators(alg, y.c)
+        b = [(kb, signs(kb), vb) for kb, vb, _ in b]
         acc = {}
         get = acc.get
-        for ka, va in a:
+        for ka, va, _ in a:
             for kb, m, vb in b:
                 k = ka ^ kb
                 if (ka & m).bit_count() & 1:
                     acc[k] = get(k, 0) - va * vb
                 else:
                     acc[k] = get(k, 0) + va * vb
-        den = da * db
-        return Multivector(alg, {k: Fraction(v, den) for k, v in acc.items() if v})
-    da, a = _gaussian_terms(x.c)
-    db, b = _gaussian_terms(y.c)
+        return _from_numerators(alg, acc, {}, da * db)
+    da, a = _numerators(alg, x.c)
+    db, b = _numerators(alg, y.c)
     b = [(kb, signs(kb), br, bi) for kb, br, bi in b]
     re, im = {}, {}
     rget, iget = re.get, im.get
@@ -520,7 +527,7 @@ def _pair_product(x: Multivector, y: Multivector) -> Multivector:
             else:
                 re[k] = rget(k, 0) + ar * br - ai * bi
                 im[k] = iget(k, 0) + ar * bi + ai * br
-    return _from_gaussian(alg, re, im, da * db)
+    return _from_numerators(alg, re, im, da * db)
 
 
 def _pauli_table(alg) -> list:
@@ -572,11 +579,7 @@ def _spinor_product(x: Multivector, y: Multivector) -> Multivector:
     lo, cols = m - 1, range(m)
     mats = []
     for v in (x, y):
-        if alg.field == "R":
-            den, terms = _integer_terms(v.c)
-            terms = [(k, a, 0) for k, a in terms]
-        else:
-            den, terms = _gaussian_terms(v.c)
+        den, terms = _numerators(alg, v.c)
         re, im = [[0] * m for _ in range(rows)], [[0] * m for _ in range(rows)]
         for k, a, b in terms:
             f, z, xm = table[k]
@@ -603,21 +606,15 @@ def _spinor_product(x: Multivector, y: Multivector) -> Multivector:
         pi.append([sum(map(mul, ls[u ^ c], cs)) - a - b
                    for c, a, b in zip(cols, t1, t2)])
     pr, pi = _hadamard(pr), _hadamard(pi)
-    den, out = da * db * rows, {}
+    re, im = {}, {}
     for k, (f, z, xm) in enumerate(table):
         a, b = pr[z][xm], pi[z][xm]  # times i^-f
         if f & 2:
             a, b = -a, -b
         if f & 1:
             a, b = b, -a
-        if alg.field == "C":
-            if a or b:
-                out[k] = QC(Fraction(a, den), Fraction(b, den))
-        elif b:  # not an assert: the check must hold under python -O
-            raise ArithmeticError(f"imaginary part in a product in {alg!r}")
-        elif a:
-            out[k] = Fraction(a, den)
-    return Multivector(alg, out)
+        re[k], im[k] = a, b
+    return _from_numerators(alg, re, im, da * db * rows)
 
 
 def grade_flips(star: bool, tilde: bool) -> tuple:

@@ -32,8 +32,7 @@ from typing import NamedTuple
 
 from .core import (MAX_N, BladeAlgebra, CliffordAlgebra, Multivector,
                    Signature, as_algebra, as_signature, blade_name, clifford,
-                   grade)
-from .ideals import key_coset
+                   grade, linear_rows)
 from .rings import StateRingTag, ring_transition
 
 FACTOR_RINGS = {Signature(2, 0): StateRingTag("R"),
@@ -374,7 +373,7 @@ def complex_doubling_iso(sig) -> DoublingWitness:
                for img in images):
         raise IsoError("omega is not central")  # cannot happen
     # span over R: even-part products times {1, omega} must fill 2^n keys
-    _require_span(alg, images + (omega,),
+    _require_span(images + (omega,),
                   "doubling images do not span the algebra")
     return DoublingWitness(sig, ev.target, images, omega)
 
@@ -400,19 +399,16 @@ def _require_generators(alg, images, target, reason):
         for j in range(i + 1, len(terms)):
             if alg.keys_commute(terms[i][0], terms[j][0]):
                 raise IsoError(f"images {i + 1} and {j + 1} do not anticommute")
-    _require_span(alg, images, reason)
+    _require_span(images, reason)
 
 
-def _require_span(alg, images, reason):
+def _require_span(images, reason):
     """Raise IsoError(reason) unless the keys of the m single-blade `images`
     are F2-independent, which holds iff their 2^m subset products hit 2^m
-    distinct basis keys."""
-    span = {alg.unit_key}
-    for img in images:
-        coset = key_coset(span, _term(img)[0])
-        if coset is None:
-            raise IsoError(reason)
-        span |= coset
+    distinct basis keys: the subset XORs of `linear_rows`."""
+    keys = linear_rows([_term(img)[0] for img in images])
+    if len(set(keys)) != len(keys):
+        raise IsoError(reason)
 
 
 def complexify(sig) -> CliffordAlgebra:

@@ -18,8 +18,10 @@ its key: the search reads the n generator rows off bit-sliced columns of
 the candidate keys and `core.commutation_form`, and `core.linear_rows`
 gives every other row with one XOR per key (the same recursion gives the
 center).  The chain search tests each candidate it passes down only
-against the coset of the span that the newest generator added; f itself is
-multiplied out on keys with `mul_key`, and only f^2 = f takes a product.
+against the coset of the span that the newest generator added.  One
+routine, `_factor_product`, multiplies prod (1 + T_i)/2 out on keys with
+`mul_key` in the integer-numerator format of `core`; f^2 = f is the one
+product of a build.
 
 Such an f is a stabilizer projector (Gottesman, arXiv:quant-ph/9705052), so
 its ideals follow from the F2 span V of the T-keys (Lounesto, ch. 17).  In
@@ -27,8 +29,9 @@ Cl*f, e_A f is a unit multiple of e_B f when A + B lies in V, and the two
 have disjoint supports otherwise: the first key of each coset of V gives a
 basis.  In f*Cl*f, f e_A f is e_A f when e_A commutes with every T_i and 0
 otherwise, as (1 - T)(1 + T) = 0: the commuting heads give a basis, whose
-squares (e_A f)^2 = square_sign(A) f name the ring.  Only such an f is taken,
-checked on its keys against prod (1 + T_i); any other f is a ValueError.
+squares (e_A f)^2 = square_sign(A) f name the ring.  Only such an f is taken:
+its T_i are read off its keys, their squares and commutation checked there,
+and f must equal `_factor_product` of them; any other f is a ValueError.
 
 Each reader of f takes f alone, an `Idempotent` or its element, reads the
 algebra off f and shares the one walk `_coset_heads`; ring tags are `RingTag`s.
@@ -36,11 +39,10 @@ algebra off f and shares the one walk `_coset_heads`; ring tags are `RingTag`s.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
-from .core import (QC, QC_I, CliffordAlgebra, Multivector, _from_gaussian,
-                   _gaussian_terms, as_algebra, as_signature, clifford,
+from .core import (QC_I, CliffordAlgebra, Multivector, _from_numerators,
+                   _numerators, as_algebra, as_signature, clifford,
                    commutation_form, linear_rows)
 from .rings import RingTag
 
@@ -219,22 +221,18 @@ class Idempotent(NamedTuple):
         return "".join(f"(1/2)(1 + {t})" for t in self.factors)
 
 
-def idempotent_from_factors(alg, factors) -> Idempotent:
-    """Build prod (1+T)/2 from single-blade factors T, verifying f^2 = f.
+def _factor_product(alg, factors) -> Multivector:
+    """prod (1 + T)/2 over the single-blade coefficient maps T = {key: t}.
 
-    prod (1 + T) is multiplied out on keys with `mul_key`, one factor at a
-    time, over Gaussian integers and one denominator as in the product
-    kernel: a repeated or dependent key adds its coefficient, and a zero
-    drops.  Over R the imaginary parts stay 0, so one path serves both
-    fields.  Unlike k products `f * (1 + T)`, it builds no Fraction until f
-    is done; on atlas-8 that is about 6 % more jobs per second."""
-    alg = as_algebra(alg)
+    Multiplied out on keys with `mul_key`, one factor at a time, over
+    Gaussian integers and one denominator as in the product kernel: a
+    repeated or dependent key adds its coefficient, and a zero drops.  Over
+    R the imaginary parts stay 0, so one path serves both fields.  Unlike k
+    products `f * (1 + T)`, it builds no Fraction until f is done; on
+    atlas-8 that is about 6 % more jobs per second."""
     re, im, den = {alg.unit_key: 1}, {alg.unit_key: 0}, 1
     for t in factors:
-        if t.alg is not alg or len(t.c) != 1:
-            raise ValueError(f"factor {t} is not a single blade of {alg!r}")
-        (a, v), = t.c.items()
-        d, ((_, vr, vi),) = _gaussian_terms({a: QC._coerce(v)})
+        d, ((a, vr, vi),) = _numerators(alg, t)
         nre, nim = {}, {}
         for b, wr in re.items():
             wi = im[b]
@@ -244,11 +242,17 @@ def idempotent_from_factors(alg, factors) -> Idempotent:
             nre[k] = nre.get(k, 0) + sign * (wr * vr - wi * vi)
             nim[k] = nim.get(k, 0) + sign * (wr * vi + wi * vr)
         re, im, den = nre, nim, den * d
-    den <<= len(factors)
-    if alg.field == "C":
-        f = _from_gaussian(alg, re, im, den)
-    else:
-        f = Multivector(alg, {k: Fraction(r, den) for k, r in re.items() if r})
+    return _from_numerators(alg, re, im, den << len(factors))
+
+
+def idempotent_from_factors(alg, factors) -> Idempotent:
+    """Build prod (1+T)/2 from single-blade factors T (`_factor_product`),
+    verifying f^2 = f."""
+    alg = as_algebra(alg)
+    for t in factors:
+        if t.alg is not alg or len(t.c) != 1:
+            raise ValueError(f"factor {t} is not a single blade of {alg!r}")
+    f = _factor_product(alg, [t.c for t in factors])
     if (not f) or f * f != f:
         raise ValueError("factors do not yield a nonzero idempotent")
     return Idempotent(f, tuple(factors))
@@ -275,33 +279,30 @@ def _coset_heads(f):
     multivector; the first key A, in canonical order, of each coset of V; and
     those of them whose blade commutes with every T_i.
 
-    One walk over f's support in canonical order multiplies out P =
-    prod (1 + T_i) with `mul_key`: a key A outside P opens a new coset,
-    T = t e_A with t = c_A / c_1, if t^2 square_sign(A) = 1 and e_A commutes
-    with the earlier T's.  Then f = c_1 P term by term, with c_1 2^k = 1."""
+    One walk over f's support takes each key A outside the span of the
+    earlier ones as a generator, T = t e_A with t = 2^k c_A for k of them.
+    Each e_A must commute with the earlier ones and t^2 square_sign(A) must
+    be 1, on the keys; then f must be `_factor_product` of the T's, which
+    fixes every coefficient."""
     f = f.element if isinstance(f, Idempotent) else f
     alg = f.alg
     c = f.c
-    if alg.unit_key not in c:
-        raise ValueError("f is not supported on an F2 span with unit 1/2^k")
-    one = c[alg.unit_key]
-    prod, keys = {alg.unit_key: 1}, []
-    for a in sorted(c, key=alg.index.get):
-        t = c[a] / one
-        if a not in prod and t * t * alg.square_sign(a) == 1 and all(
-                alg.keys_commute(a, b) for b in keys):
+    span, keys = {alg.unit_key}, []
+    for a in c:
+        if a not in span:
             keys.append(a)
-            for b, v in list(prod.items()):
-                k, sign = alg.mul_key(b, a)
-                prod[k] = sign * v * t
-        if t != prod.get(a, 0):  # c_A = c_1 P_A; a rejected T is not in P
-            raise ValueError("f is not prod (1 + T_i)/2 of commuting blades T_i")
-    if len(prod) != len(c) or one * len(prod) != 1:
-        raise ValueError("f is not supported on an F2 span with unit 1/2^k")
+            span |= {a ^ s for s in span}
+    ts = [{a: c[a] * (1 << len(keys))} for a in keys]
+    if not (all(alg.keys_commute(a, b) for i, a in enumerate(keys)
+                for b in keys[:i])
+            and all(t[a] * t[a] * alg.square_sign(a) == 1
+                    for t, a in zip(ts, keys))
+            and f == _factor_product(alg, ts)):
+        raise ValueError("f is not prod (1 + T_i)/2 of commuting blades T_i")
     heads, seen = [], set()
     for a in alg.basis:
         if a not in seen:
-            seen.update(a ^ s for s in prod)
+            seen.update(a ^ s for s in span)
             heads.append(a)
     return f, heads, [a for a in heads
                       if all(alg.keys_commute(a, t) for t in keys)]

@@ -20,6 +20,7 @@ integer charges and factor counts, and reject negative factor counts.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -288,10 +289,18 @@ def named_states() -> dict:
 
 
 def exact_fraction(text: str, what: str) -> Fraction:
-    """`text` as an exact rational; a malformed or zero-denominator input
-    is a StateError."""
+    """`text` as an exact rational; a malformed or zero-denominator input,
+    or one with more digits than Python turns back into text, is a
+    StateError.  A decimal exponent past that digit limit is refused before
+    `Fraction` raises 10 to it."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     try:
-        return Fraction(text)
+        exponent = text.lower().partition("e")[2]
+        if limit and exponent and abs(int(exponent)) > limit:
+            raise ValueError
+        x = Fraction(text)
+        str(x)  # a ValueError past the limit
+        return x
     except (ValueError, ZeroDivisionError):
         raise StateError(f"{what} must be an exact rational: {text!r}") from None
 

@@ -271,6 +271,9 @@ def _failing(exc):
     (["spectrum", "--max-m", "2", "--electron-mass", "-3"], None, 2),
     (["spectrum", "--max-m", "-1"], None, 2),
     (["spectrum", "--max-m", "2", "--electron-mass", "abc"], None, 2),
+    (["spectrum", "--max-m", "1", "--electron-mass", "1e5000"], None, 2),
+    (["fuse", "|H,0,1,1e5000>", "nu"], None, 2),
+    (["spectrum", "--max-m", "1", "--electron-mass", "1e1000000000"], None, 2),
     (["classify", "2", "0", "--oracle"],
      ("division_ring_oracle", OracleFailure("ring dimension 3")), 3),
     (["idempotent", "2", "0"],
@@ -278,7 +281,8 @@ def _failing(exc):
     (["factorize", "2", "0"],
      ("karoubi_factorize", IsoError("images do not anticommute")), 3),
 ], ids=["json-missing-fields", "json-float-count", "doubled-label",
-        "negative-mass", "negative-max-m", "bad-mass", "oracle-failure",
+        "negative-mass", "negative-max-m", "bad-mass", "huge-mass",
+        "huge-spin", "huge-exponent", "oracle-failure",
         "search-error", "iso-error"])
 def test_exit_code_contract(capsys, monkeypatch, argv, broken, code):
     if broken:

@@ -388,7 +388,7 @@ def single_blade_images(draw):
 def test_require_span_raises_iff_subset_products_miss_keys(drawn):
     alg, images = drawn
     if _subset_product_key_count(alg.one(), images) == 1 << len(images):
-        _require_span(alg, images, "dependent")
+        _require_span(images, "dependent")
     else:
         with pytest.raises(IsoError, match="dependent"):
-            _require_span(alg, images, "dependent")
+            _require_span(images, "dependent")

@@ -569,9 +569,9 @@ def test_idempotents_outside_the_stabilizer_form_are_rejected():
 
 def test_generator_squaring_to_minus_one_is_rejected(monkeypatch):
     # T = e3 in Cl(2,1) and T = i e1 in C(x)Cl(1,0) square to -1: rejected
-    # from the key's square sign, with no rebuild of f
+    # from the key's square sign, before f is multiplied out
     rebuilds = []
-    monkeypatch.setattr(ideals, "idempotent_from_factors",
+    monkeypatch.setattr(ideals, "_factor_product",
                         lambda alg, ts: rebuilds.append(ts))
     a21, c10 = clifford(2, 1), clifford(1, 0, "C")
     for f in ((a21.one() + a21.gen(3)) / 2,

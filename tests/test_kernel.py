@@ -182,16 +182,21 @@ def check_spinor_product(x, y):
     assert got.c == want.c, (x.alg, len(x.c), len(y.c))
     want_type = QC if x.alg.field == "C" else Fraction
     assert all(type(v) is want_type and v for v in got.c.values())
+    return got
 
 
 def test_spinor_product_equals_pair_product_up_to_n8():
+    # both paths share the read-back `_from_numerators`, so up to n = 6 the
+    # term-by-term reference checks the spinor path as well
     rng = random.Random(18)
     for p, q in small_signatures(8):
         for field in ("R", "C"):
             alg = clifford(p, q, field)
             for terms in (alg.dim, max(1, alg.dim // 2)):
-                check_spinor_product(seeded_operand(alg, rng, terms),
-                                     seeded_operand(alg, rng, terms))
+                x, y = seeded_operand(alg, rng, terms), seeded_operand(alg, rng, terms)
+                got = check_spinor_product(x, y)
+                if p + q <= 6:
+                    assert got.c == ref_product(x, y), (alg, terms)
 
 
 @pytest.mark.parametrize("sig", [(6, 6), (0, 12), (12, 0), (5, 6), (0, 11)], ids=str)
@@ -210,6 +215,9 @@ def test_real_spinor_product_rejects_a_complex_result(monkeypatch):
     monkeypatch.setattr(alg, "_pauli", [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 0)])
     with pytest.raises(ArithmeticError):
         core._spinor_product(alg.gen(1), alg.gen(2))
+    # the shared read-back itself: an imaginary numerator over R raises
+    with pytest.raises(ArithmeticError):
+        core._from_numerators(alg, {0b11: 1}, {0b11: -1}, 2)
 
 
 def refuse(*_args):
