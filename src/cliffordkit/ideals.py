@@ -18,10 +18,8 @@ its key: the search reads the n generator rows off bit-sliced columns of
 the candidate keys and `core.commutation_form`, and `core.linear_rows`
 gives every other row with one XOR per key (the same recursion gives the
 center).  The chain search tests each candidate it passes down only
-against the coset of the span that the newest generator added.  One
-routine, `_factor_product`, multiplies prod (1 + T_i)/2 out on keys with
-`mul_key` in the integer-numerator format of `core`; f^2 = f is the one
-product of a build.
+against the coset of the span that the newest generator added; f itself is
+multiplied out on keys with `mul_key`, and only f^2 = f takes a product.
 
 Such an f is a stabilizer projector (Gottesman, arXiv:quant-ph/9705052), so
 its ideals follow from the F2 span V of the T-keys (Lounesto, ch. 17).  In
@@ -31,7 +29,8 @@ basis.  In f*Cl*f, f e_A f is e_A f when e_A commutes with every T_i and 0
 otherwise, as (1 - T)(1 + T) = 0: the commuting heads give a basis, whose
 squares (e_A f)^2 = square_sign(A) f name the ring.  Only such an f is taken:
 its T_i are read off its keys, their squares and commutation checked there,
-and f must equal `_factor_product` of them; any other f is a ValueError.
+and f must equal `_factor_product` of them, the multiply-out (in the integer
+numerators of `core`) that builds every f; any other f is a ValueError.
 
 Each reader of f takes f alone, an `Idempotent` or its element, reads the
 algebra off f and shares the one walk `_coset_heads`; ring tags are `RingTag`s.
@@ -90,14 +89,6 @@ def _factor_count(alg) -> int:
 def square_candidates(alg):
     return [(k, s == -1) for k in alg.basis[1:]
             if (s := alg.square_sign(k)) == 1 or alg.field == "C"]
-
-
-def key_coset(span, key):
-    """key + span, the keys that `key` adds to the F2 span `span` (a set of
-    keys holding the unit key), or None when key already lies in it."""
-    if key in span:
-        return None
-    return {key ^ s for s in span}
 
 
 def _bit_columns(vals, n):
@@ -173,7 +164,7 @@ def _canonical_chains(alg, cands):
             low = viable & -viable
             viable ^= low
             i = low.bit_length() - 1
-            coset = key_coset(span, keys[i])
+            coset = {keys[i] ^ s for s in span}
             yield from rec(chain + [cands[i]], span | coset, coset,
                            viable & adj[i])
 
