@@ -9,18 +9,17 @@ Coefficients are exact: `fractions.Fraction` for real algebras, `QC`
 
 The geometric product has two exact paths; both multiply integer numerators
 over one shared denominator per operand and turn them back into fractions
-once per output blade, through `_numerators` and `_from_numerators`, the one
-reader and read-back of that format (`ideals` builds f in it too).  The pair
-path, the reference and the only one for tensor algebras, reorders blades by
-the bitmap method of Dorst, Fontijne and Mann (Geometric Algebra for Computer
-Science, ch. 19): the sign of e_A e_B is the parity of
-popcount(A & sign_mask(B)), one mask per right-hand blade, which the algebra
-supplies.
-The spinor path multiplies Gaussian-integer matrices on the complex spinor
-module C^m, m = 2^(n//2), of Cl(p,q), in the Jordan-Wigner representation
-(two summands for odd n).  A product in Cl(p,q) takes it when |a|*|b| blade
-pairs exceed 36 * 2^n over R or 18 * 2^n over C, the measured cost of a
-spinor product in pairs (scripts/kernel_crossover.py).
+once per output blade.  The pair path, the reference and the only one for
+tensor algebras, reorders blades by the bitmap method of Dorst, Fontijne and
+Mann (Geometric Algebra for Computer Science, ch. 19): the sign of e_A e_B is
+the parity of popcount(A & sign_mask(B)), one mask per right-hand blade,
+which the algebra supplies.  The spinor path multiplies Gaussian-integer
+matrices on the complex spinor module C^m, m = 2^(n//2), of Cl(p,q), in the
+Jordan-Wigner representation (two summands for odd n).  A product in Cl(p,q)
+takes it when |a|*|b| blade pairs exceed 36 * 2^n over R or 18 * 2^n over C,
+the measured cost of a spinor product in pairs (scripts/kernel_crossover.py).
+`_numerators` and `_from_numerators` are the one reader and read-back of the
+integer numerators, for both paths and for the idempotents of `ideals`.
 
 Generator squares follow the (p,q) convention: e_i^2 = +1 for i <= p and
 e_i^2 = -1 for i > p; distinct generators anticommute.
