@@ -4,11 +4,14 @@
     python3 scripts/bench_pairs.py --pr 17 --parent HEAD~1
     python3 scripts/bench_pairs.py --smoke
 
-Run from the repository root.  The parent commit is extracted with
-`git archive <rev> | tar -x` into a temporary directory.  Every workload of
+Run from the repository root.  The parent commit and HEAD are each
+extracted with `git archive <rev> | tar -x` into a temporary directory, so
+that neither side reads a `__pycache__` left in the working checkout;
+uncommitted edits are not measured (`change_worktree_dirty` records
+whether there were any).  Every workload of
 `BENCHMARK.json` gets ten pairs of `run_seconds` runs with seed 2.  Each
 pair runs this checkout's `perfbench/run.py` once with the working
-directory set to each tree, the side that goes first alternating from pair
+directory set to each extract, the side that goes first alternating from pair
 to pair, so that a drift in the host's speed falls on both sides alike.
 The last stdout line of each run is its JSON result; a run whose last line
 is no result object did not run.
@@ -16,8 +19,9 @@ is no result object did not run.
 `BENCH_<pr>.json` gets, for each workload and end-to-end metric of
 `BENCHMARK.json`, each side's runs, median and quartiles and the number of
 pairs the change won, together with the host, the Python version, the
-seed, both commit ids and whether the runs could cache bytecode (when they
-can, both trees' `src` is compiled before the first pair).  `--smoke` runs
+seed, both commit ids and, per side, whether its `src` held compiled
+bytecode after the runs (when `PYTHONDONTWRITEBYTECODE` is unset, both
+extracts' `src` is compiled before the first pair).  `--smoke` runs
 one short pair of atlas-8 against HEAD and writes its file into the
 temporary directory.  Exits 1 if a run fails or reports a failed check.
 """
@@ -26,6 +30,7 @@ import argparse
 import compileall
 import json
 import os
+import pathlib
 import platform
 import statistics
 import subprocess
@@ -50,6 +55,24 @@ def extract(rev, dest):
     if archive.wait():
         raise SystemExit(f"bench_pairs: git archive {rev} failed")
     return git("rev-parse", rev)
+
+
+def extract_sides(parent, tmp):
+    """Fresh extracts of `parent` and of HEAD in `tmp`; returns ({side: tree},
+    the commits entry of the BENCH file)."""
+    trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
+    for tree in trees.values():
+        os.mkdir(tree)
+    commits = {"parent": extract(parent, trees["parent"]),
+               "change": extract("HEAD", trees["change"]),
+               "change_worktree_dirty": bool(git("status", "--porcelain",
+                                                 "--untracked-files=no"))}
+    return trees, commits
+
+
+def bytecode_read(tree):
+    """Whether `tree`'s src holds compiled bytecode that imports can read."""
+    return any(pathlib.Path(tree, "src").rglob("*.pyc"))
 
 
 def last_json(stdout):
@@ -172,20 +195,9 @@ def main():
     workloads = [w["name"] for w in bench["workloads"]]
     if args.smoke:
         args.pr, args.parent, count, seconds, workloads = "smoke", "HEAD", 1, 1, ["atlas-8"]
-    cached = not os.environ.get("PYTHONDONTWRITEBYTECODE")
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        parent_tree = os.path.join(tmp, "parent")
-        os.mkdir(parent_tree)
-        trees = {"parent": parent_tree, "change": os.getcwd()}
-        meta = {
-            "pr": args.pr, "host": host(), "python": platform.python_version(),
-            "bytecode_cached": cached, "seconds": seconds, "seed": SEED,
-            "commits": {"parent": extract(args.parent, parent_tree),
-                        "change": git("rev-parse", "HEAD"),
-                        "change_worktree_dirty": bool(git("status", "--porcelain",
-                                                          "--untracked-files=no"))},
-        }
-        if cached:
+        trees, commits = extract_sides(args.parent, tmp)
+        if not os.environ.get("PYTHONDONTWRITEBYTECODE"):
             for tree in trees.values():
                 compileall.compile_dir(os.path.join(tree, "src"), quiet=1)
         results, code = {}, 0
@@ -194,6 +206,10 @@ def main():
             code = code or int(failed)
             if pairs:
                 results[workload] = pairs
+        meta = {"pr": args.pr, "host": host(), "python": platform.python_version(),
+                "bytecode_cached": {side: bytecode_read(tree)
+                                    for side, tree in trees.items()},
+                "seconds": seconds, "seed": SEED, "commits": commits}
         out = (os.path.join(tmp, "BENCH_smoke.json") if args.smoke
                else f"BENCH_{args.pr}.json")
         with open(out, "w", encoding="utf-8") as fh:

@@ -309,7 +309,8 @@ def parse_state(text: str) -> StateVector:
     """Parse an alias, a |K,b,l,s> label, or the JSON object form.
 
     Label spins map to factor counts by chirality: unconjugated rings take
-    (k, r) = (2s, 0), conjugated ones (0, 2s).
+    (k, r) = (2s, 0), conjugated ones (0, 2s).  Every integer field has
+    fewer digits than Python turns into text, so sums of two states print.
     """
     t = text.strip()
     aliases = named_states()
@@ -318,9 +319,9 @@ def parse_state(text: str) -> StateVector:
     if t.startswith("{"):
         import json
         d = json.loads(t)
-        return StateVector(StateRingTag(d.get("ring"), d.get("conjugated", False)),
-                           *[d.get(name) for name in ("b", "lepton", "k", "r")])
-    if t.startswith("|"):
+        sv = StateVector(StateRingTag(d.get("ring"), d.get("conjugated", False)),
+                         *[d.get(name) for name in ("b", "lepton", "k", "r")])
+    elif t.startswith("|"):
         body = t[1:]
         for closer in ("⟩", ">"):
             if body.endswith(closer):
@@ -338,5 +339,10 @@ def parse_state(text: str) -> StateVector:
             raise StateError(f"spin must be a non-negative half-integer: {parts[3]}")
         two_s = int(2 * s)
         k, r = ((0, two_s) if ring.conjugated else (two_s, 0))
-        return StateVector(ring, b, lepton, k, r)
-    raise StateError(f"cannot parse state {text!r}")
+        sv = StateVector(ring, b, lepton, k, r)
+    else:
+        raise StateError(f"cannot parse state {text!r}")
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit and max(map(abs, sv[1:])) >= 10 ** (limit - 1):
+        raise StateError(f"b, lepton, k and r must have fewer than {limit} digits")
+    return sv

@@ -1,5 +1,6 @@
 """The BENCH file writer of scripts/bench_pairs.py, on canned run.py results."""
 
+import compileall
 import importlib.util
 import json
 import pathlib
@@ -28,7 +29,8 @@ def test_bench_document_schema():
               "change": bench_pairs.last_json(canned(*after))}
              for i, (before, after) in enumerate(runs)]
     meta = {"pr": "0", "host": bench_pairs.host(), "python": "3.x",
-            "bytecode_cached": True, "seconds": 1, "seed": 2,
+            "bytecode_cached": {"parent": True, "change": True},
+            "seconds": 1, "seed": 2,
             "commits": {"parent": "a" * 40, "change": "b" * 40,
                         "change_worktree_dirty": False}}
     doc = json.loads(json.dumps(bench_pairs.bench_document(
@@ -60,3 +62,20 @@ def test_last_json_rejects_what_is_no_result():
     assert bench_pairs.last_json('{"correct": true}\n') is None
     assert bench_pairs.last_json("[1, 2]\n") is None
     assert bench_pairs.last_json(canned(1000, 1.8))["attempted"] == 400
+
+
+def test_both_sides_run_on_fresh_extracts(tmp_path, monkeypatch):
+    # a __pycache__ in the working checkout (a test run leaves one) must not
+    # reach the change side: it runs, as the parent does, on an extract
+    monkeypatch.chdir(ROOT)
+    trees, commits = bench_pairs.extract_sides("HEAD", str(tmp_path))
+    head = bench_pairs.git("rev-parse", "HEAD")
+    assert commits["parent"] == commits["change"] == head
+    assert isinstance(commits["change_worktree_dirty"], bool)
+    for tree in trees.values():
+        assert pathlib.Path(tree).parent == tmp_path
+        assert (pathlib.Path(tree) / "src" / "cliffordkit" / "__init__.py").is_file()
+        assert not bench_pairs.bytecode_read(tree)
+    compileall.compile_dir(str(pathlib.Path(trees["change"]) / "src"), quiet=1)
+    assert bench_pairs.bytecode_read(trees["change"])
+    assert not bench_pairs.bytecode_read(trees["parent"])

@@ -257,6 +257,9 @@ def test_usage_error_exit_code():
     assert ei.value.code == 2
 
 
+NINES = "9" * 4300  # the most digits Python turns into text by default
+
+
 def _failing(exc):
     def fail(*args, **kwargs):
         raise exc
@@ -274,6 +277,9 @@ def _failing(exc):
     (["spectrum", "--max-m", "1", "--electron-mass", "1e5000"], None, 2),
     (["fuse", "|H,0,1,1e5000>", "nu"], None, 2),
     (["spectrum", "--max-m", "1", "--electron-mass", "1e1000000000"], None, 2),
+    # each field prints, but their sum (b) or the doubled spin (2s) would not
+    (["fuse", f"|H,{NINES},1,1/2>", f"|H,{NINES},1,1/2>"], None, 2),
+    (["fuse", f"|H,0,1,{NINES}>", "nu"], None, 2),
     (["classify", "2", "0", "--oracle"],
      ("division_ring_oracle", OracleFailure("ring dimension 3")), 3),
     (["idempotent", "2", "0"],
@@ -282,7 +288,8 @@ def _failing(exc):
      ("karoubi_factorize", IsoError("images do not anticommute")), 3),
 ], ids=["json-missing-fields", "json-float-count", "doubled-label",
         "negative-mass", "negative-max-m", "bad-mass", "huge-mass",
-        "huge-spin", "huge-exponent", "oracle-failure",
+        "huge-spin", "huge-exponent", "huge-charge-sum", "huge-doubled-spin",
+        "oracle-failure",
         "search-error", "iso-error"])
 def test_exit_code_contract(capsys, monkeypatch, argv, broken, code):
     if broken:

@@ -173,6 +173,20 @@ def test_parse_and_serialize():
         parse_state("|H,0,1")
     with pytest.raises(StateError):
         parse_state("|H,0,1,-1/2>")
+    # fields stop one digit short of Python's 4300-digit text limit, so all
+    # that fuse, double and annihilate derive from two parsed states prints
+    big = "9" * 4299
+    s = parse_state(f"|C,{big},-{big},{big}/2>")
+    sbar = parse_state(f"|C~,-{big},{big},{big}/2>")
+    h = parse_state(json.dumps({"ring": "H", "b": int(big), "lepton": -int(big),
+                                "k": int(big), "r": int(big)}))
+    str(fuse_detailed(h, h).label()), str(double(h, "-")), str(annihilate(s, sbar))
+    str(additive_spin(s, sbar)), json.dumps(fuse(h, h).to_json())
+    for text in (f"|H,{big}9,0,1/2>", f"|H,0,-{big}9,1/2>", f"|H~,0,0,{big}9/2>",
+                 json.dumps({"ring": "H", "b": 0, "lepton": 0, "k": 0,
+                             "r": int(big + "9")})):
+        with pytest.raises(StateError, match="fewer than 4300 digits"):
+            parse_state(text)
 
 
 def test_ring_tag_parsing():
