@@ -13,7 +13,6 @@ submodule on its package whenever anything imports it; the module class
 below refuses that for an exported name, so `classify` stays the function.
 """
 
-import importlib
 import sys
 import types
 
@@ -46,12 +45,14 @@ __all__ = sorted({*_EXPORTS, *_OWNER})
 
 
 def __getattr__(name):
-    if name in _OWNER:
-        value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
-    elif name in _EXPORTS:
-        value = importlib.import_module(f"{__name__}.{name}")
-    else:
+    module = _OWNER.get(name, name)
+    if module not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # an import statement's path, so that `python -X importtime` lists it
+    __import__(f"{__name__}.{module}")
+    value = sys.modules[f"{__name__}.{module}"]
+    if name in _OWNER:
+        value = getattr(value, name)
     globals()[name] = value
     return value
 
