@@ -236,10 +236,7 @@ def cmd_fuse(args):
 
 def cmd_double(args):
     s = _parse(args.state)
-    try:
-        out = double(s, args.sign)
-    except StateError as e:
-        raise CliError(str(e)) from None
+    out = double(s, args.sign)
     payload = {"operand": s.to_json(), "sign": args.sign,
                "state": out.to_json(), "label": str(out)}
     return _emit(args, payload, [f"double({s}, {args.sign}) = {out}"])
@@ -248,10 +245,7 @@ def cmd_double(args):
 def cmd_annihilate(args):
     s = _parse(args.state1)
     sbar = _parse(args.state2)
-    try:
-        out = annihilate(s, sbar)
-    except StateError as e:
-        raise CliError(str(e)) from None
+    out = annihilate(s, sbar)
     spin = additive_spin(s, sbar)
     terms = []
     text = []

@@ -19,7 +19,8 @@ Jordan-Wigner representation (two summands for odd n).  A product in Cl(p,q)
 takes it when |a|*|b| blade pairs exceed 36 * 2^n over R or 18 * 2^n over C,
 the measured cost of a spinor product in pairs (scripts/kernel_crossover.py).
 `_numerators` and `_from_numerators` are the one reader and read-back of the
-integer numerators, for both paths and for the idempotents of `ideals`.
+integer numerators, for both paths and for the idempotents of `ideals`,
+which multiply f out through the pair path's loop, `_pair_sums`.
 
 Generator squares follow the (p,q) convention: e_i^2 = +1 for i <= p and
 e_i^2 = -1 for i > p; distinct generators anticommute.
@@ -229,11 +230,12 @@ class BladeAlgebra:
       blade(a ^ b), for every key a;
     - `key_name(a)`: the printed name of blade a.
 
-    `mul_key(a, b)`, the (key, sign) of blade(a) * blade(b),
     `keys_commute(a, b)` and `square_sign(a)`, the sign of blade(a)^2,
-    follow from `sign_mask`; each subclass states all three in its own body,
-    the last two in closed form (`perfbench/layers.py` counts the calls of
-    the first two there).
+    follow from `sign_mask`; each subclass states both in closed form in its
+    own body.  `mul_key`, the (key, sign) of blade(a) * blade(b), has no
+    caller in the package: each subclass keeps it for `perfbench/layers.py`,
+    which counts its calls and those of `keys_commute` there, until the
+    benchmark reads counters of its own.
 
     This base adds the unit and generator keys and the coefficient handling:
     `scalar` admits only exact scalars (int, Fraction, QC), and `mv` passes
@@ -493,29 +495,23 @@ def _from_numerators(alg, re: dict, im: dict, den: int) -> Multivector:
     return Multivector(alg, {k: Fraction(r, den) for k, r in re.items() if r})
 
 
-def _pair_product(x: Multivector, y: Multivector) -> Multivector:
-    """x * y blade pair by blade pair, the reference path (module docstring)."""
-    alg = x.alg
+def _pair_sums(alg, a: list, b: list):
+    """(re, im): the integer numerator sums of a * b blade pair by blade
+    pair, for term lists a and b of `_numerators`; im stays empty over R."""
     signs = alg.sign_mask
+    re, im = {}, {}
+    rget, iget = re.get, im.get
     if alg.field == "R":
-        da, a = _numerators(alg, x.c)
-        db, b = _numerators(alg, y.c)
         b = [(kb, signs(kb), vb) for kb, vb, _ in b]
-        acc = {}
-        get = acc.get
         for ka, va, _ in a:
             for kb, m, vb in b:
                 k = ka ^ kb
                 if (ka & m).bit_count() & 1:
-                    acc[k] = get(k, 0) - va * vb
+                    re[k] = rget(k, 0) - va * vb
                 else:
-                    acc[k] = get(k, 0) + va * vb
-        return _from_numerators(alg, acc, {}, da * db)
-    da, a = _numerators(alg, x.c)
-    db, b = _numerators(alg, y.c)
+                    re[k] = rget(k, 0) + va * vb
+        return re, im
     b = [(kb, signs(kb), br, bi) for kb, br, bi in b]
-    re, im = {}, {}
-    rget, iget = re.get, im.get
     for ka, ar, ai in a:
         for kb, m, br, bi in b:
             k = ka ^ kb
@@ -525,7 +521,15 @@ def _pair_product(x: Multivector, y: Multivector) -> Multivector:
             else:
                 re[k] = rget(k, 0) + ar * br - ai * bi
                 im[k] = iget(k, 0) + ar * bi + ai * br
-    return _from_numerators(alg, re, im, da * db)
+    return re, im
+
+
+def _pair_product(x: Multivector, y: Multivector) -> Multivector:
+    """x * y blade pair by blade pair, the reference path (module docstring)."""
+    alg = x.alg
+    da, a = _numerators(alg, x.c)
+    db, b = _numerators(alg, y.c)
+    return _from_numerators(alg, *_pair_sums(alg, a, b), da * db)
 
 
 def _pauli_table(alg) -> list:
@@ -664,26 +668,26 @@ def volume_element(alg) -> Multivector:
 
 
 def commutation_form(alg):
-    """form[t]: the generators that anticommute with generator t, as a mask.
+    """rows[a]: the generators that anticommute with blade a, as a mask, for
+    every key a < 2^n.
 
     With m = `sign_mask`, blades a and b anticommute iff
     popcount(a & m(b)) + popcount(b & m(a)) is odd.  Each m is F2-linear in
     its key, so this is a bilinear form, fixed by its values on generators:
-    the generators that anticommute with blade a are the XOR of form[t] over
-    the bits t of a, and blade b anticommutes with a iff b meets that set an
+    rows[a] is the XOR of the generator rows over the bits t of a
+    (`linear_rows`), and blade b anticommutes with a iff b meets rows[a] an
     odd number of times."""
     n = alg.n
     masks = [alg.sign_mask(1 << t) for t in range(n)]
-    return [sum(1 << s for s in range(n) if (masks[t] >> s ^ masks[s] >> t) & 1)
-            for t in range(n)]
+    return linear_rows(
+        [sum(1 << s for s in range(n) if (masks[t] >> s ^ masks[s] >> t) & 1)
+         for t in range(n)])
 
 
 def linear_rows(gens):
     """rows[k] = the XOR of gens[t] over the bits t of k, for every k < 2^n
     (n = len(gens)): an F2-linear map of keys, with one XOR per key, as
-    rows[k | 1 << t] = rows[k] ^ gens[t] for k < 2^t.  With gens the
-    commutation form, rows[k] is the set of generators that anticommute
-    with blade k."""
+    rows[k | 1 << t] = rows[k] ^ gens[t] for k < 2^t."""
     rows = [0]
     for g in gens:
         rows += [r ^ g for r in rows]
@@ -692,9 +696,9 @@ def linear_rows(gens):
 
 def center_basis(alg):
     """Basis blades commuting with every generator: those whose row of
-    `linear_rows` over the commutation form is empty."""
+    `commutation_form` is empty."""
     alg = as_algebra(alg)
-    anti = linear_rows(commutation_form(alg))
+    anti = commutation_form(alg)
     return [alg.blade(k) for k in alg.basis if not anti[k]]
 
 

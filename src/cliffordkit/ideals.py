@@ -14,12 +14,14 @@ are F2-linearly independent and pairwise commuting, which already rules out
 bilinear form on keys: with m = `sign_mask`, blade(a) and blade(b)
 anticommute iff popcount(a & m(b)) + popcount(b & m(a)) is odd, in any such
 algebra.  So the candidates that anticommute with a blade are F2-linear in
-its key: the search reads the n generator rows off bit-sliced columns of
-the candidate keys and `core.commutation_form`, and `core.linear_rows`
-gives every other row with one XOR per key (the same recursion gives the
-center).  The chain search tests each candidate it passes down only
-against the coset of the span that the newest generator added; f itself is
-multiplied out on keys with `mul_key`, and only f^2 = f takes a product.
+its key: `core.commutation_form` gives each key's row of anticommuting
+generators (the center is the keys with an empty row), and the search
+XORs the bit-sliced columns of the candidate keys at that row's bits.  It
+builds a key's row of candidates only when it descends into that key, and
+keeps it for that search alone.  The chain search tests each candidate it
+passes down only against the coset of the span that the newest generator
+added; f itself is multiplied out on keys by the pair loop of the product
+kernel, and only f^2 = f takes a product.
 
 Such an f is a stabilizer projector (Gottesman, arXiv:quant-ph/9705052), so
 its ideals follow from the F2 span V of the T-keys (Lounesto, ch. 17).  In
@@ -38,11 +40,12 @@ algebra off f and shares the one walk `_coset_heads`; ring tags are `RingTag`s.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 from .core import (QC_I, CliffordAlgebra, Multivector, _from_numerators,
-                   _numerators, as_algebra, as_signature, clifford,
-                   commutation_form, linear_rows)
+                   _numerators, _pair_sums, as_algebra, as_signature,
+                   clifford, commutation_form)
 from .rings import RingTag
 
 # Frozen from the brute-force derivation over all signatures with p+q <= 8.
@@ -92,37 +95,34 @@ def square_candidates(alg):
 
 
 def _bit_columns(vals, n):
-    """Bit-slice `vals`, non-empty and each below 2^n (n >= 1): column t has
-    bit j set iff bit t of vals[j] is.  The fixed-width bit strings are
-    transposed, last value first, so that vals[j] lands on bit j of every
-    column."""
+    """Bit-slice `vals`, each below 2^n (n >= 1): column t has bit j set iff
+    bit t of vals[j] is, and no values give no columns.  The fixed-width
+    bit strings are transposed, last value first, so that vals[j] lands on
+    bit j of every column."""
     rows = [format(v, f"0{n}b") for v in reversed(vals)]
     return [int("".join(col), 2) for col in zip(*rows)][::-1]
 
 
-def _adjacency(alg, keys):
-    """adj[i] has bit j set iff keys[i] and keys[j] commute (i != j).
+def _commuting_rows(alg, keys):
+    """row(i): bit j set iff keys[i] and keys[j] commute, built the first
+    time it is asked for and kept as long as `row` is.
 
-    The keys that anticommute with generator t are those meeting form[t],
-    the generators that anticommute with it, an odd number of times: the
-    XOR of the key columns at the bits of form[t].  The keys that
-    anticommute with blade a are F2-linear in a, so `linear_rows` builds
-    every row from these n with one big-int XOR per basis key."""
-    if not keys:
-        return []
-    n = alg.n
-    cols = _bit_columns(keys, n)
-    gens = []
-    for w in commutation_form(alg):
-        anti = 0
-        while w:
-            anti ^= cols[(w & -w).bit_length() - 1]
-            w &= w - 1
-        gens.append(anti)
-    anti = linear_rows(gens)
+    The keys that anticommute with blade a are those meeting the generators
+    that anticommute with it (its `commutation_form` row) an odd number of
+    times: the XOR of the key columns at the bits of that row."""
+    cols = _bit_columns(keys, alg.n)
+    anti = commutation_form(alg)
     full = (1 << len(keys)) - 1
-    # a commutes with itself
-    return [full & ~anti[a] & ~(1 << i) for i, a in enumerate(keys)]
+
+    @cache
+    def row(i):
+        odd, w = 0, anti[keys[i]]
+        while w:
+            odd ^= cols[(w & -w).bit_length() - 1]
+            w &= w - 1
+        return full & ~odd
+
+    return row
 
 
 def _canonical_chains(alg, cands):
@@ -142,7 +142,9 @@ def _canonical_chains(alg, cands):
     """
     keys = [c[0] for c in cands]
     idx = {k: i for i, k in enumerate(keys)}
-    adj = _adjacency(alg, keys)
+    # a candidate's own bit needs no masking: it has left `viable` before
+    # its row is read
+    commuting = _commuting_rows(alg, keys)
 
     def rec(chain, span, added, candmask):
         yield chain
@@ -166,7 +168,7 @@ def _canonical_chains(alg, cands):
             i = low.bit_length() - 1
             coset = {keys[i] ^ s for s in span}
             yield from rec(chain + [cands[i]], span | coset, coset,
-                           viable & adj[i])
+                           viable & commuting(i))
 
     return rec([], {alg.unit_key}, (), (1 << len(keys)) - 1)
 
@@ -215,24 +217,18 @@ class Idempotent(NamedTuple):
 def _factor_product(alg, factors) -> Multivector:
     """prod (1 + T)/2 over the single-blade coefficient maps T = {key: t}.
 
-    Multiplied out on keys with `mul_key`, one factor at a time, over
-    Gaussian integers and one denominator as in the product kernel: a
-    repeated or dependent key adds its coefficient, and a zero drops.  Over
-    R the imaginary parts stay 0, so one path serves both fields.  Unlike k
-    products `f * (1 + T)`, it builds no Fraction until f is done; on
-    atlas-8 that is about 6 % more jobs per second."""
-    re, im, den = {alg.unit_key: 1}, {alg.unit_key: 0}, 1
+    Multiplied out on keys by the pair loop of the product kernel
+    (`core._pair_sums`), one factor at a time, over integer numerators and
+    one denominator: a repeated or dependent key adds its coefficient, and
+    a zero drops.  Unlike k products `f * (1 + T)`, it builds no Fraction
+    until f is done; on atlas-8 that is about 6 % more jobs per second."""
+    unit = alg.unit_key
+    re, im, den = {unit: 1}, {unit: 0}, 1
     for t in factors:
         d, ((a, vr, vi),) = _numerators(alg, t)
-        nre, nim = {}, {}
-        for b, wr in re.items():
-            wi = im[b]
-            nre[b] = nre.get(b, 0) + wr * d
-            nim[b] = nim.get(b, 0) + wi * d
-            k, sign = alg.mul_key(b, a)
-            nre[k] = nre.get(k, 0) + sign * (wr * vr - wi * vi)
-            nim[k] = nim.get(k, 0) + sign * (wr * vi + wi * vr)
-        re, im, den = nre, nim, den * d
+        re, im = _pair_sums(alg, [(k, r, im.get(k, 0)) for k, r in re.items()],
+                            [(unit, d, 0), (a, vr, vi)])
+        den *= d
     return _from_numerators(alg, re, im, den << len(factors))
 
 

@@ -64,10 +64,27 @@ def test_last_json_rejects_what_is_no_result():
     assert bench_pairs.last_json(canned(1000, 1.8))["attempted"] == 400
 
 
+def commit_tree(repo, text):
+    """Write `text` into the package init of `repo` and commit it."""
+    init = repo / "src" / "cliffordkit" / "__init__.py"
+    init.parent.mkdir(parents=True, exist_ok=True)
+    init.write_text(text)
+    bench_pairs.git("add", "-A", cwd=repo)
+    bench_pairs.git("-c", "user.name=bench", "-c", "user.email=bench@localhost",
+                    "commit", "-q", "-m", text, cwd=repo)
+
+
 def test_both_sides_run_on_fresh_extracts(tmp_path, monkeypatch):
     # a __pycache__ in the working checkout (a test run leaves one) must not
-    # reach the change side: it runs, as the parent does, on an extract
-    monkeypatch.chdir(ROOT)
+    # reach the change side: it runs, as the parent does, on an extract.
+    # The sides come from a throwaway repository of two commits, so the
+    # test runs in a tree with no .git of its own too.
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    bench_pairs.git("init", "-q", cwd=repo)
+    commit_tree(repo, "PARENT = 1\n")
+    commit_tree(repo, "CHANGE = 1\n")
+    monkeypatch.chdir(repo)
     trees, commits = bench_pairs.extract_sides("HEAD", str(tmp_path))
     head = bench_pairs.git("rev-parse", "HEAD")
     assert commits["parent"] == commits["change"] == head
@@ -79,3 +96,11 @@ def test_both_sides_run_on_fresh_extracts(tmp_path, monkeypatch):
     compileall.compile_dir(str(pathlib.Path(trees["change"]) / "src"), quiet=1)
     assert bench_pairs.bytecode_read(trees["change"])
     assert not bench_pairs.bytecode_read(trees["parent"])
+    # a parent commit lands on the parent side and HEAD on the change side
+    (tmp_path / "pair").mkdir()
+    trees, commits = bench_pairs.extract_sides("HEAD~1", str(tmp_path / "pair"))
+    assert commits["parent"] == bench_pairs.git("rev-parse", "HEAD~1") != head
+    assert commits["change"] == head and not commits["change_worktree_dirty"]
+    for side, text in (("parent", "PARENT = 1\n"), ("change", "CHANGE = 1\n")):
+        init = pathlib.Path(trees[side]) / "src" / "cliffordkit" / "__init__.py"
+        assert init.read_text() == text

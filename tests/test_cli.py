@@ -80,8 +80,14 @@ def test_state_parse_error(capsys):
 
 
 def test_annihilate_precondition_error(capsys):
-    code, _ = run(capsys, "annihilate", "nu", "nu")
-    assert code == 2
+    assert main(["annihilate", "nu", "nu"]) == 2
+    assert capsys.readouterr() == ("", "error: rings H and H are not conjugate\n")
+
+
+def test_double_sign_error(capsys):
+    assert main(["double", "nu", "x"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: doubling sign must be + or -, got 'x'\n")
 
 
 def test_iso_check_success_and_failure(capsys):

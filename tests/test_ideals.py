@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cliffordkit import (clifford, ideals, is_primitive, left_ideal_basis,
@@ -9,8 +11,9 @@ from cliffordkit.core import QC_I, Multivector
 from cliffordkit.exactla import Echelon
 from cliffordkit.factorize import tensor_algebra
 from cliffordkit.ideals import (RADON_HURWITZ_BASE, OracleFailure, SearchError,
-                                _adjacency, _bit_columns, _canonical_chains,
-                                _factor_count, find_square_set,
+                                _bit_columns, _canonical_chains,
+                                _commuting_rows, _factor_count,
+                                find_square_set,
                                 idempotent_factor_count,
                                 idempotent_from_factors,
                                 idempotent_of_candidates,
@@ -127,7 +130,7 @@ REAL_TENSORS = [tensor_algebra([(1, 1), (0, 2)]),
 
 
 def test_adjacency_matches_reference_rows():
-    # the bit-sliced rows against the pairwise keys_commute loop
+    # every on-demand bit-sliced row against the pairwise keys_commute loop
     key_lists = []
     for field in "RC":
         for p, q in small_signatures(8):
@@ -140,12 +143,53 @@ def test_adjacency_matches_reference_rows():
         key_lists.append((alg, [c[0] for c in square_candidates(alg)]))
         key_lists.append((alg, list(alg.basis[1:])))
     for alg, keys in key_lists:
-        assert _adjacency(alg, keys) == _reference_adjacency(alg, keys), alg
+        row = _commuting_rows(alg, keys)
+        # a key commutes with itself; the reference leaves that bit out
+        assert all(row(i) >> i & 1 for i in range(len(keys))), alg
+        assert [row(i) ^ 1 << i for i in range(len(keys))] == \
+            _reference_adjacency(alg, keys), alg
         if alg.n <= 8 and keys:
             # the transposed columns against one sum per column
             assert _bit_columns(keys, alg.n) == [
                 sum(1 << j for j, k in enumerate(keys) if k >> t & 1)
                 for t in range(alg.n)], alg
+
+
+def test_commuting_rows_sample_at_the_cap():
+    # 64 seeded candidate rows of Cl(6,6) and C(x)Cl(6,6), where a full
+    # table would hold 2^11 or 2^12 rows, against pairwise keys_commute
+    rng = random.Random(6)
+    for field in "RC":
+        alg = clifford(6, 6, field)
+        keys = [c[0] for c in square_candidates(alg)]
+        row = _commuting_rows(alg, keys)
+        for i in rng.sample(range(len(keys)), 64):
+            assert row(i) == sum(1 << j for j, k in enumerate(keys)
+                                 if alg.keys_commute(keys[i], k)), (alg, i)
+
+
+# The canonical factors of C(x)Cl(p,q) for p+q in {11, 12}: the keys e1,
+# e23, e45, e67, e89, e10,11 in every signature, each i-phased ("i") or
+# not (".").
+COMPLEX_TOP_PHASES = {
+    (0, 11): "iiiiii", (1, 10): ".iiiii", (2, 9): "..iiii",
+    (3, 8): ".iiiii", (4, 7): ".i.iii", (5, 6): ".iiiii",
+    (6, 5): ".ii.ii", (7, 4): ".iiiii", (8, 3): ".iii.i",
+    (9, 2): ".iiiii", (10, 1): ".iiii.", (11, 0): ".iiiii",
+    (0, 12): "iiiiii", (1, 11): ".iiiii", (2, 10): "..iiii",
+    (3, 9): ".iiiii", (4, 8): ".i.iii", (5, 7): ".iiiii",
+    (6, 6): ".ii.ii", (7, 5): ".iiiii", (8, 4): ".iii.i",
+    (9, 3): ".iiiii", (10, 2): ".iiii.", (11, 1): ".iiiii",
+    (12, 0): ".iiiii",
+}
+
+
+def test_complex_factor_keys_at_the_top_of_the_range():
+    keys = [0b1, 0b110, 0b11000, 0b1100000, 0b110000000, 0b11000000000]
+    for (p, q), phases in COMPLEX_TOP_PHASES.items():
+        alg = clifford(p, q, "C")
+        assert find_square_set(alg, _factor_count(alg)) == [
+            (k, ph == "i") for k, ph in zip(keys, phases)], (p, q)
 
 
 def test_find_square_set_matches_reference_search():
