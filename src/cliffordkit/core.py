@@ -13,11 +13,12 @@ once per output blade.  The pair path, the reference and the only one for
 tensor algebras, reorders blades by the bitmap method of Dorst, Fontijne and
 Mann (Geometric Algebra for Computer Science, ch. 19): the sign of e_A e_B is
 the parity of popcount(A & sign_mask(B)), one mask per right-hand blade,
-which the algebra supplies.  The spinor path multiplies Gaussian-integer
-matrices on the complex spinor module C^m, m = 2^(n//2), of Cl(p,q), in the
-Jordan-Wigner representation (two summands for odd n).  A product in Cl(p,q)
-takes it when |a|*|b| blade pairs exceed 36 * 2^n over R or 18 * 2^n over C,
-the measured cost of a spinor product in pairs (scripts/kernel_crossover.py).
+which the algebra supplies.  The spinor path multiplies matrices on the
+complex spinor module C^m, m = 2^(n//2), of Cl(p,q), in the Jordan-Wigner
+representation (two summands for odd n), each Gaussian-integer entry packed
+into one integer (Kronecker substitution).  A product in Cl(p,q) takes it
+when |a|*|b| blade pairs exceed 36 * 2^n over R or 18 * 2^n over C, the
+measured cost of a spinor product in pairs (scripts/kernel_crossover.py).
 `_numerators` and `_from_numerators` are the one reader and read-back of the
 integer numerators, for both paths and for the idempotents of `ideals`,
 which multiply f out through the pair path's loop, `_pair_sums`.
@@ -569,48 +570,47 @@ def _hadamard(rows: list) -> list:
 def _spinor_product(x: Multivector, y: Multivector) -> Multivector:
     """x * y as matrices on the spinor module of Cl(p,q) (`_pauli_table`).
 
-    A Walsh-Hadamard pass over z turns each operand's Gaussian-integer
-    numerators of one x-mask into the XOR-diagonal d[u][x] = rho[c ^ x][c]
-    of each summand (c = u mod m, the summand u // m); the m x m products
-    take three integer dot products per entry; each coefficient is read
-    back, over the one denominator, as tr(rho(e_A)^-1 P) summed over the
-    summands and divided by m per summand, by the same pass over P."""
+    Each numerator a + ib, times i^f, is packed into (a << s) + b.  A
+    Walsh-Hadamard pass over z turns each operand's numerators of one x-mask
+    into the XOR-diagonal d[u][x] = rho[c ^ x][c] of each summand (c = u mod
+    m, the summand u // m); the m x m products take one dot product per
+    entry; each coefficient is read back, over the one denominator, as
+    tr(rho(e_A)^-1 P) summed over the summands and divided by m per summand,
+    by the same pass over P, whose entries A 4^s + C 2^s + B are A - B + iC.
+    The passes scale magnitudes by rows each and the dot product by 2m, so
+    no digit reaches 2^(s-1), and biased by 2^(s-1) the digits split exactly."""
     alg = x.alg
     table = _pauli_table(alg)
     m, rows = 1 << alg.n // 2, 1 << (alg.n + 1) // 2
     lo, cols = m - 1, range(m)
+    (da, a), (db, b) = _numerators(alg, x.c), _numerators(alg, y.c)
+    na, nb = (max(map(abs, r + i)) for _k, r, i in
+              (zip(*t, (0, 0, 0)) for t in (a, b)))  # 0 if t is empty
+    s = (2 * m * rows**3 * na * nb).bit_length() + 1
     mats = []
-    for v in (x, y):
-        den, terms = _numerators(alg, v.c)
-        re, im = [[0] * m for _ in range(rows)], [[0] * m for _ in range(rows)]
-        for k, a, b in terms:
+    for terms in (a, b):
+        mat = [[0] * m for _ in range(rows)]
+        for k, r, i in terms:
             f, z, xm = table[k]
             if f & 2:
-                a, b = -a, -b
-            if f & 1:
-                a, b = -b, a
-            re[z][xm], im[z][xm] = a, b
-        mats.append((den, _hadamard(re), _hadamard(im)))
-    (da, xr, xi), (db, yr, yi) = mats
+                r, i = -r, -i
+            mat[z][xm] = (-i << s) + r if f & 1 else (r << s) + i
+        mats.append(_hadamard(mat))
+    xs, ys = mats
     # row v of rho(x) and column u of rho(y); P's diagonal c at column u is
     # row u ^ c times column u
-    lr = [[xr[v & -m | j][v & lo ^ j] for j in cols] for v in range(rows)]
-    li = [[xi[v & -m | j][v & lo ^ j] for j in cols] for v in range(rows)]
-    ls = [list(map(add, a, b)) for a, b in zip(lr, li)]
-    pr, pi = [], []
+    lx = [[xs[v & -m | j][v & lo ^ j] for j in cols] for v in range(rows)]
+    p = []
     for u in range(rows):
-        cr = [yr[u][u & lo ^ j] for j in cols]
-        ci = [yi[u][u & lo ^ j] for j in cols]
-        cs = list(map(add, cr, ci))
-        t1 = [sum(map(mul, lr[u ^ c], cr)) for c in cols]
-        t2 = [sum(map(mul, li[u ^ c], ci)) for c in cols]
-        pr.append(list(map(sub, t1, t2)))
-        pi.append([sum(map(mul, ls[u ^ c], cs)) - a - b
-                   for c, a, b in zip(cols, t1, t2)])
-    pr, pi = _hadamard(pr), _hadamard(pi)
+        col = [ys[u][u & lo ^ j] for j in cols]
+        p.append([sum(map(mul, lx[u ^ c], col)) for c in cols])
+    p = _hadamard(p)
+    half, low = 1 << s - 1, (1 << s) - 1
+    bias = half * ((1 << 2 * s) + (1 << s) + 1)
     re, im = {}, {}
     for k, (f, z, xm) in enumerate(table):
-        a, b = pr[z][xm], pi[z][xm]  # times i^-f
+        v = p[z][xm] + bias
+        a, b = (v >> 2 * s) - (v & low), (v >> s & low) - half  # times i^-f
         if f & 2:
             a, b = -a, -b
         if f & 1:

@@ -148,8 +148,9 @@ def _image_keys(ta, twist_left: bool):
 
 
 def _sort_by_square(ta, keys, target):
-    plus = [k for k in keys if ta.square_sign(k) == 1]
-    minus = [k for k in keys if ta.square_sign(k) == -1]
+    plus, minus = [], []
+    for k in keys:  # a blade squares to +1 or -1
+        (plus if ta.square_sign(k) == 1 else minus).append(k)
     if len(plus) != target.p or len(minus) != target.q:
         raise IsoError(
             f"square multiset mismatch: got {len(plus)} plus / {len(minus)} "
@@ -303,8 +304,9 @@ def split_semisimple(sig) -> SemisimpleSplit:
         complexified = True
     half = alg.scalar(1) / 2
     lp = (alg.one() + omega) * half
-    lm = (alg.one() - omega) * half
-    if lp * lp != lp or lm * lm != lm or lp * lm:
+    lm = alg.one() - lp  # (1 - omega) / 2
+    # lm^2 = lm and lp lm = 0 follow from lp^2 = lp as ring identities
+    if lp * lp != lp:
         raise IsoError("lambda+- are not orthogonal idempotents")
     if sig.p >= 1:
         factor = Signature(sig.q, sig.p - 1)

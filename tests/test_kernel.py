@@ -207,6 +207,82 @@ def test_spinor_product_equals_pair_product_at_150_terms(sig):
         check_spinor_product(seeded_operand(alg, rng, 150), seeded_operand(alg, rng, 150))
 
 
+def pauli_mul(s, t):
+    """The (f, z, x) of the product of two `_pauli_table` entries, from
+    Z^z X^x' = (-1)^popcount(z & x') X^x' Z^z.  For odd n bit k of z, the
+    summand's sign, meets no bit of x."""
+    (f, z, x), (g, z2, x2) = s, t
+    return (f + g + 2 * (z & x2).bit_count()) & 3, z ^ z2, x ^ x2
+
+
+def test_pauli_table_certified_without_products():
+    # the table is built from each blade's highest generator; this checks the
+    # relations, a second association order and the independence of the
+    # 2^n Pauli words, on the triples alone, up to the cap
+    for p, q in small_signatures(core.MAX_N):
+        table = core._pauli_table(clifford(p, q))
+        gens = [table[1 << t] for t in range(p + q)]
+        for t, g in enumerate(gens):
+            assert pauli_mul(g, g) == (0 if t < p else 2, 0, 0), (p, q, t)
+            for h in gens[:t]:
+                assert (pauli_mul(g, h)[0] - pauli_mul(h, g)[0]) & 3 == 2, (p, q, t)
+        assert table[0] == (0, 0, 0)
+        for key in range(1, 1 << p + q):
+            low = key & -key
+            assert table[key] == pauli_mul(table[low], table[key ^ low]), (p, q, key)
+        assert len({(z, x) for _f, z, x in table}) == 1 << p + q, (p, q)
+
+
+LCM_DIVISORS = (1, 7, 16, 45, 143, 720720)  # lcm 720720
+BIG = 10**30 + 1  # prime to 720720
+
+
+def grade_parity(key):
+    return -1 if core.grade(key) & 1 else 1
+
+
+def magnitude_operands(alg, rng, big):
+    """Dense operand pairs of alg whose coefficients all have numerator
+    +-big, big prime to 720720: over the one denominator 720720 with every
+    sign +, with signs by grade parity and with random signs (every integer
+    numerator is then +-big), and with random signs over denominators of
+    lcm 720720.  Over C each real part equals its imaginary part."""
+    def operand(sign, den):
+        c = {k: Fraction(sign(k) * big, den(k)) for k in alg.basis}
+        return alg.mv(c if alg.field == "R" else {k: QC(v, v) for k, v in c.items()})
+
+    def rand(_k):
+        return rng.choice((-1, 1))
+
+    def lcm_den(_k):
+        return rng.choice(LCM_DIVISORS)
+
+    for sign in (lambda k: 1, grade_parity):
+        x = operand(sign, lambda k: 720720)
+        yield x, x
+    yield operand(rand, lambda k: 720720), operand(rand, lambda k: 720720)
+    yield operand(rand, lcm_den), operand(rand, lcm_den)
+
+
+def test_spinor_product_at_the_digit_bound_up_to_n8():
+    # the digit bound of `_spinor_product` is met exactly at n = 0 over C
+    # ((1 + i)^2 = 2i) and has a few bits of slack at n = 8: a packing one
+    # bit narrower already gets some of these products wrong
+    rng = random.Random(22)
+    for p, q in small_signatures(8):
+        for field in ("R", "C"):
+            alg = clifford(p, q, field)
+            for x, y in magnitude_operands(alg, rng, BIG):
+                check_spinor_product(x, y)
+
+
+def test_spinor_product_at_the_digit_bound_at_n12():
+    # one dense pair-path product at n = 12 takes seconds, and big ints more
+    alg = clifford(6, 6)
+    x = alg.mv({k: Fraction(grade_parity(k), 7) for k in alg.basis})
+    check_spinor_product(x, x)
+
+
 def test_real_spinor_product_rejects_a_complex_result(monkeypatch):
     # a table with rho(e2) = XZ in place of Y = iXZ still squares to -1,
     # but reads e1 e2 = Z back as -i e12: a real product with an imaginary
