@@ -87,8 +87,8 @@ def classify_complex(n: int) -> ComplexAlgebraType:
 def omega_square_sign(sig) -> int:
     """Sign of omega^2 for even p+q: +1 iff p-q = 0,4 (mod 8).
 
-    The rule is cross-checked against the direct product computation on every
-    call; a mismatch would be an internal error.
+    The rule is cross-checked against `square_sign`'s closed form for the
+    volume blade on every call; a mismatch would be an internal error.
     """
     sig = as_signature(sig)
     if sig.n % 2:
@@ -97,7 +97,7 @@ def omega_square_sign(sig) -> int:
     computed = alg.square_sign(alg.volume_key)
     rule = 1 if (sig.p - sig.q) % 8 in (0, 4) else -1
     if computed != rule:
-        raise OracleFailure("omega^2 rule disagrees with direct computation")
+        raise OracleFailure("omega^2 rule disagrees with square_sign")
     return computed
 
 
@@ -117,7 +117,7 @@ def division_tag_of_idempotent(f) -> RingTag:
 
 
 def division_ring_oracle(sig) -> RingTag:
-    """Recompute the division ring of Cl(p,q) by exact span, table-free.
+    """Recompute the division ring of Cl(p,q) from coset heads, table-free.
 
     The primitive idempotent comes from the Radon-Hurwitz count and the
     lexicographic factor search; f*Cl*f is then read and its signs

@@ -37,9 +37,7 @@ EXIT_IO = 4
 
 
 class CliError(Exception):
-    def __init__(self, message, code=EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """Invalid input: exits 2, like a StateError."""
 
 
 def _emit(args, payload, table_lines):
@@ -55,6 +53,15 @@ def _signature(p, q):
         return Signature(p, q)
     except (ValueError, TypeError) as e:
         raise CliError(str(e)) from None
+
+
+def _in_range(command, name, value, cap):
+    """`value` itself; a CliError if it is negative or above `cap`."""
+    if value < 0:
+        raise CliError(f"{command} {name} must be non-negative")
+    if value > cap:
+        raise CliError(f"{command} capped at {name} {cap}")
+    return value
 
 
 def _mv_json(mv):
@@ -76,7 +83,7 @@ def _type_json(at):
 
 
 def cmd_classify(args):
-    sig = _signature(args.p, args.q)
+    sig = args.sig
     at = classify(sig)
     payload = {"signature": {"p": sig.p, "q": sig.q}, "type": _type_json(at)}
     lines = [f"{sig}: {at}  (p-q = {at.mod8_class} mod 8, "
@@ -98,7 +105,7 @@ def cmd_classify(args):
 
 
 def cmd_idempotent(args):
-    sig = _signature(args.p, args.q)
+    sig = args.sig
     f = primitive_idempotent(sig)
     dimension = len(_ring_and_heads(f)[1])
     payload = {
@@ -130,7 +137,7 @@ def _paper_form(sig):
 
 
 def cmd_factorize(args):
-    sig = _signature(args.p, args.q)
+    sig = args.sig
     if sig.n % 2:
         split = split_semisimple(sig)
         payload = {
@@ -166,7 +173,7 @@ def cmd_factorize(args):
 
 
 def cmd_iso_check(args):
-    target = _signature(args.p, args.q)
+    target = args.sig
     factors = []
     for spec_str in args.factors:
         try:
@@ -194,7 +201,7 @@ def cmd_iso_check(args):
 
 
 def cmd_cpt(args):
-    sig = _signature(args.p, args.q)
+    sig = args.sig
     alg = complexify(sig)
     gs = group_structure(alg)
     table = gs.table
@@ -216,8 +223,8 @@ def cmd_cpt(args):
 
 
 def cmd_fuse(args):
-    s1 = _parse(args.state1)
-    s2 = _parse(args.state2)
+    s1 = parse_state(args.state1)
+    s2 = parse_state(args.state2)
     res = fuse_detailed(s1, s2)
     payload = {
         "operands": [s1.to_json(), s2.to_json()],
@@ -235,7 +242,7 @@ def cmd_fuse(args):
 
 
 def cmd_double(args):
-    s = _parse(args.state)
+    s = parse_state(args.state)
     out = double(s, args.sign)
     payload = {"operand": s.to_json(), "sign": args.sign,
                "state": out.to_json(), "label": str(out)}
@@ -243,8 +250,8 @@ def cmd_double(args):
 
 
 def cmd_annihilate(args):
-    s = _parse(args.state1)
-    sbar = _parse(args.state2)
+    s = parse_state(args.state1)
+    sbar = parse_state(args.state2)
     out = annihilate(s, sbar)
     spin = additive_spin(s, sbar)
     terms = []
@@ -258,22 +265,12 @@ def cmd_annihilate(args):
     return _emit(args, payload, [f"{s} (x) {sbar} -> " + " + ".join(text)])
 
 
-def _parse(text):
-    try:
-        return parse_state(text)
-    except (StateError, ValueError) as e:
-        raise CliError(str(e)) from None
-
-
 def cmd_spectrum(args):
     # time and memory grow quadratically in max-m: about 70 MB at the cap
-    if args.max_m > 200:
-        raise CliError("spectrum capped at max-m 200")
-    if args.max_m < 0:
-        raise CliError("spectrum max-m must be non-negative")
+    max_m = _in_range("spectrum", "max-m", args.max_m, 200)
     m_e = exact_fraction(args.electron_mass, "electron mass")
-    rows = enumerate_cone(args.max_m, m_e=m_e)
-    payload = {"max_m": args.max_m, "electron_mass": str(m_e),
+    rows = enumerate_cone(max_m, m_e=m_e)
+    payload = {"max_m": max_m, "electron_mass": str(m_e),
                "rows": [{"k": r.label.k, "r": r.label.r,
                          "l": str(r.label.l), "ldot": str(r.label.ldot),
                          "spin": str(r.spin), "statistics": r.statistics,
@@ -322,12 +319,11 @@ def _atlas_entry(p, q):
 
 
 def cmd_atlas(args):
-    if args.max_n > MAX_N:
-        raise CliError(f"atlas capped at max-n {MAX_N}")
-    sigs = sorted(((p, n - p) for n in range(args.max_n + 1)
+    max_n = _in_range("atlas", "max-n", args.max_n, MAX_N)
+    sigs = sorted(((p, n - p) for n in range(max_n + 1)
                    for p in range(n + 1)), key=lambda s: (s[0] + s[1], s[0]))
     entries = [_atlas_entry(p, q) for p, q in sigs]
-    payload = {"max_n": args.max_n, "count": len(entries),
+    payload = {"max_n": max_n, "count": len(entries),
                "signatures": entries}
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out == "-":
@@ -350,35 +346,25 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
+    def add(name, fn, help_, signature=False):
         sp = sub.add_parser(name, help=help_)
         sp.set_defaults(fn=fn)
         sp.add_argument("--format", choices=("json", "table"), default="json")
+        if signature:  # `main` reads them into args.sig
+            sp.add_argument("p", type=int)
+            sp.add_argument("q", type=int)
         return sp
 
-    sp = add("classify", cmd_classify, "mod-8 type of Cl(p,q)")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
+    sp = add("classify", cmd_classify, "mod-8 type of Cl(p,q)", True)
     sp.add_argument("--oracle", action="store_true",
                     help="also run the division-ring oracle")
-
-    sp = add("idempotent", cmd_idempotent, "canonical primitive idempotent")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-
-    sp = add("factorize", cmd_factorize, "Karoubi chain or semisimple split")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-
-    sp = add("iso-check", cmd_iso_check, "verify Cl(p,q) ~ tensor of factors")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
+    add("idempotent", cmd_idempotent, "canonical primitive idempotent", True)
+    add("factorize", cmd_factorize, "Karoubi chain or semisimple split", True)
+    sp = add("iso-check", cmd_iso_check,
+             "verify Cl(p,q) ~ tensor of factors", True)
     sp.add_argument("factors", nargs="+", metavar="P,Q",
                     help="factor signatures, e.g. 1,1 0,2")
-
-    sp = add("cpt", cmd_cpt, "the eight discrete symmetries on C (x) Cl(p,q)")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
+    add("cpt", cmd_cpt, "the eight discrete symmetries on C (x) Cl(p,q)", True)
 
     sp = add("fuse", cmd_fuse, "fuse two states")
     sp.add_argument("state1")
@@ -406,6 +392,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if "p" in args:
+            args.sig = _signature(args.p, args.q)
         code = args.fn(args)
         sys.stdout.flush()
         return code
@@ -413,10 +401,7 @@ def main(argv=None) -> int:
         # the reader closed stdout early: keep the flush at shutdown quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except StateError as e:
+    except (CliError, StateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (IsoError, OracleFailure, SearchError, ValueError) as e:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .core import _checked_make
 from .exactla import Echelon
-from .states import mass
+from .states import StateVector, mass
 
 ORACLE_CAP = 8  # the projector space is 2^(k+r)-dimensional
 
@@ -35,17 +35,10 @@ class ReprLabel(NamedTuple("ReprLabel", [("k", int), ("r", int)])):
 
     _make = classmethod(_checked_make)
 
-    @property
-    def l(self):
-        return Fraction(self.k, 2)
-
-    @property
-    def ldot(self):
-        return Fraction(self.r, 2)
-
-    @property
-    def spin(self):
-        return Fraction(abs(self.k - self.r), 2)
+    # a label reads (k, r) through StateVector's own properties: one rule each
+    m, l, ldot, spin, statistics = (
+        StateVector.m, StateVector.l, StateVector.ldot, StateVector.spin,
+        StateVector.statistics)
 
     def __str__(self):
         return f"({self.l},{self.ldot})"
@@ -119,8 +112,7 @@ def enumerate_cone(max_m: int, m_e=1) -> list:
     for m in range(max_m + 1):
         for k in range(m + 1):
             lab = ReprLabel(k, m - k)
-            rows.append(ConeRow(lab, lab.spin,
-                                "fermion" if m % 2 else "boson",
+            rows.append(ConeRow(lab, lab.spin, lab.statistics,
                                 degree(lab.k, lab.r), mass(lab, m_e)))
-    rows.sort(key=lambda row: (row.spin, row.label.k + row.label.r, row.label.k))
+    rows.sort(key=lambda row: (row.spin, row.label.m, row.label.k))
     return rows

@@ -61,7 +61,7 @@ class TensorAlgebra(BladeAlgebra):
         self.field = "C" if any(f.field == "C" for f in self.factors) else "R"
         self.n = sum(f.n for f in self.factors)
         if self.n > MAX_N:
-            raise ValueError("tensor algebra dimension exceeds the 2^12 cap")
+            raise ValueError(f"tensor algebra dimension exceeds the 2^{MAX_N} cap")
         self.dim = 1 << self.n
         self._blocks, basis, off = [], [0], 0  # (factor, offset, block mask)
         for f in self.factors:

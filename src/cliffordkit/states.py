@@ -210,9 +210,6 @@ class StateSum:
             parts.append(str(sv) if mult == 1 else f"{mult}{sv}")
         return " + ".join(parts)
 
-    def to_json(self):
-        return [{"multiplicity": m, "state": sv.to_json()} for sv, m in self]
-
 
 def annihilate(s: StateVector, sbar: StateVector) -> StateSum:
     """Contract a state with its conjugate.
@@ -306,7 +303,8 @@ def exact_fraction(text: str, what: str) -> Fraction:
 
 
 def parse_state(text: str) -> StateVector:
-    """Parse an alias, a |K,b,l,s> label, or the JSON object form.
+    """Parse an alias, a |K,b,l,s> label, or the JSON object form; any
+    malformed text is a StateError.
 
     Label spins map to factor counts by chirality: unconjugated rings take
     (k, r) = (2s, 0), conjugated ones (0, 2s).  Every integer field has
@@ -316,32 +314,36 @@ def parse_state(text: str) -> StateVector:
     aliases = named_states()
     if t in aliases:
         return aliases[t]
-    if t.startswith("{"):
-        import json
-        d = json.loads(t)
-        sv = StateVector(StateRingTag(d.get("ring"), d.get("conjugated", False)),
-                         *[d.get(name) for name in ("b", "lepton", "k", "r")])
-    elif t.startswith("|"):
-        body = t[1:]
-        for closer in ("⟩", ">"):
-            if body.endswith(closer):
-                body = body[: -len(closer)]
-                break
+    try:
+        if t.startswith("{"):
+            import json
+            d = json.loads(t)
+            sv = StateVector(StateRingTag(d.get("ring"), d.get("conjugated", False)),
+                             *[d.get(name) for name in ("b", "lepton", "k", "r")])
+        elif t.startswith("|"):
+            body = t[1:]
+            for closer in ("⟩", ">"):
+                if body.endswith(closer):
+                    body = body[: -len(closer)]
+                    break
+            else:
+                raise StateError(f"unterminated state label {text!r}")
+            parts = [x.strip() for x in body.split(",")]
+            if len(parts) != 4:
+                raise StateError(f"state label needs 4 fields: {text!r}")
+            ring = StateRingTag.parse(parts[0])
+            b, lepton = int(parts[1]), int(parts[2])
+            s = exact_fraction(parts[3], "spin")
+            if s < 0 or (2 * s).denominator != 1:
+                raise StateError(f"spin must be a non-negative half-integer: {parts[3]}")
+            two_s = int(2 * s)
+            k, r = ((0, two_s) if ring.conjugated else (two_s, 0))
+            sv = StateVector(ring, b, lepton, k, r)
         else:
-            raise StateError(f"unterminated state label {text!r}")
-        parts = [x.strip() for x in body.split(",")]
-        if len(parts) != 4:
-            raise StateError(f"state label needs 4 fields: {text!r}")
-        ring = StateRingTag.parse(parts[0])
-        b, lepton = int(parts[1]), int(parts[2])
-        s = exact_fraction(parts[3], "spin")
-        if s < 0 or (2 * s).denominator != 1:
-            raise StateError(f"spin must be a non-negative half-integer: {parts[3]}")
-        two_s = int(2 * s)
-        k, r = ((0, two_s) if ring.conjugated else (two_s, 0))
-        sv = StateVector(ring, b, lepton, k, r)
-    else:
-        raise StateError(f"cannot parse state {text!r}")
+            raise StateError(f"cannot parse state {text!r}")
+    except (ValueError, RecursionError) as e:
+        # bad or too deeply nested JSON, an unknown ring, a non-integer field
+        raise StateError(str(e)) from None
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     if limit and max(map(abs, sv[1:])) >= 10 ** (limit - 1):
         raise StateError(f"b, lepton, k and r must have fewer than {limit} digits")

@@ -279,6 +279,7 @@ def _failing(exc):
     (["fuse", "|C(+)C,0,1,1/2>", "nu"], None, 2),
     (["spectrum", "--max-m", "2", "--electron-mass", "-3"], None, 2),
     (["spectrum", "--max-m", "-1"], None, 2),
+    (["atlas", "--max-n", "-1", "--out", "-"], None, 2),
     (["spectrum", "--max-m", "2", "--electron-mass", "abc"], None, 2),
     (["spectrum", "--max-m", "1", "--electron-mass", "1e5000"], None, 2),
     (["fuse", "|H,0,1,1e5000>", "nu"], None, 2),
@@ -286,6 +287,7 @@ def _failing(exc):
     # each field prints, but their sum (b) or the doubled spin (2s) would not
     (["fuse", f"|H,{NINES},1,1/2>", f"|H,{NINES},1,1/2>"], None, 2),
     (["fuse", f"|H,0,1,{NINES}>", "nu"], None, 2),
+    (["fuse", '{"a": ' + "[" * 50000 + "]" * 50000 + "}", "nu"], None, 2),
     (["classify", "2", "0", "--oracle"],
      ("division_ring_oracle", OracleFailure("ring dimension 3")), 3),
     (["idempotent", "2", "0"],
@@ -293,8 +295,9 @@ def _failing(exc):
     (["factorize", "2", "0"],
      ("karoubi_factorize", IsoError("images do not anticommute")), 3),
 ], ids=["json-missing-fields", "json-float-count", "doubled-label",
-        "negative-mass", "negative-max-m", "bad-mass", "huge-mass",
-        "huge-spin", "huge-exponent", "huge-charge-sum", "huge-doubled-spin",
+        "negative-mass", "negative-max-m", "negative-max-n", "bad-mass",
+        "huge-mass", "huge-spin", "huge-exponent", "huge-charge-sum",
+        "huge-doubled-spin", "json-too-deep",
         "oracle-failure",
         "search-error", "iso-error"])
 def test_exit_code_contract(capsys, monkeypatch, argv, broken, code):
@@ -316,10 +319,15 @@ def test_internal_value_error_exits_3(capsys, monkeypatch):
     assert captured.err == "error: not a stabilizer projector\n"
 
 
-def test_negative_max_m_rejected_up_front(capsys):
-    assert main(["spectrum", "--max-m", "-1"]) == 2
+@pytest.mark.parametrize("argv, err", [
+    (["spectrum", "--max-m", "-1"], "spectrum max-m must be non-negative"),
+    (["atlas", "--max-n", "-1", "--out", "-"], "atlas max-n must be non-negative"),
+], ids=["spectrum", "atlas"])
+def test_negative_max_m_rejected_up_front(capsys, argv, err):
+    assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: spectrum max-m must be non-negative\n"
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
 
 
 @pytest.mark.parametrize("argv", [

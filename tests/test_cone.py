@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from cliffordkit import ReprLabel, degree, enumerate_cone, sym_dimension_oracle
+from cliffordkit import (ReprLabel, degree, enumerate_cone, state,
+                         sym_dimension_oracle)
 from conftest import check_record
 
 
@@ -75,6 +76,11 @@ def test_label_fields():
     assert lab.ldot == Fraction(1, 2)
     assert lab.spin == 1
     assert str(lab) == "(3/2,1/2)"
+    # a label reads (k, r) exactly as a state with the same counts does
+    for k, r in [(3, 1), (1, 3), (2, 0), (0, 0), (2, 5)]:
+        lab, sv = ReprLabel(k, r), state("H", 0, 1, k, r)
+        for name in ("m", "l", "ldot", "spin", "statistics"):
+            assert getattr(lab, name) == getattr(sv, name), (k, r, name)
 
 
 def test_labels_are_non_negative_integers():

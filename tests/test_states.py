@@ -173,6 +173,11 @@ def test_parse_and_serialize():
         parse_state("|H,0,1")
     with pytest.raises(StateError):
         parse_state("|H,0,1,-1/2>")
+    # malformed JSON, an unknown ring, a non-integer charge: input errors too
+    for text in ("{bad", '{"ring": "X"}', "|H,x,1,1/2>", "|Q,0,1,1/2>",
+                 '{"a": ' + "[" * 50000 + "]" * 50000 + "}"):
+        with pytest.raises(StateError):
+            parse_state(text)
     # fields stop one digit short of Python's 4300-digit text limit, so all
     # that fuse, double and annihilate derive from two parsed states prints
     big = "9" * 4299
