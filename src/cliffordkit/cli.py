@@ -2,7 +2,8 @@
 
 Every subcommand is a pure function of its arguments: identical invocations
 produce byte-identical output.  JSON is the default format (sorted keys,
-2-space indent); --format table gives aligned text.  Exit codes: 0 success,
+2-space indent); --format table gives aligned text, on every command but
+atlas, which writes JSON only.  Exit codes: 0 success,
 2 invalid input, 3 failed verification or internal error, 4 I/O failure
 (stdout closed early included).
 
@@ -129,11 +130,7 @@ def cmd_idempotent(args):
 
 
 def _paper_form(sig):
-    known = {(2, 0): "f20", (1, 1): "f11", (0, 2): "f02", (2, 4): "f24"}
-    key = known.get((sig.p, sig.q))
-    if key is None:
-        return None
-    return paper_idempotents()[key]
+    return paper_idempotents().get(f"f{sig.p}{sig.q}")
 
 
 def cmd_factorize(args):
@@ -298,7 +295,7 @@ def _atlas_entry(p, q):
                        "ideal_dimension": len(heads)},
     }
     if sig.n % 2 == 0:
-        entry["omega_square"] = omega_square_sign(sig) if sig.n else 1
+        entry["omega_square"] = omega_square_sign(sig)
         canonical = karoubi_factorize(sig)
         chains = {canonical.factors: (str(canonical.folded_ring()), "canonical")}
         for fac, ring in PAPER_CHAINS.get((p, q), []):
@@ -346,7 +343,7 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, signature=False):
+    def add(name, fn, help_, signature=False):  # a command rendered by _emit
         sp = sub.add_parser(name, help=help_)
         sp.set_defaults(fn=fn)
         sp.add_argument("--format", choices=("json", "table"), default="json")
@@ -382,7 +379,8 @@ def build_parser():
     sp.add_argument("--max-m", type=int, required=True, dest="max_m")
     sp.add_argument("--electron-mass", default="1", dest="electron_mass")
 
-    sp = add("atlas", cmd_atlas, "sweep all signatures into a JSON atlas")
+    sp = sub.add_parser("atlas", help="sweep all signatures into a JSON atlas")
+    sp.set_defaults(fn=cmd_atlas)  # JSON only, so no --format
     sp.add_argument("--max-n", type=int, required=True, dest="max_n")
     sp.add_argument("--out", required=True, help="output path, or - for stdout")
     return ap

@@ -83,13 +83,11 @@ def sym_dimension_oracle(k: int, r: int) -> int:
     words = [tuple((w >> i) & 1 for i in range(m)) for w in range(dim)]
     pos = {w: i for i, w in enumerate(words)}
     ech = Echelon(dim)
-    rank = 0
     for w in words:
         orb = _orbit(w, k, r)
         coeff = Fraction(1, len(orb))
-        if ech.insert({pos[t]: coeff for t in orb}) is not None:
-            rank += 1
-    return rank
+        ech.insert({pos[t]: coeff for t in orb})
+    return ech.rank
 
 
 class ConeRow(NamedTuple):

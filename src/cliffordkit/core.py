@@ -384,11 +384,7 @@ class Multivector:
     def __sub__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        self._check(other)
-        acc = dict(self.c)
-        for k, v in other.c.items():
-            acc[k] = acc.get(k, 0) - v
-        return _pruned(self.alg, acc)
+        return self + -other
 
     def __neg__(self):
         return Multivector(self.alg, {k: -v for k, v in self.c.items()})
@@ -424,13 +420,8 @@ class Multivector:
     def __bool__(self):
         return bool(self.c)
 
-    def key(self):
-        """Canonical hashable form (sorted by basis position)."""
-        idx = self.alg.index
-        return tuple(sorted(((idx[k], v) for k, v in self.c.items())))
-
     def __hash__(self):
-        return hash((id(self.alg), self.key()))
+        return hash((id(self.alg), frozenset(self.c.items())))
 
     def columns(self):
         """Sparse coefficients {basis position: value} (nonzeros only)."""

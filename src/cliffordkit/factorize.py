@@ -133,12 +133,10 @@ def _image_keys(ta, twist_left: bool):
     following ones; either way the dressed images anticommute provided the
     dressing factors are even-dimensional.
     """
-    if twist_left:
-        if any(f.n % 2 for f in ta.factors[:-1]):
-            raise IsoError("odd-dimensional factor cannot carry a left twist")
-    else:
-        if any(f.n % 2 for f in ta.factors[1:]):
-            raise IsoError("odd-dimensional factor cannot carry a right twist")
+    dressing = ta.factors[:-1] if twist_left else ta.factors[1:]
+    if any(f.n % 2 for f in dressing):
+        raise IsoError("odd-dimensional factor cannot carry a "
+                       f"{'left' if twist_left else 'right'} twist")
     blocks = [low << off for _f, off, low in ta._blocks]
     keys = []
     for at, (f, off, _low) in enumerate(ta._blocks):

@@ -33,24 +33,22 @@ class RingTag(Enum):
         return self.value
 
     @property
-    def doubled(self) -> bool:
-        return self in (RingTag.RR, RingTag.HH, RingTag.CC)
+    def base(self) -> "RingTag":
+        """The tag named by this tag's first letter."""
+        return RingTag(self.value[0])
 
     @property
-    def base(self) -> "RingTag":
-        return {RingTag.RR: RingTag.R, RingTag.HH: RingTag.H,
-                RingTag.CC: RingTag.C}.get(self, self)
+    def doubled(self) -> bool:
+        return self is not self.base
 
     @property
     def dim_r(self) -> int:
         """Real dimension of the tagged ring."""
-        return {RingTag.R: 1, RingTag.C: 2, RingTag.H: 4,
-                RingTag.RR: 2, RingTag.HH: 8, RingTag.CC: 4}[self]
+        return {"R": 1, "C": 2, "H": 4}[self.value[0]] * (1 + self.doubled)
 
     @staticmethod
     def doubled_of(base: "RingTag") -> "RingTag":
-        return {RingTag.R: RingTag.RR, RingTag.H: RingTag.HH,
-                RingTag.C: RingTag.CC}[base]
+        return RingTag(f"{base}(+){base}")
 
 
 class StateRingTag(NamedTuple("StateRingTag", [("base", str),

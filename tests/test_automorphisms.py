@@ -107,6 +107,8 @@ def test_symmetry_from_label():
     assert s.flips == grade_flips(True, False)
     with pytest.raises(TypeError):
         DiscreteSymmetry("CP", True, False, True, flips=s.flips)
+    with pytest.raises(ValueError, match=r"^unknown symmetry label 'Q'$"):
+        symmetry("Q")
 
 
 # (star, tilde, bar) of each label, written out independently of the program

@@ -264,6 +264,8 @@ def test_usage_error_exit_code():
 
 
 NINES = "9" * 4300  # the most digits Python turns into text by default
+MISSPELT = ('{"ring": "H", "conjugate": true, "b": 0, "lepton": -1, '
+            '"k": 0, "r": 1}')
 
 
 def _failing(exc):
@@ -288,6 +290,8 @@ def _failing(exc):
     (["fuse", f"|H,{NINES},1,1/2>", f"|H,{NINES},1,1/2>"], None, 2),
     (["fuse", f"|H,0,1,{NINES}>", "nu"], None, 2),
     (["fuse", '{"a": ' + "[" * 50000 + "]" * 50000 + "}", "nu"], None, 2),
+    (["double", MISSPELT, "+"], None, 2),
+    (["atlas", "--max-n", "1", "--out", "-", "--format", "table"], None, 2),
     (["classify", "2", "0", "--oracle"],
      ("division_ring_oracle", OracleFailure("ring dimension 3")), 3),
     (["idempotent", "2", "0"],
@@ -297,15 +301,21 @@ def _failing(exc):
 ], ids=["json-missing-fields", "json-float-count", "doubled-label",
         "negative-mass", "negative-max-m", "negative-max-n", "bad-mass",
         "huge-mass", "huge-spin", "huge-exponent", "huge-charge-sum",
-        "huge-doubled-spin", "json-too-deep",
-        "oracle-failure",
+        "huge-doubled-spin", "json-too-deep", "json-misspelt-key",
+        "atlas-format", "oracle-failure",
         "search-error", "iso-error"])
 def test_exit_code_contract(capsys, monkeypatch, argv, broken, code):
     if broken:
         monkeypatch.setattr(cli, broken[0], _failing(broken[1]))
-    assert main(argv) == code
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    try:
+        got, prefix = main(argv), "error: "
+    except SystemExit as e:  # argparse: a usage line, then its error
+        got, prefix = e.code, "usage: "
+    assert got == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and "error: " in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_internal_value_error_exits_3(capsys, monkeypatch):

@@ -37,6 +37,8 @@ def test_cone_base():
     assert labels == {(0, 0), (1, 0), (0, 1)}
     check_record(rows[1], label=ReprLabel(0, 1), spin=Fraction(1, 2),
                  statistics="fermion", degree=2, mass=Fraction(1, 2))
+    with pytest.raises(ValueError, match="^max_m must be non-negative$"):
+        enumerate_cone(-1)
 
 
 def test_cone_spin_lines():

@@ -9,6 +9,7 @@ from cliffordkit import (PAPER_CHAINS, QC, Signature, center_basis, clifford,
                          grade_involution, pseudo_automorphism, reversion,
                          tensor_algebra, volume_element)
 from cliffordkit.classify import _central_square_keys
+from cliffordkit.core import CliffordAlgebra
 from cliffordkit.exactla import Echelon
 from conftest import (check_record, complex_multivectors, multivector_pairs,
                       multivector_triples, small_signatures)
@@ -47,12 +48,31 @@ def test_generator_relations():
                 assert gens[i] * gens[j] == -(gens[j] * gens[i])
 
 
+def test_keys_fields_and_mixed_operands_rejected():
+    alg = clifford(1, 1)
+    with pytest.raises(ValueError, match=r"^4 is not a basis key of Cl\(1,1\)$"):
+        alg.blade(4)
+    with pytest.raises(ValueError, match=r"^generator index 3 not in 1\.\.2$"):
+        alg.gen(3)
+    with pytest.raises(ValueError,
+                       match="^imaginary unit requires a complexified algebra$"):
+        alg.i()
+    with pytest.raises(ValueError,
+                       match=r"^algebra mismatch: Cl\(1,1\) vs Cl\(2,0\)$"):
+        alg.one() + clifford(2, 0).one()
+    with pytest.raises(ValueError, match="^field must be 'R' or 'C'$"):
+        CliffordAlgebra(Signature(1, 1), "Q")
+
+
 def test_cl20_basics():
     alg = clifford(2, 0)
     e1, e2 = alg.gens()
     assert e1 * e1 == alg.one()
     e12 = e1 * e2
     assert e12 * e12 == -alg.one()
+    # equal elements hash equal, however they were built
+    assert len({e12, -(e2 * e1), alg.blade(0b11, Fraction(2)) / 2}) == 1
+    assert len({e1 + e2, e2 + e1, e1 - -e2}) == 1
 
 
 def test_cl02_bivector_squares_to_minus_one():
@@ -244,6 +264,8 @@ def test_qc_arithmetic():
     assert (a / b) * b == a
     assert pseudo_automorphism(clifford(0, 0, "C").blade(0, a)).c[0] == QC(1, -2)
     assert QC(3) == 3 and bool(QC(0, 0)) is False
+    with pytest.raises(AttributeError, match="^QC is immutable$"):
+        QC(1).re = 2
 
 
 def test_complex_algebra_rejects_plain_real_mixup():

@@ -62,12 +62,20 @@ def test_every_even_signature_factorizes():
 def test_odd_signature_rejected():
     with pytest.raises(ValueError):
         karoubi_factor_signatures((3, 0))
+    with pytest.raises(ValueError, match=r"^split_semisimple requires odd p\+q$"):
+        split_semisimple((1, 1))
 
 
 def test_verify_tensor_iso_failure():
     with pytest.raises(IsoError) as ei:
         verify_tensor_iso((2, 0), [(0, 2)])
     assert "square multiset mismatch" in ei.value.reason
+    # odd factors on both sides: neither twist applies, and both say why
+    with pytest.raises(IsoError) as ei:
+        verify_tensor_iso((3, 0), [(1, 0), (1, 0), (1, 0)])
+    assert ei.value.reason == (
+        "odd-dimensional factor cannot carry a left twist; "
+        "odd-dimensional factor cannot carry a right twist")
 
 
 def test_verify_tensor_iso_dimension_mismatch():
@@ -341,6 +349,9 @@ def test_tensor_algebra_arithmetic():
     assert a * b == b * a  # plain tensor: cross factors commute
     assert a * a == ta.one()
     assert b * b == -ta.one()
+    with pytest.raises(ValueError,
+                       match=r"^tensor algebra dimension exceeds the 2\^12 cap$"):
+        tensor_algebra([(6, 6), (1, 0)])
 
 
 def _subset_product_key_count(one, images):

@@ -319,6 +319,11 @@ def test_f41_complex_form_matches_real_reading():
     assert fc.element * fc.element == fc.element
     assert realify(fc.element) == fr.element
     assert is_primitive(fr)
+    with pytest.raises(ValueError,
+                       match="^realify expects a complexified algebra element$"):
+        realify(clifford(3, 0).one())
+    with pytest.raises(ValueError, match=r"^realify needs odd n with omega\^2 = -1$"):
+        realify(clifford(1, 1, "C").one())
 
 
 def test_unit_not_primitive_in_matrix_algebra():

@@ -171,6 +171,10 @@ def test_parse_and_serialize():
     assert parse_state(json.dumps(j)) == NUBAR
     with pytest.raises(StateError):
         parse_state("|H,0,1")
+    with pytest.raises(StateError, match=r"^state label needs 4 fields: '\|H,0,1>'$"):
+        parse_state("|H,0,1>")
+    with pytest.raises(StateError, match=r"^cannot parse state 'xyz'$"):
+        parse_state("xyz")
     with pytest.raises(StateError):
         parse_state("|H,0,1,-1/2>")
     # malformed JSON, an unknown ring, a non-integer charge: input errors too
@@ -178,6 +182,11 @@ def test_parse_and_serialize():
                  '{"a": ' + "[" * 50000 + "]" * 50000 + "}"):
         with pytest.raises(StateError):
             parse_state(text)
+    # a key outside the six of `to_json` is refused, not dropped
+    with pytest.raises(StateError, match=r"unknown state keys \['conjugate'\]"):
+        parse_state('{"ring": "H", "conjugate": true, "b": 0, "lepton": -1, '
+                    '"k": 0, "r": 1}')
+    assert parse_state('{"ring": "H", "b": 0, "lepton": 1, "k": 1, "r": 0}') == NU
     # fields stop one digit short of Python's 4300-digit text limit, so all
     # that fuse, double and annihilate derive from two parsed states prints
     big = "9" * 4299
@@ -201,7 +210,7 @@ def test_ring_tag_parsing():
     for doubled in ("C(+)C", "H+H", "R⊕R"):
         with pytest.raises(ValueError, match="unknown ring base"):
             StateRingTag.parse(doubled)
-    with pytest.raises(StateError if False else ValueError):
+    with pytest.raises(ValueError, match="unknown ring base 'X'"):
         StateRingTag.parse("X")
     check_record(StateRingTag.parse("H~"), base="H", conjugated=True)
     assert StateRingTag("C") == StateRingTag(base="C", conjugated=False)
