@@ -13,10 +13,10 @@ there; all eight separate on complexified algebras.  The composition table
 is probed on a full R-basis, never asserted from labels: each call applies
 the eight maps once to every probe e_A (and i*e_A over C) and reads from
 the images a verified unit tableau per map, e_A -> i^k e_A with or without
-conjugation.  Each unit i^k is read from the integer parts (re, im) of the
-image's one coefficient, not by hashing or comparing it.  A map is
-R-linear, so its tableau, checked on the R-basis of each span{e_A, i*e_A},
-is the map itself; composites are therefore exact when computed on
+conjugation.  Per probe it reads the image's one term, its coefficient's
+type and the integer ratios of its parts (re, im), a dict key for i^k.  A
+map is R-linear, so its tableau, checked on the R-basis of each span{e_A,
+i*e_A}, is the map itself; composites are therefore exact when computed on
 tableaux, and each is named by equality with a distinct base tableau.
 """
 
@@ -77,8 +77,10 @@ def symmetry(label: str) -> DiscreteSymmetry:
 ALL_SYMMETRIES = tuple(symmetry(l) for l in LABELS)
 
 
-# the units i^k by exponent k, keyed by their integer parts (re, im)
-_UNITS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+# the units i^k by exponent k, keyed by the integer ratios of their parts
+# (re, im); and tables from k = 0..3 to its low and high bit as a digit
+_UNITS = {(1, 1, 0, 1): 0, (0, 1, 1, 1): 1, (-1, 1, 0, 1): 2, (0, 1, -1, 1): 3}
+_LO, _HI = (bytes.maketrans(b"\0\1\2\3", bits) for bits in (b"0101", b"0011"))
 
 
 def _exponent(alg, s, x, key):
@@ -88,33 +90,28 @@ def _exponent(alg, s, x, key):
     img = s(x)
     v = img.c.get(key) if len(img.c) == 1 else None
     re, im = (v.re, v.im) if type(v) is QC else (v, 0)
-    k = None
-    if (type(v) is (QC if alg.field == "C" else Fraction)
-            and re.denominator == 1 and im.denominator == 1):
-        k = _UNITS.get((re.numerator, im.numerator))
+    k = (_UNITS.get(re.as_integer_ratio() + im.as_integer_ratio())
+         if type(v) is (QC if alg.field == "C" else Fraction) else None)
     if k is None:
         raise RuntimeError(f"{s.label} sends {x} to {img}, not a unit times "
                            f"{alg.key_name(key)}: it matches none of the eight maps")
     return k
 
 
-def _tableau(alg, s, probes):
-    """(lo, hi, conj) bit-planes of s: bit j says, for the j-th basis key A,
-    that s(e_A) = i^k e_A with k = lo + 2 hi, and (over C) that s conjugates,
-    s(i e_A) = i^(k-1) e_A, instead of s(i e_A) = i^(k+1) e_A."""
-    lo = hi = conj = 0
-    for j, (key, ps) in enumerate(zip(alg.basis, probes)):
-        k, *ik = [_exponent(alg, s, x, key) for x in ps]
-        lo |= (k & 1) << j
-        hi |= (k >> 1) << j
-        if ik:
-            d = (ik[0] - k) & 3  # 1 if C-linear, 3 if antilinear
-            if d not in (1, 3):
-                raise RuntimeError(
-                    f"{s.label} is neither C-linear nor antilinear on "
-                    f"{alg.key_name(key)}: it matches none of the eight maps")
-            conj |= (d >> 1) << j
-    return lo, hi, conj
+def _tableau(alg, s, probes, iprobes):
+    """(lo, hi, conj) bit-planes of s, from its images of e_A and (over C) i e_A:
+    bit j says, for the j-th basis key A, that s(e_A) = i^k e_A with k = lo +
+    2 hi, and (over C) that s conjugates, s(i e_A) = i^(k-1) e_A, not i^(k+1)."""
+    ks = bytearray(_exponent(alg, s, x, key) for key, x in zip(alg.basis, probes))
+    ds = bytearray()  # per key: 1 if s is C-linear there, 3 if antilinear
+    for key, x, k in zip(alg.basis, iprobes, ks):
+        ds.append((_exponent(alg, s, x, key) - k) & 3)
+        if ds[-1] not in (1, 3):
+            raise RuntimeError(f"{s.label} is neither C-linear nor antilinear on "
+                               f"{alg.key_name(key)}: it matches none of the eight maps")
+    # each plane in one step (last key first), not one 2^n-bit copy per key
+    return tuple(int(b"0" + v[::-1].translate(t), 2)
+                 for v, t in ((ks, _LO), (ks, _HI), (ds, _HI)))
 
 
 def _compose(a, b):
@@ -133,10 +130,10 @@ def _probe(alg):
     images must be unit multiples of e_A, read as a tableau.  Two R-linear
     maps that agree on an R-basis are equal, so the tableau is the map, and
     the composite of two tableaux is the tableau of the composite map."""
-    # each unit coerced once; the probe keys are the basis itself
-    units = [alg.scalar(u) for u in ((1, QC_I) if alg.field == "C" else (1,))]
-    probes = [[Multivector(alg, {k: u}) for u in units] for k in alg.basis]
-    tableaux = [_tableau(alg, s, probes) for s in ALL_SYMMETRIES]
+    one = alg.scalar(1)  # coerced once; the probe keys are the basis itself
+    probes = [Multivector(alg, {k: one}) for k in alg.basis]
+    iprobes = [Multivector(alg, {k: QC_I}) for k in alg.basis if alg.field == "C"]
+    tableaux = [_tableau(alg, s, probes, iprobes) for s in ALL_SYMMETRIES]
     first = {}  # tableau -> label of the first map with it
     for s, t in zip(ALL_SYMMETRIES, tableaux):
         first.setdefault(t, s.label)

@@ -56,10 +56,10 @@ class QC:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        # a Fraction part is kept as it is (Fraction() would copy it): the
-        # arithmetic builds almost every QC from Fraction parts
-        object.__setattr__(self, "re", re if type(re) is Fraction else _exact_part(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else _exact_part(im))
+        # arithmetic builds almost every QC from Fraction parts, kept as they
+        # are; the slot descriptors (bound below) bypass __setattr__ cheaply
+        _set_re(self, re if type(re) is Fraction else _exact_part(re))
+        _set_im(self, im if type(im) is Fraction else _exact_part(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("QC is immutable")
@@ -116,8 +116,8 @@ class QC:
             return NotImplemented
         return o / self
 
-    def __neg__(self):
-        return QC(-self.re, -self.im)
+    def __neg__(self):  # a zero part is kept: -Fraction(0) is a new 0
+        return QC(-self.re if self.re else self.re, -self.im if self.im else self.im)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -145,6 +145,7 @@ class QC:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
+_set_re, _set_im = QC.re.__set__, QC.im.__set__
 QC_I = QC(0, 1)
 
 
@@ -621,11 +622,12 @@ def grade_map(a: Multivector, flips: tuple, bar: bool = False) -> Multivector:
     and conjugate the coefficients when bar is set on a complexified algebra."""
     alg = a.alg
     if bar and alg.field == "C":
-        return Multivector(alg, {k: QC(-v.re, v.im) if flips[grade(k) & 3]
-                                 else QC(v.re, -v.im) for k, v in a.c.items()})
+        return Multivector(alg, {  # a zero part is kept as in QC.__neg__
+            k: QC(-v.re if v.re else v.re, v.im) if flips[k.bit_count() & 3]
+            else QC(v.re, -v.im if v.im else v.im) for k, v in a.c.items()})
     if not any(flips):
         return a  # the identity map; multivectors are immutable
-    return Multivector(alg, {k: -v if flips[grade(k) & 3] else v
+    return Multivector(alg, {k: -v if flips[k.bit_count() & 3] else v
                              for k, v in a.c.items()})
 
 

@@ -304,8 +304,8 @@ def exact_fraction(text: str, what: str) -> Fraction:
 
 def parse_state(text: str) -> StateVector:
     """Parse an alias, a |K,b,l,s> label, or the JSON object form (the keys
-    of `to_json` only, `conjugated` optional); any malformed text, and any
-    other key, is a StateError.
+    of `to_json` only, `conjugated` optional); any malformed text, any other
+    key and any missing key is a StateError.
 
     Label spins map to factor counts by chirality: unconjugated rings take
     (k, r) = (2s, 0), conjugated ones (0, 2s).  Every integer field has
@@ -320,11 +320,12 @@ def parse_state(text: str) -> StateVector:
             import json
             d = json.loads(t)
             fields = ("b", "lepton", "k", "r")
-            unknown = sorted(d.keys() - {"ring", "conjugated", *fields})
-            if unknown:
-                raise StateError(f"unknown state keys {unknown}")
-            sv = StateVector(StateRingTag(d.get("ring"), d.get("conjugated", False)),
-                             *[d.get(name) for name in fields])
+            for fault, keys in (("unknown", d.keys() - {"ring", "conjugated", *fields}),
+                                ("missing", {"ring", *fields} - d.keys())):
+                if keys:
+                    raise StateError(f"{fault} state keys {sorted(keys)}")
+            sv = StateVector(StateRingTag(d["ring"], d.get("conjugated", False)),
+                             *[d[name] for name in fields])
         elif t.startswith("|"):
             body = t[1:]
             for closer in ("⟩", ">"):

@@ -1,9 +1,21 @@
+import time
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 
 from cliffordkit import clifford
+
+
+class Budget:
+    def __init__(self, seconds):
+        self.limit = seconds
+        self.t0 = time.monotonic()
+
+    def done(self, label):
+        dt = time.monotonic() - self.t0
+        assert dt < self.limit, f"{label}: {dt:.1f}s exceeds {self.limit}s"
+        print(f"ACCEPTANCE {label}: PASS ({dt:.1f}s)")
 
 
 def small_signatures(max_n=4):

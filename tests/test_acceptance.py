@@ -26,20 +26,9 @@ from cliffordkit.ideals import (idempotent_factor_count, find_square_set,
                                 max_commuting_square_set, primitive_idempotent,
                                 radon_hurwitz)
 from cliffordkit.rings import PRINTED_TRANSITIONS
-from conftest import small_signatures
+from conftest import Budget, small_signatures
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-
-class Budget:
-    def __init__(self, seconds):
-        self.limit = seconds
-        self.t0 = time.monotonic()
-
-    def done(self, label):
-        dt = time.monotonic() - self.t0
-        assert dt < self.limit, f"{label}: {dt:.1f}s exceeds {self.limit}s"
-        print(f"ACCEPTANCE {label}: PASS ({dt:.1f}s)")
 
 
 def test_criterion_1_classification_sweep():

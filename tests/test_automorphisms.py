@@ -10,7 +10,8 @@ from cliffordkit import (ALL_SYMMETRIES, clifford, composition_table,
 from cliffordkit.automorphisms import LABELS, DiscreteSymmetry
 from cliffordkit.core import QC, QC_I, Multivector, grade_flips
 from cliffordkit.factorize import tensor_algebra
-from conftest import check_record, complex_multivectors, multivectors
+from conftest import (Budget, check_record, complex_multivectors,
+                      multivectors)
 
 C2 = complexify((2, 0))
 C4 = complexify((1, 3))
@@ -195,6 +196,24 @@ def test_table_and_distinct_maps_match_prediction_to_n6(field):
             assert gs.table == want_table, alg
             assert gs.distinct_maps == want_distinct, alg
             assert (gs.order, gs.abelian, gs.exponent) == (8, True, 2), alg
+
+
+# one complexified and one real algebra per n = 7..12, and both extremes at 12
+PAST_N6 = [(3, 4, "C"), (7, 0, "R"), (4, 4, "C"), (1, 7, "R"), (9, 0, "C"),
+           (5, 4, "R"), (2, 8, "C"), (10, 0, "R"), (7, 4, "C"), (0, 11, "R"),
+           (6, 6, "C"), (0, 12, "R"), (12, 0, "R")]
+
+
+def test_table_and_distinct_maps_match_prediction_past_n6():
+    budget = Budget(3)  # about 1.2 s on a quiet 2-core host, 2 s loaded
+    for p, q, field in PAST_N6:
+        alg = clifford(p, q, field)
+        want_table, want_distinct = _predicted_table_and_count(p + q, field)
+        assert composition_table(alg) == want_table, alg
+        gs = group_structure(alg)
+        assert (gs.table, gs.distinct_maps) == (want_table, want_distinct), alg
+        assert (gs.order, gs.abelian, gs.exponent) == (8, True, 2), alg
+    budget.done("CPT tables past n = 6 (13 algebras)")
 
 
 def test_non_involutive_map_matches_none(monkeypatch):

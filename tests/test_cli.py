@@ -226,6 +226,23 @@ def test_atlas_stdout_digest(capsys, max_n):
     assert hashlib.sha256(out.encode()).hexdigest() == ATLAS_DIGESTS[max_n]
 
 
+# SHA-256 of the stdout of `cliffordkit cpt P Q`, recorded while each probe
+# image was read through a new list per probe and negated zero parts
+CPT_DIGESTS = {
+    (6, 6): "a091dbda12388c66f6b82bd51ba308281d99519e9b5e5a2d3b6542909be987c8",
+    (0, 12): "3c5ba9fe906e3919643188185680c5ff5c03ac4dd978041ba14676fd819b37c4",
+    (12, 0): "b2420a6c74d68726807394d03a4212d996ec74bbb55d1bed8b943be91cca2bfb",
+    (3, 9): "b689323ff7e0905f94a06744a7314a796e8ae481f7fc9961e25702601969515a",
+}
+
+
+@pytest.mark.parametrize("p, q", sorted(CPT_DIGESTS))
+def test_cpt_stdout_digest(capsys, p, q):
+    code, out = run(capsys, "cpt", str(p), str(q))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CPT_DIGESTS[p, q]
+
+
 # SHA-256 of the stdout of `cliffordkit iso-check ...`, recorded while
 # tensor-algebra blade keys were tuples of factor masks
 ISO_CHECK_DIGESTS = {
@@ -276,6 +293,7 @@ def _failing(exc):
 
 @pytest.mark.parametrize("argv, broken, code", [
     (["fuse", '{"ring": "H"}', "nu"], None, 2),
+    (["fuse", '{"ring": "H", "b": 0, "lepton": 1, "k": 1}', "nu"], None, 2),
     (["fuse", '{"ring": "H", "b": 0, "lepton": 1, "k": 1.5, "r": 0}', "nu"],
      None, 2),
     (["fuse", "|C(+)C,0,1,1/2>", "nu"], None, 2),
@@ -298,7 +316,7 @@ def _failing(exc):
      ("primitive_idempotent", SearchError("no commuting set")), 3),
     (["factorize", "2", "0"],
      ("karoubi_factorize", IsoError("images do not anticommute")), 3),
-], ids=["json-missing-fields", "json-float-count", "doubled-label",
+], ids=["json-missing-fields", "json-missing-r", "json-float-count", "doubled-label",
         "negative-mass", "negative-max-m", "negative-max-n", "bad-mass",
         "huge-mass", "huge-spin", "huge-exponent", "huge-charge-sum",
         "huge-doubled-spin", "json-too-deep", "json-misspelt-key",

@@ -9,7 +9,7 @@ from cliffordkit import (PAPER_CHAINS, QC, Signature, center_basis, clifford,
                          grade_involution, pseudo_automorphism, reversion,
                          tensor_algebra, volume_element)
 from cliffordkit.classify import _central_square_keys
-from cliffordkit.core import CliffordAlgebra
+from cliffordkit.core import CliffordAlgebra, Multivector, grade_flips, grade_map
 from cliffordkit.exactla import Echelon
 from conftest import (check_record, complex_multivectors, multivector_pairs,
                       multivector_triples, small_signatures)
@@ -300,7 +300,7 @@ def test_qc_admits_only_exact_parts():
     third = Fraction(1, 3)
     assert QC(third, 2).re is third
     assert QC(third, 2).im == 2 and type(QC(third, 2).im) is Fraction
-    for bad in (0.1, 0.0, Decimal("0.1"), "1/2", None, True, False):
+    for bad in (0.1, 0.5, 0.0, 1.0, Decimal("0.1"), "1/2", None, True, False):
         with pytest.raises(TypeError):
             QC(bad)
         with pytest.raises(TypeError):
@@ -308,6 +308,30 @@ def test_qc_admits_only_exact_parts():
         with pytest.raises(TypeError):
             QC(1) + bad
     assert QC(1) != True  # noqa: E712 - a bool is no scalar, not even 1
+    q = QC(1, 2)
+    for name in ("re", "im"):
+        with pytest.raises(AttributeError, match="^QC is immutable$"):
+            setattr(q, name, Fraction(3))
+    assert (q.re, q.im) == (1, 2)
+
+
+@pytest.mark.parametrize("v", [QC(0, 1), QC(1, 0), QC(0, Fraction(-3, 2)),
+                               QC(Fraction(5, 7), 0), QC(0, 0), QC(1, -2)],
+                         ids=repr)
+def test_negation_and_conjugation_of_zero_parts(v):
+    # a zero part may be kept as it is, but every part stays a Fraction equal
+    # to the one plain Fraction negation gives
+    def parts(x):
+        assert type(x) is QC and type(x.re) is type(x.im) is Fraction
+        return x.re, x.im
+
+    assert parts(-v) == (-v.re, -v.im)
+    alg = clifford(2, 1, "C")
+    for flips in ((0, 0, 0, 0), (1, 1, 1, 1), grade_flips(1, 1)):
+        for key in alg.basis:
+            out = grade_map(Multivector(alg, {key: v}), flips, bar=True).c
+            want = ((-v.re, v.im) if flips[grade(key) & 3] else (v.re, -v.im))
+            assert list(out) == [key] and parts(out[key]) == want
 
 
 def test_clifford_rejects_non_integer_signatures():

@@ -178,7 +178,8 @@ def test_parse_and_serialize():
     with pytest.raises(StateError):
         parse_state("|H,0,1,-1/2>")
     # malformed JSON, an unknown ring, a non-integer charge: input errors too
-    for text in ("{bad", '{"ring": "X"}', "|H,x,1,1/2>", "|Q,0,1,1/2>",
+    for text in ("{bad", '{"ring": "X", "b": 0, "lepton": 1, "k": 1, "r": 0}',
+                 "|H,x,1,1/2>", "|Q,0,1,1/2>",
                  '{"a": ' + "[" * 50000 + "]" * 50000 + "}"):
         with pytest.raises(StateError):
             parse_state(text)
@@ -201,6 +202,19 @@ def test_parse_and_serialize():
                              "r": int(big + "9")})):
         with pytest.raises(StateError, match="fewer than 4300 digits"):
             parse_state(text)
+
+
+@pytest.mark.parametrize("text, missing", [
+    ('{"ring": "H", "b": 0, "lepton": 1, "k": 1}', "['r']"),
+    ('{"b": 0, "lepton": 1, "k": 1, "r": 0}', "['ring']"),
+    ('{"ring": "H"}', "['b', 'k', 'lepton', 'r']"),
+    ("{}", "['b', 'k', 'lepton', 'r', 'ring']"),
+], ids=["no-r", "no-ring", "ring-only", "empty"])
+def test_json_state_names_missing_keys(text, missing):
+    # an absent required key is named, not read as a bad value
+    with pytest.raises(StateError) as ei:
+        parse_state(text)
+    assert str(ei.value) == f"missing state keys {missing}"
 
 
 def test_ring_tag_parsing():
