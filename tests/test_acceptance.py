@@ -8,7 +8,6 @@ verifications, and byte-exact CLI goldens.  Each test prints a PASS line
 import json
 import pathlib
 import random
-import time
 from fractions import Fraction
 
 from cliffordkit import (PAPER_CHAINS, RingTag, StateRingTag, classify,

@@ -226,8 +226,8 @@ def test_atlas_stdout_digest(capsys, max_n):
     assert hashlib.sha256(out.encode()).hexdigest() == ATLAS_DIGESTS[max_n]
 
 
-# SHA-256 of the stdout of `cliffordkit cpt P Q`, recorded while each probe
-# image was read through a new list per probe and negated zero parts
+# SHA-256 of the stdout of `cliffordkit cpt P Q`, recorded while `_tableau`
+# still set its bit-planes one key at a time
 CPT_DIGESTS = {
     (6, 6): "a091dbda12388c66f6b82bd51ba308281d99519e9b5e5a2d3b6542909be987c8",
     (0, 12): "3c5ba9fe906e3919643188185680c5ff5c03ac4dd978041ba14676fd819b37c4",
@@ -316,9 +316,9 @@ def _failing(exc):
      ("primitive_idempotent", SearchError("no commuting set")), 3),
     (["factorize", "2", "0"],
      ("karoubi_factorize", IsoError("images do not anticommute")), 3),
-], ids=["json-missing-fields", "json-missing-r", "json-float-count", "doubled-label",
-        "negative-mass", "negative-max-m", "negative-max-n", "bad-mass",
-        "huge-mass", "huge-spin", "huge-exponent", "huge-charge-sum",
+], ids=["json-missing-fields", "json-missing-r", "json-float-count",
+        "doubled-label", "negative-mass", "negative-max-m", "negative-max-n",
+        "bad-mass", "huge-mass", "huge-spin", "huge-exponent", "huge-charge-sum",
         "huge-doubled-spin", "json-too-deep", "json-misspelt-key",
         "atlas-format", "oracle-failure",
         "search-error", "iso-error"])
