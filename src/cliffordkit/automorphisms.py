@@ -48,6 +48,9 @@ class DiscreteSymmetry:
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
     def _key(self):
         return self.label, self.star, self.tilde, self.bar
 

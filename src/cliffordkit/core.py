@@ -64,6 +64,9 @@ class QC:
     def __setattr__(self, name, value):
         raise AttributeError("QC is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("QC is immutable")
+
     @staticmethod
     def _coerce(x):
         if isinstance(x, QC):
@@ -232,12 +235,14 @@ class BladeAlgebra:
       blade(a ^ b), for every key a;
     - `key_name(a)`: the printed name of blade a.
 
-    `keys_commute(a, b)` and `square_sign(a)`, the sign of blade(a)^2,
-    follow from `sign_mask`; each subclass states both in closed form in its
-    own body.  `mul_key`, the (key, sign) of blade(a) * blade(b), has no
-    caller in the package: each subclass keeps it for `perfbench/layers.py`,
-    which counts its calls and those of `keys_commute` there, until the
-    benchmark reads counters of its own.
+    `keys_commute(a, b)`, `square_sign(a)`, the sign of blade(a)^2, and
+    `generator_rows()`, row t the generators that anticommute with e_t,
+    follow from `sign_mask`; each subclass states all three in closed form
+    in its own body, and the tests certify the rows against `sign_mask`.
+    `mul_key`, the (key, sign) of blade(a) * blade(b), has no caller in the
+    package: each subclass keeps it for `perfbench/layers.py`, which counts
+    its calls and those of `keys_commute` there, until the benchmark reads
+    counters of its own.
 
     This base adds the unit and generator keys and the coefficient handling:
     `scalar` admits only exact scalars (int, Fraction, QC), and `mv` passes
@@ -327,6 +332,10 @@ class CliffordAlgebra(BladeAlgebra):
         # each factor in the minus block then squares to -1
         g = a.bit_count()
         return -1 if (g * (g - 1) // 2 + (a & self.minus_mask).bit_count()) & 1 else 1
+
+    def generator_rows(self):
+        # distinct generators anticommute: row t is every generator but e_t
+        return [self.volume_key ^ 1 << t for t in range(self.n)]
 
     def key_name(self, a: int) -> str:
         return blade_name(a)
@@ -531,7 +540,8 @@ def _pauli_table(alg) -> list:
     Z on the qubits below t // 2, then X (even t) or Y = iXZ (odd t); for odd
     n the last is Z on all k, negated in the second simple summand, which
     bit k of z marks.  A generator squaring to -1 takes a factor i.  Built
-    by doubling, as `linear_rows`: e_A e_t has f + g + 2 popcount(z & y)."""
+    by doubling, row A | 1 << t from row A for A < 2^t: e_A e_t has
+    f + g + 2 popcount(z & y)."""
     if alg._pauli is None:
         k, rows = alg.n // 2, [(0, 0, 0)]
         for t in range(alg.n):
@@ -660,39 +670,45 @@ def volume_element(alg) -> Multivector:
     return alg.blade(alg.volume_key)
 
 
-def commutation_form(alg):
-    """rows[a]: the generators that anticommute with blade a, as a mask, for
-    every key a < 2^n.
-
-    With m = `sign_mask`, blades a and b anticommute iff
-    popcount(a & m(b)) + popcount(b & m(a)) is odd.  Each m is F2-linear in
-    its key, so this is a bilinear form, fixed by its values on generators:
-    rows[a] is the XOR of the generator rows over the bits t of a
-    (`linear_rows`), and blade b anticommutes with a iff b meets rows[a] an
-    odd number of times."""
-    n = alg.n
-    masks = [alg.sign_mask(1 << t) for t in range(n)]
-    return linear_rows(
-        [sum(1 << s for s in range(n) if (masks[t] >> s ^ masks[s] >> t) & 1)
-         for t in range(n)])
+def linear_row(gens, a: int) -> int:
+    """The XOR of gens[t] over the bits t of a.  With gens =
+    `generator_rows()`, the generators that anticommute with blade a: the
+    form is F2-bilinear, as `sign_mask` is F2-linear in its key."""
+    row = 0
+    while a:
+        low = a & -a
+        row ^= gens[low.bit_length() - 1]
+        a ^= low
+    return row
 
 
-def linear_rows(gens):
-    """rows[k] = the XOR of gens[t] over the bits t of k, for every k < 2^n
-    (n = len(gens)): an F2-linear map of keys, with one XOR per key, as
-    rows[k | 1 << t] = rows[k] ^ gens[t] for k < 2^t."""
-    rows = [0]
-    for g in gens:
-        rows += [r ^ g for r in rows]
-    return rows
+def f2_insert(lead: dict, v: int) -> int:
+    """v reduced by the rows of `lead`, keyed by their leading bit, and kept
+    there unless zero: 0 iff v lies in their F2 span."""
+    while v.bit_length() in lead:
+        v ^= lead[v.bit_length()]
+    if v:
+        lead[v.bit_length()] = v
+    return v
+
+
+def center_keys(alg):
+    """Keys of the central blades, in canonical order: the F2 kernel of the
+    generator rows.  Each row t, above its own bit t, is reduced by the
+    earlier ones; where the row part cancels, the bits below give a basis
+    vector of the kernel."""
+    n, lead, kernel = alg.n, {}, [0]
+    for t, row in enumerate(alg.generator_rows()):
+        v = f2_insert(lead, row << n | 1 << t)
+        if not v >> n:
+            kernel += [k ^ v for k in kernel]
+    return sorted(kernel, key=alg.index.get)
 
 
 def center_basis(alg):
-    """Basis blades commuting with every generator: those whose row of
-    `commutation_form` is empty."""
+    """Basis blades commuting with every generator (`center_keys`)."""
     alg = as_algebra(alg)
-    anti = commutation_form(alg)
-    return [alg.blade(k) for k in alg.basis if not anti[k]]
+    return [alg.blade(k) for k in center_keys(alg)]
 
 
 def even_subalgebra_basis(alg):

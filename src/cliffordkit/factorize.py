@@ -13,10 +13,12 @@ which anticommute pairwise because each preceding volume element w_l of an
 even factor anticommutes with that factor's generators.  A factor chain is
 accepted only after its witness is verified exactly, and every relation is
 read off the image keys with no product formed: each image c*e_A squares
-to c^2 * square_sign(A), images anticommute by `keys_commute` (an F2 form
-on the keys), and they span when the n image keys are F2-independent, so
-that the 2^n subset products hit 2^n distinct basis keys.  The even
-subalgebra witness goes through the same check.
+to c^2 * square_sign(A), two images anticommute when one key meets the
+other's row of anticommuting generators (`core.linear_row`) an odd number
+of times, and they span when the n image keys are F2-independent, so that
+the 2^n subset products hit 2^n distinct basis keys, which elimination on
+the leading bit decides.  The even subalgebra witness goes through the
+same check.
 
 `karoubi_factorize` peels factors greedily - (2,0) while p >= 2, else (1,1),
 else (0,2) - flipping the remaining signature after each negative factor
@@ -32,7 +34,7 @@ from typing import NamedTuple
 
 from .core import (MAX_N, BladeAlgebra, CliffordAlgebra, Multivector,
                    Signature, as_algebra, as_signature, blade_name, clifford,
-                   grade, linear_rows)
+                   f2_insert, grade, linear_row)
 from .rings import StateRingTag, ring_transition
 
 FACTOR_RINGS = {Signature(2, 0): StateRingTag("R"),
@@ -97,6 +99,11 @@ class TensorAlgebra(BladeAlgebra):
         for f, off, low in self._blocks:
             sign *= f.square_sign(a >> off & low)
         return sign
+
+    def generator_rows(self):
+        # the factors commute: row t is the rest of t's own block
+        return [low << off ^ 1 << t for f, off, low in self._blocks
+                for t in range(off, off + f.n)]
 
     def key_name(self, a):
         return "(x)".join(blade_name(a >> off & low)
@@ -388,27 +395,31 @@ def _require_generators(alg, images, target, reason):
     """Raise IsoError unless the single-blade `images` c*e_A satisfy the
     generator relations of Cl(target), read off their keys: the first p
     square to +1 and the rest to -1 (c^2 * square_sign(A)), every pair
-    anticommutes, and the keys are F2-independent (else `reason`)."""
+    anticommutes (a parity on the `linear_row` of one key), and the keys
+    are F2-independent (else `reason`)."""
     if len(images) != target.n:
         raise IsoError("wrong number of generator images")
     terms = [_term(img) for img in images]
     for i, (key, c) in enumerate(terms):
         if c * c * alg.square_sign(key) != (1 if i < target.p else -1):
             raise IsoError(f"image {i + 1} squares to the wrong sign for {target}")
-    for i in range(len(terms)):
+    gens = alg.generator_rows()
+    for i, (key, _c) in enumerate(terms):
+        row = linear_row(gens, key)
         for j in range(i + 1, len(terms)):
-            if alg.keys_commute(terms[i][0], terms[j][0]):
+            if not (terms[j][0] & row).bit_count() & 1:
                 raise IsoError(f"images {i + 1} and {j + 1} do not anticommute")
     _require_span(images, reason)
 
 
 def _require_span(images, reason):
-    """Raise IsoError(reason) unless the keys of the m single-blade `images`
-    are F2-independent, which holds iff their 2^m subset products hit 2^m
-    distinct basis keys: the subset XORs of `linear_rows`."""
-    keys = linear_rows([_term(img)[0] for img in images])
-    if len(set(keys)) != len(keys):
-        raise IsoError(reason)
+    """Raise IsoError(reason) unless the keys of the single-blade `images`
+    are F2-independent, so that their subset products hit distinct basis
+    keys: elimination on the leading bit (`f2_insert`)."""
+    lead = {}
+    for img in images:
+        if not f2_insert(lead, _term(img)[0]):
+            raise IsoError(reason)
 
 
 def complexify(sig) -> CliffordAlgebra:

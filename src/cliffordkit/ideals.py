@@ -13,15 +13,15 @@ are F2-linearly independent and pairwise commuting, which already rules out
 -1 from the generated group, hence f != 0.  Commutation is itself an F2
 bilinear form on keys: with m = `sign_mask`, blade(a) and blade(b)
 anticommute iff popcount(a & m(b)) + popcount(b & m(a)) is odd, in any such
-algebra.  So the candidates that anticommute with a blade are F2-linear in
-its key: `core.commutation_form` gives each key's row of anticommuting
-generators (the center is the keys with an empty row), and the search
-XORs the bit-sliced columns of the candidate keys at that row's bits.  It
-builds a key's row of candidates only when it descends into that key, and
-keeps it for that search alone.  The chain search tests each candidate it
-passes down only against the coset of the span that the newest generator
-added; f itself is multiplied out on keys by the pair loop of the product
-kernel, and only f^2 = f takes a product.
+algebra.  So every blade-sign question is a bit parity on the algebra's n
+generator rows (`generator_rows`, in closed form): a key's row of
+anticommuting generators is the XOR of the rows at its bits
+(`core.linear_row`), all square signs come from one doubling pass, and the
+search XORs the bit-sliced columns of the candidate keys at a row's bits,
+building a key's row of candidates only when it descends into that key.
+The chain search tests each candidate it passes down only against the
+coset of the span that the newest generator added.  f is multiplied out on
+keys in integer numerators, where f^2 = f is checked as N*N = D*N.
 
 Such an f is a stabilizer projector (Gottesman, arXiv:quant-ph/9705052), so
 its ideals follow from the F2 span V of the T-keys (Lounesto, ch. 17).  In
@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 from .core import (QC_I, CliffordAlgebra, Multivector, _from_numerators,
                    _numerators, _pair_sums, as_algebra, as_signature,
-                   clifford, commutation_form)
+                   clifford, linear_row)
 from .rings import RingTag
 
 # Frozen from the brute-force derivation over all signatures with p+q <= 8.
@@ -90,17 +90,31 @@ def _factor_count(alg) -> int:
 # candidate, i-phased exactly when its square is -1.
 
 def square_candidates(alg):
-    return [(k, s == -1) for k in alg.basis[1:]
-            if (s := alg.square_sign(k)) == 1 or alg.field == "C"]
+    """The candidates in canonical order, with square parities from one
+    doubling pass: for k < 2^t, (e_k e_t)^2 is e_k^2 e_t^2, negated when k
+    meets e_t's generator row an odd number of times."""
+    odd = [0]
+    for t, row in enumerate(alg.generator_rows()):
+        s = alg.square_sign(1 << t) < 0
+        odd += [x ^ s ^ (k & row).bit_count() & 1 for k, x in enumerate(odd)]
+    if alg.field == "C":
+        return [(k, odd[k] == 1) for k in alg.basis[1:]]
+    return [(k, False) for k in alg.basis[1:] if not odd[k]]
+
+
+# _BIT_CHARS[t][x] is bit t of the byte x as the character b"0" or b"1":
+# over x = 0..255 it runs 2^t zeros, 2^t ones, and so on
+_BIT_CHARS = [(b"0" * (1 << t) + b"1" * (1 << t)) * (128 >> t) for t in range(8)]
 
 
 def _bit_columns(vals, n):
-    """Bit-slice `vals`, each below 2^n (n >= 1): column t has bit j set iff
-    bit t of vals[j] is, and no values give no columns.  The fixed-width
-    bit strings are transposed, last value first, so that vals[j] lands on
-    bit j of every column."""
-    rows = [format(v, f"0{n}b") for v in reversed(vals)]
-    return [int("".join(col), 2) for col in zip(*rows)][::-1]
+    """Bit-slice `vals`, each below 2^n: column t has bit j set iff bit t of
+    vals[j] is.  Each byte plane, last value first, is translated to the bit
+    string of each of its columns, so vals[j] lands on bit j."""
+    planes = [bytes([v >> s & 255 for v in reversed(vals)])
+              for s in range(0, n, 8)]
+    return [int(planes[t >> 3].translate(_BIT_CHARS[t & 7]) or b"0", 2)
+            for t in range(n)]
 
 
 def _commuting_rows(alg, keys):
@@ -108,19 +122,15 @@ def _commuting_rows(alg, keys):
     time it is asked for and kept as long as `row` is.
 
     The keys that anticommute with blade a are those meeting the generators
-    that anticommute with it (its `commutation_form` row) an odd number of
+    that anticommute with it (its `core.linear_row`) an odd number of
     times: the XOR of the key columns at the bits of that row."""
     cols = _bit_columns(keys, alg.n)
-    anti = commutation_form(alg)
+    gens = alg.generator_rows()
     full = (1 << len(keys)) - 1
 
     @cache
     def row(i):
-        odd, w = 0, anti[keys[i]]
-        while w:
-            odd ^= cols[(w & -w).bit_length() - 1]
-            w &= w - 1
-        return full & ~odd
+        return full & ~linear_row(cols, linear_row(gens, keys[i]))
 
     return row
 
@@ -214,14 +224,15 @@ class Idempotent(NamedTuple):
         return "".join(f"(1/2)(1 + {t})" for t in self.factors)
 
 
-def _factor_product(alg, factors) -> Multivector:
-    """prod (1 + T)/2 over the single-blade coefficient maps T = {key: t}.
+def _factor_product(alg, factors):
+    """(re, im, den): prod (1 + T)/2 = (re + i im)/den on keys, over the
+    single-blade coefficient maps T = {key: t}, with zeros kept.
 
     Multiplied out on keys by the pair loop of the product kernel
     (`core._pair_sums`), one factor at a time, over integer numerators and
-    one denominator: a repeated or dependent key adds its coefficient, and
-    a zero drops.  Unlike k products `f * (1 + T)`, it builds no Fraction
-    until f is done; on atlas-8 that is about 6 % more jobs per second."""
+    one denominator: a repeated or dependent key adds its coefficient.
+    Unlike k products `f * (1 + T)`, it builds no Fraction; on atlas-8 that
+    is about 6 % more jobs per second."""
     unit = alg.unit_key
     re, im, den = {unit: 1}, {unit: 0}, 1
     for t in factors:
@@ -229,20 +240,24 @@ def _factor_product(alg, factors) -> Multivector:
         re, im = _pair_sums(alg, [(k, r, im.get(k, 0)) for k, r in re.items()],
                             [(unit, d, 0), (a, vr, vi)])
         den *= d
-    return _from_numerators(alg, re, im, den << len(factors))
+    return re, im, den << len(factors)
 
 
 def idempotent_from_factors(alg, factors) -> Idempotent:
-    """Build prod (1+T)/2 from single-blade factors T (`_factor_product`),
-    verifying f^2 = f."""
+    """Build f = prod (1+T)/2 from single-blade factors T (`_factor_product`),
+    verifying f^2 = f on its numerators first: f = N/D is a nonzero
+    idempotent iff N != 0 and N*N = D*N, with N*N taken by the pair loop."""
     alg = as_algebra(alg)
     for t in factors:
         if t.alg is not alg or len(t.c) != 1:
             raise ValueError(f"factor {t} is not a single blade of {alg!r}")
-    f = _factor_product(alg, [t.c for t in factors])
-    if (not f) or f * f != f:
+    re, im, den = _factor_product(alg, [t.c for t in factors])
+    n = [(k, r, im.get(k, 0)) for k, r in re.items() if r or im.get(k, 0)]
+    re2, im2 = _pair_sums(alg, n, n)
+    nn = {k: (r, im2.get(k, 0)) for k, r in re2.items() if r or im2.get(k, 0)}
+    if not n or nn != {k: (den * r, den * i) for k, r, i in n}:
         raise ValueError("factors do not yield a nonzero idempotent")
-    return Idempotent(f, tuple(factors))
+    return Idempotent(_from_numerators(alg, re, im, den), tuple(factors))
 
 
 def idempotent_of_candidates(alg, cands) -> Idempotent:
@@ -280,11 +295,13 @@ def _coset_heads(f):
             keys.append(a)
             span |= {a ^ s for s in span}
     ts = [{a: c[a] * (1 << len(keys))} for a in keys]
-    if not (all(alg.keys_commute(a, b) for i, a in enumerate(keys)
+    gens = alg.generator_rows()
+    rows = [linear_row(gens, a) for a in keys]
+    if not (all(not (b & row).bit_count() & 1 for i, row in enumerate(rows)
                 for b in keys[:i])
             and all(t[a] * t[a] * alg.square_sign(a) == 1
                     for t, a in zip(ts, keys))
-            and f == _factor_product(alg, ts)):
+            and f == _from_numerators(alg, *_factor_product(alg, ts))):
         raise ValueError("f is not prod (1 + T_i)/2 of commuting blades T_i")
     heads, seen = [], set()
     for a in alg.basis:
@@ -292,7 +309,7 @@ def _coset_heads(f):
             seen.update(a ^ s for s in span)
             heads.append(a)
     return f, heads, [a for a in heads
-                      if all(alg.keys_commute(a, t) for t in keys)]
+                      if not any((a & row).bit_count() & 1 for row in rows)]
 
 
 def left_ideal_basis(f) -> list:

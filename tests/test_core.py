@@ -7,7 +7,7 @@ from hypothesis import given
 from cliffordkit import (PAPER_CHAINS, QC, Signature, center_basis, clifford,
                          conjugation, even_subalgebra_basis, grade,
                          grade_involution, pseudo_automorphism, reversion,
-                         tensor_algebra, volume_element)
+                         symmetry, tensor_algebra, volume_element)
 from cliffordkit.classify import _central_square_keys
 from cliffordkit.core import CliffordAlgebra, Multivector, grade_flips, grade_map
 from cliffordkit.exactla import Echelon
@@ -193,18 +193,40 @@ def _reference_center_keys(alg):
             if all(alg.keys_commute(k, g) for g in alg.generator_keys())]
 
 
+# the tensor algebras of PAPER_CHAINS, and tensors with odd factors, whose
+# centers are larger than {1}
+TENSORS = [tensor_algebra(fac) for entries in PAPER_CHAINS.values()
+           for fac, _ring in entries]
+TENSORS += [tensor_algebra([(1, 0), (2, 1)]),
+            tensor_algebra([(1, 0), (0, 1), (0, 3)]),
+            tensor_algebra([clifford(1, 1, "C"), (0, 3)])]
+
+
 def test_center_matches_brute_force_scan():
     algs = [clifford(p, q, field) for field in "RC"
-            for p, q in small_signatures(8)]
-    algs += [tensor_algebra(fac) for entries in PAPER_CHAINS.values()
-             for fac, _ring in entries]
-    # tensors with odd factors, whose centers are larger than {1}
-    algs += [tensor_algebra([(1, 0), (2, 1)]),
-             tensor_algebra([(1, 0), (0, 1), (0, 3)]),
-             tensor_algebra([clifford(1, 1, "C"), (0, 3)])]
+            for p, q in small_signatures(8)] + TENSORS
     for alg in algs:
         want = [alg.blade(k).c for k in _reference_center_keys(alg)]
         assert [z.c for z in center_basis(alg)] == want, alg
+
+
+def _reference_generator_rows(alg):
+    """Row t: the generators s with popcount(e_t & m(e_s)) + popcount(e_s &
+    m(e_t)) odd, m = `sign_mask`, which is when e_s e_t = -e_t e_s."""
+    n = alg.n
+    masks = [alg.sign_mask(1 << t) for t in range(n)]
+    return [sum(1 << s for s in range(n) if (masks[t] >> s ^ masks[s] >> t) & 1)
+            for t in range(n)]
+
+
+def test_generator_rows_match_sign_mask():
+    # the closed forms of both classes against the sign masks, everywhere
+    # up to the cap
+    algs = [clifford(p, q, field) for field in "RC"
+            for p, q in small_signatures(12)] + TENSORS
+    assert len(algs) == 182 + len(TENSORS)
+    for alg in algs:
+        assert alg.generator_rows() == _reference_generator_rows(alg), alg
 
 
 def test_central_split_key_matches_brute_force_to_n12():
@@ -313,6 +335,24 @@ def test_qc_admits_only_exact_parts():
         with pytest.raises(AttributeError, match="^QC is immutable$"):
             setattr(q, name, Fraction(3))
     assert (q.re, q.im) == (1, 2)
+
+
+def test_qc_and_symmetries_refuse_deletion():
+    # deleting a slot would leave an object that can no longer print or act
+    q = QC(1, 2)
+    for name in ("re", "im"):
+        with pytest.raises(AttributeError, match="^QC is immutable$"):
+            delattr(q, name)
+    assert (str(q), q * q) == ("1+2i", QC(-3, 4))
+    cpt = symmetry("CPT")
+    for name in ("label", "flips"):
+        with pytest.raises(AttributeError,
+                           match=f"^cannot delete field '{name}'$"):
+            delattr(cpt, name)
+    alg = clifford(1, 1, "C")
+    x = alg.blade(0b01, QC(1, 2))
+    assert repr(cpt).startswith("DiscreteSymmetry(label='CPT'")
+    assert cpt(x) == alg.blade(0b01, QC(-1, 2))
 
 
 @pytest.mark.parametrize("v", [QC(0, 1), QC(1, 0), QC(0, Fraction(-3, 2)),

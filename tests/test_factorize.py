@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -393,9 +394,26 @@ def single_blade_images(draw):
     return alg, [alg.blade(k, draw(st.sampled_from(coeffs))) for k in keys]
 
 
+# keys of Cl(6,6) that share their leading bits, so that a dependency
+# among them shows only after several eliminations
+DEEP = (0b100000000001, 0b110000000010, 0b111000000100, 0b111100001000)
+
+
+def _shuffled_images(keys, seed):
+    alg = clifford(6, 6)
+    keys = list(keys)
+    random.Random(seed).shuffle(keys)
+    return alg, [alg.blade(k) for k in keys]
+
+
 @settings(max_examples=300, deadline=None)
 @given(single_blade_images())
 @example((clifford(0, 0), []))
+@example(_shuffled_images(DEEP[:3] + (DEEP[0] ^ DEEP[1] ^ DEEP[2],), 1))
+@example(_shuffled_images(DEEP[:3] + (DEEP[0] ^ DEEP[1] ^ DEEP[2],), 2))
+@example(_shuffled_images(DEEP + (DEEP[0] ^ DEEP[1] ^ DEEP[2] ^ DEEP[3],), 3))
+@example(_shuffled_images(DEEP + (DEEP[0] ^ DEEP[2] ^ DEEP[3],), 4))
+@example(_shuffled_images(DEEP + (DEEP[0] ^ DEEP[2] ^ DEEP[3] ^ 1 << 4,), 5))
 def test_require_span_raises_iff_subset_products_miss_keys(drawn):
     alg, images = drawn
     if _subset_product_key_count(alg.one(), images) == 1 << len(images):

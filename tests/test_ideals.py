@@ -157,7 +157,8 @@ def test_adjacency_matches_reference_rows():
 
 def test_commuting_rows_sample_at_the_cap():
     # 64 seeded candidate rows of Cl(6,6) and C(x)Cl(6,6), where a full
-    # table would hold 2^11 or 2^12 rows, against pairwise keys_commute
+    # table would hold 2^11 or 2^12 rows, against pairwise keys_commute;
+    # the columns of keys past 2^8 come from two byte planes
     rng = random.Random(6)
     for field in "RC":
         alg = clifford(6, 6, field)
@@ -166,6 +167,33 @@ def test_commuting_rows_sample_at_the_cap():
         for i in rng.sample(range(len(keys)), 64):
             assert row(i) == sum(1 << j for j, k in enumerate(keys)
                                  if alg.keys_commute(keys[i], k)), (alg, i)
+        assert _bit_columns(keys, alg.n) == [
+            sum(1 << j for j, k in enumerate(keys) if k >> t & 1)
+            for t in range(alg.n)], alg
+    assert _bit_columns([], 12) == [0] * 12
+
+
+def test_square_parities_match_square_sign():
+    # the candidates read off one doubling pass against square_sign on
+    # every key to p+q = 8 (over C every non-unit key is a candidate, its
+    # phase the parity), and on 64 seeded keys of each algebra at p+q = 12
+    algs = [clifford(p, q, field) for field in "RC"
+            for p, q in small_signatures(8)] + REAL_TENSORS
+    algs.append(tensor_algebra([clifford(1, 0, "C"), clifford(0, 2, "C")]))
+    for alg in algs:
+        assert square_candidates(alg) == \
+            _reference_candidates(alg, alg.field == "C"), alg
+    rng = random.Random(12)
+    for field in "RC":
+        for p in range(13):
+            alg = clifford(p, 12 - p, field)
+            cands = dict(square_candidates(alg))
+            for k in rng.sample(alg.basis[1:], 64):
+                s = alg.square_sign(k)
+                if field == "C":
+                    assert cands[k] == (s == -1), (alg, k)
+                else:
+                    assert (k in cands) == (s == 1), (alg, k)
 
 
 # The canonical factors of C(x)Cl(p,q) for p+q in {11, 12}: the keys e1,
@@ -500,6 +528,22 @@ def test_key_built_idempotent_adds_repeated_and_dependent_keys():
                 for y in blades[:8]:
                     built += _same_build(alg, [x, y, x])
     assert built > 50, built
+
+
+def test_non_idempotent_factors_are_rejected():
+    # f = prod (1 + T)/2 is multiplied out, but f^2 = f fails (anticommuting
+    # or -1-square T) or f is 0 (T and -T), over R and over C
+    for field in "RC":
+        a20, a01 = clifford(2, 0, field), clifford(0, 1, field)
+        e1 = a20.gen(1)
+        for alg, factors in ((a20, [e1, a20.gen(2)]), (a20, [e1, -e1]),
+                             (a20, [a20.blade(0b11)]), (a01, [a01.gen(1)])):
+            with pytest.raises(ValueError, match="^factors do not yield a "
+                               "nonzero idempotent$"):
+                idempotent_from_factors(alg, factors)
+    c10 = clifford(1, 0, "C")
+    with pytest.raises(ValueError, match="nonzero idempotent"):
+        idempotent_from_factors(c10, [c10.blade(0b1, QC_I)])
 
 
 def test_multi_term_factor_is_rejected():
