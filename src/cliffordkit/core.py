@@ -694,9 +694,9 @@ def f2_insert(lead: dict, v: int) -> int:
 
 def center_keys(alg):
     """Keys of the central blades, in canonical order: the F2 kernel of the
-    generator rows.  Each row t, above its own bit t, is reduced by the
-    earlier ones; where the row part cancels, the bits below give a basis
-    vector of the kernel."""
+    generator rows.  Each row t, shifted above a tag bit t, is reduced by
+    the earlier ones; where the row part cancels, the tag bits left give a
+    basis vector of the kernel."""
     n, lead, kernel = alg.n, {}, [0]
     for t, row in enumerate(alg.generator_rows()):
         v = f2_insert(lead, row << n | 1 << t)
