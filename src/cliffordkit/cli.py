@@ -120,17 +120,13 @@ def cmd_idempotent(args):
     lines = [f"f_{sig.p},{sig.q} = {f}",
              f"  = {f.element}",
              f"ideal dimension: {dimension}"]
-    paper = _paper_form(sig)
+    paper = paper_idempotents().get(f"f{sig.p}{sig.q}")
     if paper is not None:
         payload["paper_form"] = {"factors": [str(t) for t in paper.factors],
                                  "display": str(paper)}
         lines.append(f"printed form: {paper}")
     _emit(args, payload, lines)
     return EXIT_OK
-
-
-def _paper_form(sig):
-    return paper_idempotents().get(f"f{sig.p}{sig.q}")
 
 
 def cmd_factorize(args):

@@ -18,7 +18,8 @@ other's row of anticommuting generators (`core.linear_row`) an odd number
 of times, and they span when the n image keys are F2-independent, so that
 the 2^n subset products hit 2^n distinct basis keys, which elimination on
 the leading bit decides.  The even subalgebra witness goes through the
-same check.
+same check.  The split lambda+- = (1 +- T)/2 of an odd signature, T = omega
+or i*omega, is built and checked by the f^2 = f check of `ideals`.
 
 `karoubi_factorize` peels factors greedily - (2,0) while p >= 2, else (1,1),
 else (0,2) - flipping the remaining signature after each negative factor
@@ -32,9 +33,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import (MAX_N, BladeAlgebra, CliffordAlgebra, Multivector,
+from .core import (MAX_N, QC_I, BladeAlgebra, CliffordAlgebra, Multivector,
                    Signature, as_algebra, as_signature, blade_name, clifford,
                    f2_insert, grade, linear_row)
+from .ideals import idempotent_from_factors
 from .rings import StateRingTag, ring_transition
 
 FACTOR_RINGS = {Signature(2, 0): StateRingTag("R"),
@@ -298,21 +300,13 @@ def split_semisimple(sig) -> SemisimpleSplit:
     if sig.n % 2 == 0:
         raise ValueError("split_semisimple requires odd p+q")
     real = clifford(sig.p, sig.q)
-    w2 = real.square_sign(real.volume_key)
-    if w2 == 1:
-        alg = real
-        omega = alg.blade(alg.volume_key)
-        complexified = False
-    else:
-        alg = clifford(sig.p, sig.q, "C")
-        omega = alg.i() * alg.blade(alg.volume_key)
-        complexified = True
-    half = alg.scalar(1) / 2
-    lp = (alg.one() + omega) * half
-    lm = alg.one() - lp  # (1 - omega) / 2
-    # lm^2 = lm and lp lm = 0 follow from lp^2 = lp as ring identities
-    if lp * lp != lp:
-        raise IsoError("lambda+- are not orthogonal idempotents")
+    complexified = real.square_sign(real.volume_key) == -1
+    alg = clifford(sig.p, sig.q, "C") if complexified else real
+    # T = omega, or i*omega when omega^2 = -1; lambda+- = (1 +- T)/2, each
+    # checked idempotent, so T^2 = 1 and lambda+ lambda- = (1 - T^2)/4 = 0
+    key, c = real.volume_key, QC_I if complexified else 1
+    lp, lm = (idempotent_from_factors(alg, [alg.blade(key, s)]).element
+              for s in (c, -c))
     if sig.p >= 1:
         factor = Signature(sig.q, sig.p - 1)
     else:

@@ -21,7 +21,9 @@ search XORs the bit-sliced columns of the candidate keys at a row's bits,
 building a key's row of candidates only when it descends into that key.
 The chain search tests each candidate it passes down only against the
 coset of the span that the newest generator added.  f is multiplied out on
-keys in integer numerators, where f^2 = f is checked as N*N = D*N.
+keys in integer numerators, where `_is_idempotent` checks f^2 = f as
+N*N = D*N: the one such check, which `is_primitive` and the lambda+- split
+of `factorize` run too.
 
 Such an f is a stabilizer projector (Gottesman, arXiv:quant-ph/9705052), so
 its ideals follow from the F2 span V of the T-keys (Lounesto, ch. 17).  In
@@ -243,19 +245,26 @@ def _factor_product(alg, factors):
     return re, im, den << len(factors)
 
 
+def _is_idempotent(alg, den, terms) -> bool:
+    """The one f^2 = f check: f = N/den, N the (key, re, im) `terms` of
+    `core._numerators`, is a nonzero idempotent iff N != 0 and N*N = den*N,
+    with N*N taken by the pair loop of the product kernel."""
+    n = [(k, r, i) for k, r, i in terms if r or i]
+    re, im = _pair_sums(alg, n, n)
+    nn = {k: (r, im.get(k, 0)) for k, r in re.items() if r or im.get(k, 0)}
+    return bool(n) and nn == {k: (den * r, den * i) for k, r, i in n}
+
+
 def idempotent_from_factors(alg, factors) -> Idempotent:
     """Build f = prod (1+T)/2 from single-blade factors T (`_factor_product`),
-    verifying f^2 = f on its numerators first: f = N/D is a nonzero
-    idempotent iff N != 0 and N*N = D*N, with N*N taken by the pair loop."""
+    verifying f^2 = f on its numerators first (`_is_idempotent`)."""
     alg = as_algebra(alg)
     for t in factors:
         if t.alg is not alg or len(t.c) != 1:
             raise ValueError(f"factor {t} is not a single blade of {alg!r}")
     re, im, den = _factor_product(alg, [t.c for t in factors])
-    n = [(k, r, im.get(k, 0)) for k, r in re.items() if r or im.get(k, 0)]
-    re2, im2 = _pair_sums(alg, n, n)
-    nn = {k: (r, im2.get(k, 0)) for k, r in re2.items() if r or im2.get(k, 0)}
-    if not n or nn != {k: (den * r, den * i) for k, r, i in n}:
+    if not _is_idempotent(alg, den,
+                          [(k, r, im.get(k, 0)) for k, r in re.items()]):
         raise ValueError("factors do not yield a nonzero idempotent")
     return Idempotent(_from_numerators(alg, re, im, den), tuple(factors))
 
@@ -362,7 +371,7 @@ def is_primitive(f) -> bool:
     if not isinstance(f.alg, CliffordAlgebra):
         raise TypeError(f"is_primitive needs a Clifford algebra, not {f.alg!r}")
     fe = f.element if isinstance(f, Idempotent) else f
-    if not fe or fe * fe != fe:
+    if not _is_idempotent(fe.alg, *_numerators(fe.alg, fe.c)):
         return False
     try:
         heads, _tag = _heads_and_tag(fe)

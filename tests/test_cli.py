@@ -13,8 +13,10 @@ from hypothesis import event, example, given, settings
 
 from cliffordkit import cli, ideals
 from cliffordkit.cli import main
+from cliffordkit.core import Multivector
 from cliffordkit.factorize import IsoError
 from cliffordkit.ideals import OracleFailure, SearchError
+from conftest import small_signatures
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -209,6 +211,26 @@ def test_atlas_entry_verifies_f_once(monkeypatch):
         assert len(calls) == 1, (p, q)
 
 
+def test_atlas_and_is_primitive_form_no_products(monkeypatch):
+    # every f*f = f check, the lambda+- split's included, runs on integer
+    # numerators; no atlas entry and no primitivity test multiplies
+    fs = [ideals.primitive_idempotent((p, q), field)
+          for field in "RC" for p, q in small_signatures(8)]
+    honest = Multivector.__mul__
+    calls = []
+
+    def counted(a, b):
+        calls.append(b)
+        return honest(a, b)
+
+    monkeypatch.setattr(Multivector, "__mul__", counted)
+    for p, q in small_signatures(12):
+        cli._atlas_entry(p, q)
+    assert calls == []
+    assert all(ideals.is_primitive(f) for f in fs)
+    assert calls == []
+
+
 # SHA-256 of the stdout of `cliffordkit atlas --max-n N --out -`, recorded
 # while f*Cl*f and Cl*f were still spanned by product-and-echelon (N = 12:
 # recorded while f was still built as the product of its (1 + T_i)/2)
@@ -262,6 +284,33 @@ def test_iso_check_stdout_digest(capsys, args, fmt):
     code, out = run(capsys, "iso-check", *args.split(), "--format", fmt)
     assert code == 0
     want = ISO_CHECK_DIGESTS[args, fmt]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+# SHA-256 of the stdout of `cliffordkit factorize P Q [--format F]` on odd
+# signatures, recorded while lambda+- were still built by Fraction scaling
+# and checked by a Multivector product
+FACTORIZE_DIGESTS = {
+    ("1 0", "json"):
+        "5ee25072b1254d6bf3f878c784569fadf1ffd64dfaa459854828f02993f5fc2a",
+    ("0 1", "json"):
+        "9c3b62d985dd756cb5d29c2ce185ce15000c726116210fa8dbd3a9e0614f6cfa",
+    ("3 0", "json"):
+        "4c572d5cef2d3b6f61610e5314cd65746abd7371b62bc418a77498ed420f3cb4",
+    ("4 1", "json"):
+        "6f4eefe7abf702ec6147bbd64e4cda55becb4e35e3a14901f3c5ffd330c1665c",
+    ("0 11", "json"):
+        "82f8496abd6e40b6906b24def0858287689ac645a1350fa0649143e499cbefbd",
+    ("3 0", "table"):
+        "ba27aea32fc23113e0b13c9985033d6b4163402addb0fc35f481088b1c2c7238",
+}
+
+
+@pytest.mark.parametrize("sig, fmt", sorted(FACTORIZE_DIGESTS))
+def test_factorize_stdout_digest(capsys, sig, fmt):
+    code, out = run(capsys, "factorize", *sig.split(), "--format", fmt)
+    assert code == 0
+    want = FACTORIZE_DIGESTS[sig, fmt]
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 

@@ -148,6 +148,8 @@ def test_witnesses_form_no_products(monkeypatch):
     karoubi_factorize((5, 3))
     even_subalgebra_iso((2, 4))
     complex_doubling_iso((4, 1))
+    assert not split_semisimple((0, 3)).complexified  # omega^2 = +1
+    assert split_semisimple((3, 0)).complexified  # omega^2 = -1
     assert calls == []
 
 
@@ -192,11 +194,18 @@ def test_split_semisimple_cl10():
 
 
 def test_split_semisimple_anti_commutator_zero_everywhere():
-    for p, q in small_signatures(5):
+    for p, q in small_signatures(12):
         if (p + q) % 2 == 1:
             s = split_semisimple((p, q))
-            assert not (s.lambda_plus * s.lambda_minus)
             alg = s.lambda_plus.alg
+            # reference: (1 +- T)/2 by Fraction scaling, T = omega or i*omega
+            omega = alg.blade(alg.volume_key)
+            t = alg.i() * omega if s.complexified else omega
+            half = alg.scalar(Fraction(1, 2))
+            assert s.lambda_plus == (alg.one() + t) * half
+            assert s.lambda_minus == (alg.one() - t) * half
+            assert s.lambda_plus * s.lambda_plus == s.lambda_plus
+            assert not (s.lambda_plus * s.lambda_minus)
             assert all(s.lambda_plus * g == g * s.lambda_plus
                        for g in alg.gens())  # central projectors
             # factor ring doubles back to the full classification when real
