@@ -11,15 +11,15 @@ factorization theorem live entirely in the witness generators
 
 which anticommute pairwise because each preceding volume element w_l of an
 even factor anticommutes with that factor's generators.  A factor chain is
-accepted only after its witness is verified exactly, and every relation is
-read off the image keys with no product formed: each image c*e_A squares
-to c^2 * square_sign(A), two images anticommute when one key meets the
-other's row of anticommuting generators (`core.linear_row`) an odd number
-of times, and they span when the n image keys are F2-independent, so that
-the 2^n subset products hit 2^n distinct basis keys, which elimination on
-the leading bit decides.  The even subalgebra witness goes through the
-same check.  The split lambda+- = (1 +- T)/2 of an odd signature, T = omega
-or i*omega, is built and checked by the f^2 = f check of `ideals`.
+accepted only after its witness is verified exactly on the keys of its
+unit images e_A, with no product formed: each key's square sign is read
+once, two images anticommute when one key meets the other's row of
+anticommuting generators (`core.linear_row`) an odd number of times, and
+they span when the n keys are F2-independent, so that the 2^n subset
+products hit 2^n distinct basis keys, which elimination on the leading bit
+decides.  The even subalgebra and doubling witnesses go through the same
+check.  The split lambda+- = (1 +- T)/2 of an odd signature, T = omega or
+i*omega, is built and checked by the f^2 = f check of `ideals`.
 
 `karoubi_factorize` peels factors greedily - (2,0) while p >= 2, else (1,1),
 else (0,2) - flipping the remaining signature after each negative factor
@@ -154,17 +154,6 @@ def _image_keys(ta, twist_left: bool):
     return keys
 
 
-def _sort_by_square(ta, keys, target):
-    plus, minus = [], []
-    for k in keys:  # a blade squares to +1 or -1
-        (plus if ta.square_sign(k) == 1 else minus).append(k)
-    if len(plus) != target.p or len(minus) != target.q:
-        raise IsoError(
-            f"square multiset mismatch: got {len(plus)} plus / {len(minus)} "
-            f"minus, target {target} needs {target.p}/{target.q}")
-    return plus + minus
-
-
 def verify_tensor_iso(target, factors) -> TensorWitness:
     """Construct and verify Cl(target) ~ factor_1 (x) ... (x) factor_m.
 
@@ -177,20 +166,18 @@ def verify_tensor_iso(target, factors) -> TensorWitness:
     if sum(s.n for s in sigs) != target.n:
         raise IsoError(f"dimension mismatch: {target} vs {sigs}")
     ta = tensor_algebra(sigs)
-    keys = None
     errors = []
     for twist_left in (True, False):
         try:
-            keys = _sort_by_square(ta, _image_keys(ta, twist_left), target)
-            break
+            keys = _require_generators(
+                ta, _image_keys(ta, twist_left), target,
+                "images do not generate the full tensor algebra")
         except IsoError as e:
             errors.append(e.reason)
-    if keys is None:
-        raise IsoError("; ".join(errors))
-    images = tuple(ta.blade(k) for k in keys)
-    _require_generators(ta, images, target,
-                        "images do not generate the full tensor algebra")
-    return TensorWitness(target, tuple(sigs), ta, images)
+            continue
+        return TensorWitness(target, tuple(sigs), ta,
+                             tuple(ta.blade(k) for k in keys))
+    raise IsoError("; ".join(errors))
 
 
 class FactorChain(NamedTuple):
@@ -307,11 +294,12 @@ def split_semisimple(sig) -> SemisimpleSplit:
     key, c = real.volume_key, QC_I if complexified else 1
     lp, lm = (idempotent_from_factors(alg, [alg.blade(key, s)]).element
               for s in (c, -c))
-    if sig.p >= 1:
-        factor = Signature(sig.q, sig.p - 1)
-    else:
-        factor = Signature(0, sig.q - 1)
-    return SemisimpleSplit(sig, lp, lm, factor, complexified)
+    return SemisimpleSplit(sig, lp, lm, _even_part(sig), complexified)
+
+
+def _even_part(sig):
+    """Cl(q,p-1), or Cl(0,q-1) for p = 0: Cl+(p,q) and an odd split's half."""
+    return Signature(sig.q, sig.p - 1) if sig.p else Signature(0, sig.q - 1)
 
 
 class EvenIsoWitness(NamedTuple):
@@ -333,21 +321,23 @@ def even_subalgebra_iso(sig) -> EvenIsoWitness:
     if sig.n < 1:
         raise ValueError("even_subalgebra_iso requires p+q >= 1")
     alg = clifford(sig.p, sig.q)
+    images = tuple(alg.blade(k) for k in _even_keys(alg, sig))
+    return EvenIsoWitness(sig, _even_part(sig), images)
+
+
+def _even_keys(alg, sig):
+    """The checked image keys of `even_subalgebra_iso`."""
     gens = alg.generator_keys()
-    if sig.p:
-        target = Signature(sig.q, sig.p - 1)
-        # e_1 e_j is the blade e_1j itself, as 1 < j
-        images = [alg.blade(1 | g) for g in gens[sig.p:] + gens[1:sig.p]]
-    else:
-        target = Signature(0, sig.q - 1)
-        # e_j e_q is the blade e_jq itself, as j < q
-        images = [alg.blade(g | gens[-1]) for g in gens[:-1]]
-    for i, img in enumerate(images):
-        if grade(_term(img)[0]) % 2:
+    if sig.p:  # e_1 e_j is the blade e_1j itself, as 1 < j
+        keys = [1 | g for g in gens[sig.p:] + gens[1:sig.p]]
+    else:  # e_j e_q is the blade e_jq itself, as j < q
+        keys = [g | gens[-1] for g in gens[:-1]]
+    for i, k in enumerate(keys):
+        if grade(k) % 2:
             raise IsoError(f"image {i + 1} is not even")
-    _require_generators(alg, images, target,
-                        "generator images do not span the expected subalgebra")
-    return EvenIsoWitness(sig, target, tuple(images))
+    return _require_generators(
+        alg, keys, _even_part(sig),
+        "generator images do not span the expected subalgebra")
 
 
 class DoublingWitness(NamedTuple):
@@ -367,52 +357,50 @@ def complex_doubling_iso(sig) -> DoublingWitness:
     alg = clifford(sig.p, sig.q)
     if sig.n % 2 == 0 or alg.square_sign(alg.volume_key) != -1:
         raise IsoError(f"{sig}: need odd p+q with omega^2 = -1")
-    omega = alg.blade(alg.volume_key)
-    ev = even_subalgebra_iso(sig)
-    images = ev.images
-    if not all(alg.keys_commute(_term(img)[0], alg.volume_key)
-               for img in images):
+    keys = _even_keys(alg, sig)
+    if not all(alg.keys_commute(k, alg.volume_key) for k in keys):
         raise IsoError("omega is not central")  # cannot happen
     # span over R: even-part products times {1, omega} must fill 2^n keys
-    _require_span(images + (omega,),
+    _require_span(keys + [alg.volume_key],
                   "doubling images do not span the algebra")
-    return DoublingWitness(sig, ev.target, images, omega)
+    return DoublingWitness(sig, _even_part(sig),
+                           tuple(alg.blade(k) for k in keys),
+                           alg.blade(alg.volume_key))
 
 
-def _term(img):
-    """(key, coefficient) of a single-blade image."""
-    (term,) = img.c.items()
-    return term
-
-
-def _require_generators(alg, images, target, reason):
-    """Raise IsoError unless the single-blade `images` c*e_A satisfy the
-    generator relations of Cl(target), read off their keys: the first p
-    square to +1 and the rest to -1 (c^2 * square_sign(A)), every pair
-    anticommutes (a parity on the `linear_row` of one key), and the keys
-    are F2-independent (else `reason`)."""
-    if len(images) != target.n:
+def _require_generators(alg, keys, target, reason):
+    """`keys`, +1-squares first, each kind in its order, once their unit
+    blades satisfy the relations of Cl(target), else IsoError: p square to
+    +1, q to -1 (one `square_sign` per key), each pair anticommutes (a
+    parity on one key's `linear_row`), and they are F2-independent (else
+    `reason`)."""
+    if len(keys) != target.n:
         raise IsoError("wrong number of generator images")
-    terms = [_term(img) for img in images]
-    for i, (key, c) in enumerate(terms):
-        if c * c * alg.square_sign(key) != (1 if i < target.p else -1):
-            raise IsoError(f"image {i + 1} squares to the wrong sign for {target}")
+    plus, minus = [], []
+    for k in keys:
+        (plus if alg.square_sign(k) == 1 else minus).append(k)
+    if len(plus) != target.p:
+        raise IsoError(
+            f"square multiset mismatch: got {len(plus)} plus / {len(minus)} "
+            f"minus, target {target} needs {target.p}/{target.q}")
+    keys = plus + minus
     gens = alg.generator_rows()
-    for i, (key, _c) in enumerate(terms):
+    for i, key in enumerate(keys):
         row = linear_row(gens, key)
-        for j in range(i + 1, len(terms)):
-            if not (terms[j][0] & row).bit_count() & 1:
+        for j in range(i + 1, len(keys)):
+            if not (keys[j] & row).bit_count() & 1:
                 raise IsoError(f"images {i + 1} and {j + 1} do not anticommute")
-    _require_span(images, reason)
+    _require_span(keys, reason)
+    return keys
 
 
-def _require_span(images, reason):
-    """Raise IsoError(reason) unless the keys of the single-blade `images`
-    are F2-independent, so that their subset products hit distinct basis
-    keys: elimination on the leading bit (`f2_insert`)."""
+def _require_span(keys, reason):
+    """Raise IsoError(reason) unless `keys` are F2-independent, so that the
+    subset products of their blades hit distinct basis keys: elimination on
+    the leading bit (`f2_insert`)."""
     lead = {}
-    for img in images:
-        if not f2_insert(lead, _term(img)[0]):
+    for k in keys:
+        if not f2_insert(lead, k):
             raise IsoError(reason)
 
 

@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 
 from cliffordkit import (IsoError, PAPER_CHAINS, RingTag, StateRingTag,
                          classify, clifford, complex_doubling_iso, complexify,
                          division_ring_of, even_subalgebra_iso,
                          karoubi_factorize, ring_transition, split_semisimple,
                          tensor_algebra, verify_tensor_iso)
-from cliffordkit.core import QC_I, Multivector, Signature
-from cliffordkit.factorize import (_require_generators, _require_span,
+from cliffordkit.core import Multivector, Signature
+from cliffordkit.factorize import (TensorAlgebra, _image_keys,
+                                   _require_generators, _require_span,
                                    karoubi_factor_signatures)
 from cliffordkit.rings import PRINTED_TRANSITIONS
 from conftest import check_record, small_signatures
@@ -122,21 +123,32 @@ def test_doubling_omega_commutes_with_images():
 
 def test_require_generators_reasons():
     alg = clifford(2, 1)
-    e1, e2, e3 = alg.gens()
+    e1, e2, e3 = alg.generator_keys()
     target = Signature(2, 1)
-    _require_generators(alg, [e1, e2, e3], target, "dependent")
-    _require_generators(alg, [e1, -e2, e3], target, "dependent")
-    c = clifford(1, 2, "C")  # i e2 squares to +1 there
-    _require_generators(c, [c.gen(1), c.blade(0b010, QC_I), c.gen(3)],
-                        target, "dependent")
-    cases = [([e1, e3, e2], "image 2 squares to the wrong sign for Cl(2,1)"),
-             ([e1, e2 * e3, e3], "images 1 and 2 do not anticommute"),
-             ([e1, e2, e1 * e2], "dependent"),
+    assert _require_generators(alg, [e1, e2, e3], target, "dependent") == \
+        [e1, e2, e3]
+    # the +1-squares come first, each kind in the order given
+    assert _require_generators(alg, [e3, e2, e1], target, "dependent") == \
+        [e2, e1, e3]
+    cases = [([e1, e3, e1 | e2], "square multiset mismatch: got 1 plus / "
+              "2 minus, target Cl(2,1) needs 2/1"),
+             ([e1, e2 | e3, e3], "images 1 and 2 do not anticommute"),
+             ([e1, e2, e1 | e2], "dependent"),
              ([e1, e2], "wrong number of generator images")]
-    for images, reason in cases:
+    for keys, reason in cases:
         with pytest.raises(IsoError) as ei:
-            _require_generators(alg, images, target, "dependent")
-        assert ei.value.reason == reason, images
+            _require_generators(alg, keys, target, "dependent")
+        assert ei.value.reason == reason, keys
+
+
+def test_witness_reads_each_square_once(monkeypatch):
+    calls = []
+    square_sign = TensorAlgebra.square_sign
+    monkeypatch.setattr(TensorAlgebra, "square_sign",
+                        lambda ta, a: calls.append(a) or square_sign(ta, a))
+    w = karoubi_factorize((4, 4)).witness
+    assert sorted(calls) == sorted(k for img in w.images for k in img.c)
+    assert len(calls) == 8
 
 
 def test_witnesses_form_no_products(monkeypatch):
@@ -383,13 +395,10 @@ SPAN_ALGEBRAS = [clifford(0, 0), clifford(2, 1), clifford(3, 3),
 
 
 @st.composite
-def single_blade_images(draw):
-    """Up to n + 1 signed single-blade images; a drawn key is often the F2
-    sum of earlier ones (or the unit key), so dependent lists are common."""
+def span_keys(draw):
+    """Up to n + 1 keys; a drawn key is often the F2 sum of earlier ones
+    (or the unit key), so dependent lists are common."""
     alg = draw(st.sampled_from(SPAN_ALGEBRAS))
-    coeffs = [1, -1, 2, Fraction(-1, 3)]
-    if alg.field == "C":
-        coeffs += [QC_I, -QC_I]
     keys = []
     for _ in range(draw(st.integers(0, alg.n + 1))):
         if keys and draw(st.booleans()):
@@ -400,7 +409,7 @@ def single_blade_images(draw):
         else:
             key = draw(st.sampled_from(alg.basis))
         keys.append(key)
-    return alg, [alg.blade(k, draw(st.sampled_from(coeffs))) for k in keys]
+    return alg, keys
 
 
 # keys of Cl(6,6) that share their leading bits, so that a dependency
@@ -408,25 +417,88 @@ def single_blade_images(draw):
 DEEP = (0b100000000001, 0b110000000010, 0b111000000100, 0b111100001000)
 
 
-def _shuffled_images(keys, seed):
-    alg = clifford(6, 6)
+def _shuffled_keys(keys, seed):
     keys = list(keys)
     random.Random(seed).shuffle(keys)
-    return alg, [alg.blade(k) for k in keys]
+    return clifford(6, 6), keys
 
 
 @settings(max_examples=300, deadline=None)
-@given(single_blade_images())
+@given(span_keys())
 @example((clifford(0, 0), []))
-@example(_shuffled_images(DEEP[:3] + (DEEP[0] ^ DEEP[1] ^ DEEP[2],), 1))
-@example(_shuffled_images(DEEP[:3] + (DEEP[0] ^ DEEP[1] ^ DEEP[2],), 2))
-@example(_shuffled_images(DEEP + (DEEP[0] ^ DEEP[1] ^ DEEP[2] ^ DEEP[3],), 3))
-@example(_shuffled_images(DEEP + (DEEP[0] ^ DEEP[2] ^ DEEP[3],), 4))
-@example(_shuffled_images(DEEP + (DEEP[0] ^ DEEP[2] ^ DEEP[3] ^ 1 << 4,), 5))
+@example(_shuffled_keys(DEEP[:3] + (DEEP[0] ^ DEEP[1] ^ DEEP[2],), 1))
+@example(_shuffled_keys(DEEP[:3] + (DEEP[0] ^ DEEP[1] ^ DEEP[2],), 2))
+@example(_shuffled_keys(DEEP + (DEEP[0] ^ DEEP[1] ^ DEEP[2] ^ DEEP[3],), 3))
+@example(_shuffled_keys(DEEP + (DEEP[0] ^ DEEP[2] ^ DEEP[3],), 4))
+@example(_shuffled_keys(DEEP + (DEEP[0] ^ DEEP[2] ^ DEEP[3] ^ 1 << 4,), 5))
 def test_require_span_raises_iff_subset_products_miss_keys(drawn):
-    alg, images = drawn
-    if _subset_product_key_count(alg.one(), images) == 1 << len(images):
-        _require_span(images, "dependent")
+    alg, keys = drawn
+    images = [alg.blade(k) for k in keys]
+    if _subset_product_key_count(alg.one(), images) == 1 << len(keys):
+        _require_span(keys, "dependent")
     else:
         with pytest.raises(IsoError, match="dependent"):
-            _require_span(images, "dependent")
+            _require_span(keys, "dependent")
+
+
+GENERATOR_ALGEBRAS = ([clifford(p, q) for p, q in small_signatures(5)]
+                      + [tensor_algebra([(1, 1), (0, 2)])])
+
+
+@st.composite
+def generator_key_lists(draw):
+    """An algebra, candidate image keys and a target: mostly a shuffled run
+    of pairwise anticommuting keys (the generators, or the left-twisted
+    witness keys of the tensor algebra), some swapped for any key or the F2
+    sum of earlier ones; the target's count and plus squares are often
+    those of the keys."""
+    alg = draw(st.sampled_from(GENERATOR_ALGEBRAS))
+    base = draw(st.permutations(_image_keys(alg, True)
+                                if isinstance(alg, TensorAlgebra)
+                                else alg.generator_keys()))
+    keys = []
+    for key in base[:draw(st.integers(0, len(base)))]:
+        how = draw(st.sampled_from(["keep", "keep", "any", "sum"]))
+        if how == "any":
+            key = draw(st.sampled_from(alg.basis))
+        elif how == "sum":
+            key = alg.unit_key
+            for k in keys:
+                if draw(st.booleans()):
+                    key ^= k
+        keys.append(key)
+    if draw(st.booleans()):
+        keys.append(draw(st.sampled_from(alg.basis)))
+    n = max(0, len(keys) + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    plus = sum(alg.blade(k) * alg.blade(k) == alg.one() for k in keys)
+    p = draw(st.sampled_from([min(plus, n), draw(st.integers(0, n))]))
+    return alg, keys, Signature(p, n - p)
+
+
+def _generators_by_products(alg, keys, target):
+    """The reference check: the count, the squares and the pairwise
+    anticommutation by products, the span by distinct subset-product keys."""
+    if len(keys) != target.n:
+        return False
+    one, images = alg.one(), [alg.blade(k) for k in keys]
+    if sum(img * img == one for img in images) != target.p:
+        return False
+    if any(a * b != -(b * a) for i, a in enumerate(images)
+           for b in images[i + 1:]):
+        return False
+    return _subset_product_key_count(one, images) == 1 << len(keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_key_lists())
+def test_require_generators_accepts_iff_products_do(drawn):
+    alg, keys, target = drawn
+    if _generators_by_products(alg, keys, target):
+        event("accepted")
+        squares = [alg.blade(k) * alg.blade(k) == alg.one() for k in keys]
+        want = ([k for k, sq in zip(keys, squares) if sq]
+                + [k for k, sq in zip(keys, squares) if not sq])
+        assert _require_generators(alg, keys, target, "dependent") == want
+    else:
+        with pytest.raises(IsoError):
+            _require_generators(alg, keys, target, "dependent")
