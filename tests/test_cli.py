@@ -334,6 +334,34 @@ def test_factorize_stdout_digest(capsys, sig, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+# SHA-256 of the stdout of `cliffordkit idempotent P Q [--format F]`,
+# recorded while the search still stopped at the Radon-Hurwitz factor count
+IDEMPOTENT_DIGESTS = {
+    ("6 6", "json"):
+        "ca86b618349d519bd321c0861d01f55099ec32260077564615bf29fb26c9c5ac",
+    ("0 12", "json"):
+        "3c51da0b5d244d47e308866d53bc9d2169567b1d4e1568c9036d54ee402e9447",
+    ("12 0", "json"):
+        "c1cc7fcc341b2ed82b6fe743c2a895ac63b4444305340d46a0d34e3bb0bc732e",
+    ("4 1", "json"):
+        "5d166857c19caf12064cc42bee648b8f75825696aa939596265eb6723255e786",
+    ("0 2", "json"):
+        "2e36f77334a315d725c05db9d9175e42fd03c2ad0cfbb1ec58155931c769abee",
+    ("2 4", "json"):
+        "0d12986a2cd52d0e375d0f3c6c423b65920d97cff11f9d568972703d959a03a7",
+    ("6 6", "table"):
+        "5ee4e8b84dec53e2e51f489ff70fa6647b7a40a99ffd8ffa5c0eb5d6661da3ab",
+}
+
+
+@pytest.mark.parametrize("sig, fmt", sorted(IDEMPOTENT_DIGESTS))
+def test_idempotent_stdout_digest(capsys, sig, fmt):
+    code, out = run(capsys, "idempotent", *sig.split(), "--format", fmt)
+    assert code == 0
+    want = IDEMPOTENT_DIGESTS[sig, fmt]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 @pytest.mark.parametrize("max_m", ["201", "100000"])
 def test_spectrum_cap(capsys, max_m):
     # rejected up front: --max-m 100000 would otherwise run for minutes
