@@ -118,9 +118,9 @@ def division_tag_of_idempotent(f) -> RingTag:
 def division_ring_oracle(sig) -> RingTag:
     """Recompute the division ring of Cl(p,q) from coset heads, table-free.
 
-    The primitive idempotent comes from the Radon-Hurwitz count and the
-    lexicographic factor search; f*Cl*f is then read and its signs
-    certified.  `division_ring_of` re-derives the factor count by the
+    The primitive idempotent is the first maximal chain of the
+    lexicographic factor search, with no count; f*Cl*f is then read and its
+    signs certified.  `division_ring_of` re-derives the factor count by the
     brute-force maximum search instead.
     """
     return _ring_and_heads(primitive_idempotent(sig))[0]

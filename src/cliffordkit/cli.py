@@ -26,8 +26,8 @@ from .cone import enumerate_cone
 from .core import MAX_N, Signature
 from .factorize import (FACTOR_RINGS, IsoError, PAPER_CHAINS, complexify,
                         karoubi_factorize, split_semisimple, verify_tensor_iso)
-from .ideals import (OracleFailure, SearchError, idempotent_factor_count,
-                     paper_idempotents, primitive_idempotent)
+from .ideals import (OracleFailure, idempotent_factor_count, paper_idempotents,
+                     primitive_idempotent)
 from .states import (StateError, additive_spin, annihilate, exact_fraction,
                      fuse_detailed, double, parse_state)
 
@@ -398,7 +398,7 @@ def main(argv=None) -> int:
     except (CliError, StateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (IsoError, OracleFailure, SearchError, ValueError) as e:
+    except (IsoError, OracleFailure, ValueError) as e:
         # bad input is a CliError or StateError; any other ValueError is ours
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ORACLE

@@ -177,7 +177,7 @@ def verify_tensor_iso(target, factors) -> TensorWitness:
             continue
         return TensorWitness(target, tuple(sigs), ta,
                              tuple(ta.blade(k) for k in keys))
-    raise IsoError("; ".join(errors))
+    raise IsoError("; ".join(dict.fromkeys(errors)))
 
 
 class FactorChain(NamedTuple):

@@ -1,11 +1,12 @@
 """Primitive idempotents, minimal left ideals, and Radon-Hurwitz counting.
 
-A primitive idempotent of Cl(p,q) is built as f = prod_i (1 + T_i)/2 from k
-pairwise-commuting, independent basis elements T_i squaring to +1, where
-k = q - r_{q-p} and r is the period-8 Radon-Hurwitz sequence.  The base values
-of r are not taken on faith: `max_commuting_square_set` re-derives them by
-exhaustive search (see tests and scripts/derive_radon_hurwitz.py), and the
-frozen table below is regression-checked against that oracle.
+A primitive idempotent is built as f = prod_i (1 + T_i)/2 from a maximal set
+of pairwise-commuting, independent basis elements T_i squaring to +1, the
+first maximal chain of the search.  In Cl(p,q) there are k = q - r_{q-p} of
+them, r the period-8 Radon-Hurwitz sequence.  The base values of r are not
+taken on faith: `max_commuting_square_set` re-derives them by exhaustive
+search (see tests and scripts/derive_radon_hurwitz.py), and the frozen table
+below is regression-checked against that oracle.
 
 The search machinery works for any blade-indexed algebra (Clifford or plain
 tensor products of Clifford algebras): a candidate set is valid iff the masks
@@ -31,10 +32,14 @@ Cl*f, e_A f is a unit multiple of e_B f when A + B lies in V, and the two
 have disjoint supports otherwise: the first key of each coset of V gives a
 basis.  In f*Cl*f, f e_A f is e_A f when e_A commutes with every T_i and 0
 otherwise, as (1 - T)(1 + T) = 0: the commuting heads give a basis, whose
-squares (e_A f)^2 = square_sign(A) f name the ring.  Only such an f is taken:
-its T_i are read off its keys, their squares and commutation checked there,
-and f must equal `_factor_product` of them, the multiply-out (in the integer
-numerators of `core`) that builds every f; any other f is a ValueError.
+squares (e_A f)^2 = square_sign(A) f name the ring.  The T_i being maximal,
+every central head past the unit squares to -1, and three pairwise
+anticommuting ones would give a +1 square, so f*Cl*f is R, C or H (over C,
+where a head can be i-phased, C): `is_primitive` certifies f*f = f and that
+reading, with no count.  Only such an f is taken: its T_i are read off its
+keys, their squares and commutation checked there, and f must equal
+`_factor_product` of them, the multiply-out (in the integer numerators of
+`core`) that builds every f; any other f is a ValueError.
 
 Each reader of f takes f alone, an `Idempotent` or its element, reads the
 algebra off f and shares the one walk `_coset_heads`; ring tags are `RingTag`s.
@@ -45,17 +50,12 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .core import (QC_I, CliffordAlgebra, Multivector, _from_numerators,
-                   _numerators, _pair_sums, as_algebra, as_signature,
-                   clifford, linear_row)
+from .core import (QC_I, Multivector, _from_numerators, _numerators,
+                   _pair_sums, as_algebra, as_signature, clifford, linear_row)
 from .rings import RingTag
 
 # Frozen from the brute-force derivation over all signatures with p+q <= 8.
 RADON_HURWITZ_BASE = (0, 1, 2, 2, 3, 3, 3, 3)
-
-
-class SearchError(RuntimeError):
-    """No commuting +1-square set of the requested size exists."""
 
 
 class OracleFailure(RuntimeError):
@@ -71,17 +71,6 @@ def idempotent_factor_count(sig) -> int:
     """k = q - r_{q-p}, the number of commuting (1+T)/2 factors."""
     sig = as_signature(sig)
     return sig.q - radon_hurwitz(sig.q - sig.p)
-
-
-def complex_factor_count(n: int) -> int:
-    # complexified algebras: minimal ideal has complex dimension 2^(n - k)
-    return (n + 1) // 2
-
-
-def _factor_count(alg) -> int:
-    if alg.field == "C":
-        return complex_factor_count(alg.n)
-    return idempotent_factor_count(alg.sig)
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +174,24 @@ def _canonical_chains(alg, cands):
     return rec([], {alg.unit_key}, (), (1 << len(keys)) - 1)
 
 
-def find_square_set(alg, k: int):
-    """Lexicographically smallest set of k commuting independent +1-squares.
+def find_square_set(alg):
+    """The first maximal chain of `_canonical_chains`: the chain the walk
+    yields just before its first chain that is no longer.
 
-    Candidates follow the canonical (grade, mask) basis order.  Returns a
-    list of candidates; raises SearchError when no set of size k exists (a
-    wrong k would).
+    Taken greedily, smallest viable candidate first, it is a maximal set of
+    commuting independent +1-squares: the first key of the coset of any
+    candidate that commutes with it and lies outside its span would still
+    be viable at its last step.  So its f is primitive in any blade algebra
+    (Lounesto, ch. 17).  Returns a list of candidates.
     """
     alg = as_algebra(alg)
-    for chain in _canonical_chains(alg, square_candidates(alg)):
-        if len(chain) == k:
-            return chain
-    raise SearchError(f"no commuting +1-square set of size {k} in {alg!r}")
+    chains = _canonical_chains(alg, square_candidates(alg))
+    chain = next(chains)
+    for longer in chains:
+        if len(longer) <= len(chain):
+            break
+        chain = longer
+    return chain
 
 
 def max_commuting_square_set(alg):
@@ -275,14 +270,15 @@ def idempotent_of_candidates(alg, cands) -> Idempotent:
 
 
 def primitive_idempotent(sig, field: str = "R") -> Idempotent:
-    """Canonical primitive idempotent of Cl(p,q) (or its complexification).
+    """Canonical primitive idempotent of Cl(p,q), its complexification, or
+    any other blade algebra `sig` (a tensor product of Clifford algebras).
 
-    Deterministic: the factor set is the lexicographically smallest in the
-    (grade, mask) blade order.  The printed choices of the source material,
-    where they differ, live in `paper_idempotents`.
+    Deterministic: the factors are the first maximal chain of the search in
+    the (grade, mask) blade order (`find_square_set`).  The printed choices
+    of the source material, where they differ, live in `paper_idempotents`.
     """
     alg = as_algebra(sig, field)
-    return idempotent_of_candidates(alg, find_square_set(alg, _factor_count(alg)))
+    return idempotent_of_candidates(alg, find_square_set(alg))
 
 
 def _coset_heads(f):
@@ -364,20 +360,16 @@ def _heads_and_tag(f):
 
 
 def is_primitive(f) -> bool:
-    """Certify minimality: ideal dimension 2^(n-k) and a division-ring f*Cl*f.
-
-    The count 2^(n-k) is that of Cl(p,q) and its complexification; any other
-    algebra is a TypeError."""
-    if not isinstance(f.alg, CliffordAlgebra):
-        raise TypeError(f"is_primitive needs a Clifford algebra, not {f.alg!r}")
+    """Certify minimality: f*f = f and f*Cl*f is a division ring R, C or H,
+    in any blade algebra."""
     fe = f.element if isinstance(f, Idempotent) else f
     if not _is_idempotent(fe.alg, *_numerators(fe.alg, fe.c)):
         return False
     try:
-        heads, _tag = _heads_and_tag(fe)
+        _heads_and_tag(fe)
     except OracleFailure:
         return False
-    return len(heads) == 1 << (fe.alg.n - _factor_count(fe.alg))
+    return True
 
 
 def spinor_dimension(f) -> int:

@@ -255,8 +255,8 @@ def test_criterion_10_radon_hurwitz_regression():
         # the table's k is exactly the brute-force maximum ...
         k_max, _ = max_commuting_square_set(alg)
         assert k == k_max, (p, q)
-        # ... and it yields a certified primitive idempotent
-        find_square_set(alg, k)
+        # ... and the first maximal chain of the search has k factors
+        assert len(find_square_set(alg)) == k, (p, q)
         f = primitive_idempotent((p, q))
         assert len(left_ideal_basis(f)) == 1 << (p + q - k)
         ring = division_ring_oracle((p, q))

@@ -15,7 +15,7 @@ from cliffordkit import cli, ideals
 from cliffordkit.cli import main
 from cliffordkit.core import Multivector
 from cliffordkit.factorize import IsoError
-from cliffordkit.ideals import OracleFailure, SearchError
+from cliffordkit.ideals import OracleFailure
 from conftest import small_signatures
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -269,7 +269,8 @@ def test_cpt_stdout_digest(capsys, p, q):
 # tensor-algebra blade keys were tuples of factor masks; the failures (both
 # twists fail on squares, both twists odd) and the chains that verify on the
 # right twist only were recorded while the witness images were checked as
-# Multivectors with coefficients
+# Multivectors with coefficients; "2 0 0,2", whose twists fail alike, was
+# re-recorded when its reason stopped being printed twice
 ISO_CHECK_DIGESTS = {
     ("3 3 2,0 2,0 1,1", "json"):
         "11d5ca5022acdba5822def4c2659876130a2b7aeca86e2f1e368d6017c319519",
@@ -280,9 +281,9 @@ ISO_CHECK_DIGESTS = {
     ("4 4 1,1 2,0 2,0 1,1", "table"):
         "43c3cc7c4710ed0312477be4ec47b6ba2c7a1a17d683f16e39eb6a0813daffca",
     ("2 0 0,2", "json"):
-        "dedfe67e6c63d0ed500e03f53b692c38801cd6e54004b591ccc54cf96a1acff5",
+        "98273e0605c37f987e8599f94d304e9551e6bbfdf2f899766330cf829811c945",
     ("2 0 0,2", "table"):
-        "5abe448fb8c04551b6cb6b80daacdb3b657dedd00152d4a94501d307e39e4e1a",
+        "2f255fe80b96157635752d54eb41f2725b74ed7c12fd3470af36d3fae64603c9",
     ("3 0 1,0 1,0 1,0", "json"):
         "a5649adb91eec3b386895d3b0082b9b0e5e81e3ba05c43e11e223c104db1bb25",
     ("3 0 1,0 1,0 1,0", "table"):
@@ -410,7 +411,7 @@ def _failing(exc):
     (["classify", "2", "0", "--oracle"],
      ("division_ring_oracle", OracleFailure("ring dimension 3")), 3),
     (["idempotent", "2", "0"],
-     ("primitive_idempotent", SearchError("no commuting set")), 3),
+     ("primitive_idempotent", OracleFailure("ring dimension 8")), 3),
     (["factorize", "2", "0"],
      ("karoubi_factorize", IsoError("images do not anticommute")), 3),
 ], ids=["json-missing-fields", "json-missing-r", "json-float-count",

@@ -5,14 +5,15 @@ import pytest
 from cliffordkit import (clifford, ideals, is_primitive, left_ideal_basis,
                          paper_idempotents, primitive_idempotent,
                          radon_hurwitz, spinor_dimension)
-from cliffordkit.classify import (_ring_and_heads, classify,
+from cliffordkit.classify import (_central_square_keys, _ring_and_heads,
+                                  classify, division_ring_of,
                                   division_tag_of_idempotent)
 from cliffordkit.core import QC_I, Multivector
 from cliffordkit.exactla import Echelon
 from cliffordkit.factorize import tensor_algebra
-from cliffordkit.ideals import (RADON_HURWITZ_BASE, OracleFailure, SearchError,
+from cliffordkit.ideals import (RADON_HURWITZ_BASE, OracleFailure,
                                 _bit_columns, _canonical_chains,
-                                _commuting_rows, _factor_count,
+                                _commuting_rows, _heads_and_tag,
                                 find_square_set,
                                 idempotent_factor_count,
                                 idempotent_from_factors,
@@ -216,28 +217,18 @@ def test_complex_factor_keys_at_the_top_of_the_range():
     keys = [0b1, 0b110, 0b11000, 0b1100000, 0b110000000, 0b11000000000]
     for (p, q), phases in COMPLEX_TOP_PHASES.items():
         alg = clifford(p, q, "C")
-        assert find_square_set(alg, _factor_count(alg)) == [
+        assert find_square_set(alg) == [
             (k, ph == "i") for k, ph in zip(keys, phases)], (p, q)
 
 
 def test_find_square_set_matches_reference_search():
-    for field in "RC":
-        for p, q in small_signatures(8):
-            alg = clifford(p, q, field)
-            k = _factor_count(alg)
-            want = _reference_find(alg, k, phases=field == "C")
-            assert find_square_set(alg, k) == want, (field, p, q)
-    # every size, past the maximum too, where the search is small enough
+    # the first maximal chain is the smallest set of the largest size
     algs = [clifford(p, q, field) for field in "RC"
-            for p, q in small_signatures(4)] + REAL_TENSORS
+            for p, q in small_signatures(8)] + REAL_TENSORS
     for alg in algs:
-        for k in range(alg.n + 2):
-            want = _reference_find(alg, k, phases=alg.field == "C")
-            if want is None:
-                with pytest.raises(SearchError):
-                    find_square_set(alg, k)
-            else:
-                assert find_square_set(alg, k) == want, (alg, k)
+        k_max = max_commuting_square_set(alg)[0]
+        want = _reference_find(alg, k_max, phases=alg.field == "C")
+        assert find_square_set(alg) == want, alg
 
 
 def test_max_commuting_square_set_matches_reference_search():
@@ -399,10 +390,13 @@ def test_left_ideal_members_absorb_f():
 
 
 def test_search_failure_reported():
+    # no +1-squares exist at all: the first maximal chain is empty, and
+    # f = 1 is primitive, as Cl(0,2) is H
     alg = clifford(0, 2)
-    with pytest.raises(SearchError):
-        from cliffordkit.ideals import find_square_set
-        find_square_set(alg, 1)  # no +1-squares exist at all
+    assert find_square_set(alg) == []
+    f = primitive_idempotent((0, 2))
+    assert f.element == alg.one()
+    assert is_primitive(f)
 
 
 def test_complexified_primitive_idempotent():
@@ -753,23 +747,62 @@ def test_readers_take_an_idempotent_or_its_element_alike():
     fs.append(ideals.Idempotent(rotated, ()))
     readers = [left_ideal_basis, ring_basis, spinor_dimension,
                division_tag_of_idempotent, _ring_and_heads]
+    fs += [idempotent_of_candidates(alg, max_commuting_square_set(alg)[1])
+           for alg in REAL_TENSORS]
     cases = [(f, reader) for f in fs for reader in readers + [is_primitive]]
-    # is_primitive counts against Cl(p,q) alone
-    cases += [(idempotent_of_candidates(alg, max_commuting_square_set(alg)[1]),
-               reader) for alg in REAL_TENSORS for reader in readers]
     for f, reader in cases:
         assert _answer(reader, f) == _answer(reader, f.element), \
             (reader.__name__, f)
 
 
-def test_is_primitive_rejects_tensor_algebras():
-    # the count 2^(n-k) is Cl(p,q)'s: C(x)Cl(1,0) (x) C(x)Cl(1,0) is C^4, whose
-    # primitive idempotents have ideal dimension 1, not 2
+def test_is_primitive_serves_tensor_algebras():
+    # no count 2^(n-k) is needed: C(x)Cl(1,0) (x) C(x)Cl(1,0) is C^4, whose
+    # primitive idempotents have ideal dimension 1, where C(x)Cl(2,0) has 2
     c4 = tensor_algebra([clifford(1, 0, "C"), clifford(1, 0, "C")])
     for alg in REAL_TENSORS + [c4]:
         f = idempotent_of_candidates(alg, max_commuting_square_set(alg)[1])
         for x in (f, f.element):
-            with pytest.raises(TypeError, match="Clifford algebra"):
-                is_primitive(x)
+            assert is_primitive(x), alg
     f = idempotent_of_candidates(c4, max_commuting_square_set(c4)[1])
     assert len(left_ideal_basis(f)) == 1
+
+
+# Tensor products of Clifford algebras with their first maximal chain:
+# (factors, k, base ring of f*Cl*f, number of coset heads of Cl*f)
+TENSOR_IDEMPOTENTS = [
+    ([(0, 2), (0, 2)], 2, RingTag.R, 4),
+    ([(0, 2)] * 3, 2, RingTag.H, 16),
+    ([(0, 2)] * 4, 4, RingTag.R, 16),
+    ([(0, 1), (0, 1)], 1, RingTag.C, 2),
+    ([(1, 0), (0, 2)], 1, RingTag.H, 4),
+]
+
+
+def test_primitive_idempotent_of_tensor_algebras():
+    pairs = [[a, b] for a in [(2, 0), (1, 1), (0, 2), (0, 1)]
+             for b in [(2, 0), (1, 1), (0, 2), (0, 1)]]
+    for factors, k, tag, heads in TENSOR_IDEMPOTENTS:
+        f = primitive_idempotent(tensor_algebra(factors))
+        got_heads, got_tag = _heads_and_tag(f)
+        assert (len(f.factors), got_tag, len(got_heads)) == (k, tag, heads), \
+            factors
+    for factors in [c[0] for c in TENSOR_IDEMPOTENTS] + pairs:
+        ta = tensor_algebra(factors)
+        f = primitive_idempotent(ta)
+        assert is_primitive(f), factors
+        # the first maximal chain is as long as the exhaustive maximum
+        assert len(f.factors) == max_commuting_square_set(ta)[0], factors
+        if len(_central_square_keys(ta)) <= 2:
+            assert _ring_and_heads(f)[0] is division_ring_of(ta), factors
+    # Cl(0,2) (x) Cl(0,2) is R(4): its unit is not primitive
+    assert not is_primitive(idempotent_from_factors(
+        tensor_algebra([(0, 2), (0, 2)]), []))
+
+
+def test_first_maximal_chain_has_the_radon_hurwitz_count():
+    # the count is printed, not used to build f: every p+q <= 12 checks it
+    for p, q in small_signatures(12):
+        assert len(primitive_idempotent((p, q)).factors) == \
+            idempotent_factor_count((p, q)), (p, q)
+        assert len(primitive_idempotent((p, q), "C").factors) == \
+            (p + q + 1) // 2, (p, q)
