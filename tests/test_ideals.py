@@ -779,8 +779,8 @@ TENSOR_IDEMPOTENTS = [
 
 
 def test_primitive_idempotent_of_tensor_algebras():
-    pairs = [[a, b] for a in [(2, 0), (1, 1), (0, 2), (0, 1)]
-             for b in [(2, 0), (1, 1), (0, 2), (0, 1)]]
+    small = [(2, 0), (1, 1), (0, 2), (0, 1)]
+    pairs = [[a, b] for a in small for b in small]
     for factors, k, tag, heads in TENSOR_IDEMPOTENTS:
         f = primitive_idempotent(tensor_algebra(factors))
         got_heads, got_tag = _heads_and_tag(f)
