@@ -11,7 +11,7 @@ square_sign(A) f: dimension, squares -f past f for C, and an anticommuting
 pair of heads for H, which also rules out the 4-dimensional impostor
 Mat_2(R).  No product is formed once f is built.  The readers of f take f
 alone, an `Idempotent` or its element, and read the ring in f's algebra;
-`division_ring_of(alg)` builds its own f in `alg`.
+`division_ring_of(alg)` builds its own f in `alg`, as the oracle does.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import as_signature, center_keys, clifford
-from .ideals import (OracleFailure, _heads_and_tag, idempotent_of_candidates,
-                     max_commuting_square_set, primitive_idempotent)
+from .ideals import OracleFailure, _heads_and_tag, primitive_idempotent
 from .rings import RingTag
 
 _RING_BY_MOD8 = {
@@ -118,10 +117,9 @@ def division_tag_of_idempotent(f) -> RingTag:
 def division_ring_oracle(sig) -> RingTag:
     """Recompute the division ring of Cl(p,q) from coset heads, table-free.
 
-    The primitive idempotent is the first maximal chain of the
-    lexicographic factor search, with no count; f*Cl*f is then read and its
-    signs certified.  `division_ring_of` re-derives the factor count by the
-    brute-force maximum search instead.
+    The primitive idempotent is the greedy factor search of
+    `primitive_idempotent`, with no count; f*Cl*f is then read and its
+    signs certified.
     """
     return _ring_and_heads(primitive_idempotent(sig))[0]
 
@@ -129,13 +127,13 @@ def division_ring_oracle(sig) -> RingTag:
 def division_ring_of(alg) -> RingTag:
     """Division ring tag of a blade-indexed algebra (Clifford or tensor).
 
-    The idempotent is built from the maximum commuting square set.
-    An algebra of two simple summands (a central non-scalar +1-square
-    present) reports the doubled tag of one summand, matching the lambda+-
-    split; more summands, as in R^4 = Cl(1,0) (x) Cl(1,0), are a ValueError.
+    The idempotent is `primitive_idempotent(alg)`, one greedy pass, as in
+    `division_ring_oracle`.  An algebra of two simple summands (a central
+    non-scalar +1-square present) reports the doubled tag of one summand,
+    matching the lambda+- split; more summands, as in R^4 = Cl(1,0) (x)
+    Cl(1,0), are a ValueError.
     """
-    return _ring_and_heads(
-        idempotent_of_candidates(alg, max_commuting_square_set(alg)[1]))[0]
+    return _ring_and_heads(primitive_idempotent(alg))[0]
 
 
 def _ring_and_heads(f):

@@ -275,7 +275,7 @@ class BladeAlgebra:
                                   if (s := self.scalar(v))})
 
     def blade(self, key, coeff=1) -> "Multivector":
-        if key not in self.index:
+        if type(key) is not int or key not in self.index:
             raise ValueError(f"{key!r} is not a basis key of {self!r}")
         return self.mv({key: coeff})
 

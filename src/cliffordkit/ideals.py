@@ -1,12 +1,12 @@
 """Primitive idempotents, minimal left ideals, and Radon-Hurwitz counting.
 
 A primitive idempotent is built as f = prod_i (1 + T_i)/2 from a maximal set
-of pairwise-commuting, independent basis elements T_i squaring to +1, the
-first maximal chain of the search.  In Cl(p,q) there are k = q - r_{q-p} of
-them, r the period-8 Radon-Hurwitz sequence.  The base values of r are not
-taken on faith: `max_commuting_square_set` re-derives them by exhaustive
-search (see tests and scripts/derive_radon_hurwitz.py), and the frozen table
-below is regression-checked against that oracle.
+of pairwise-commuting, independent basis elements T_i squaring to +1, taken
+greedily in canonical order.  In Cl(p,q) there are k = q - r_{q-p} of them,
+r the period-8 Radon-Hurwitz sequence.  The base values of r are not taken
+on faith: `max_commuting_square_set` re-derives them by exhaustive search
+(see tests and scripts/derive_radon_hurwitz.py), and the frozen table below
+is regression-checked against that oracle.
 
 The search machinery works for any blade-indexed algebra (Clifford or plain
 tensor products of Clifford algebras): a candidate set is valid iff the masks
@@ -17,14 +17,14 @@ anticommute iff popcount(a & m(b)) + popcount(b & m(a)) is odd, in any such
 algebra.  So every blade-sign question is a bit parity on the algebra's n
 generator rows (`generator_rows`, in closed form): a key's row of
 anticommuting generators is the XOR of the rows at its bits
-(`core.linear_row`), all square signs come from one doubling pass, and the
-search XORs the bit-sliced columns of the candidate keys at a row's bits,
-building a key's row of candidates only when it descends into that key.
-The chain search tests each candidate it passes down only against the
-coset of the span that the newest generator added.  f is multiplied out on
-keys in integer numerators, where `_is_idempotent` checks f^2 = f as
-N*N = D*N: the one such check, which `is_primitive` and the lambda+- split
-of `factorize` run too.
+(`core.linear_row`), and all square signs come from one doubling pass.
+`find_square_set` is one pass over the candidates against the rows and the
+F2 span (`core.f2_insert`) of the keys it has taken.  The exhaustive walk
+`_canonical_chains`, for the oracle `max_commuting_square_set` alone, tests
+each candidate it passes down only against the coset of the span that the
+newest generator added.  f is multiplied out on keys in integer numerators,
+where `_is_idempotent` checks f^2 = f as N*N = D*N: the one such check,
+which `is_primitive` and the lambda+- split of `factorize` run too.
 
 Such an f is a stabilizer projector (Gottesman, arXiv:quant-ph/9705052), so
 its ideals follow from the F2 span V of the T-keys (Lounesto, ch. 17).  In
@@ -51,7 +51,8 @@ from functools import cache
 from typing import NamedTuple
 
 from .core import (QC_I, Multivector, _from_numerators, _numerators,
-                   _pair_sums, as_algebra, as_signature, clifford, linear_row)
+                   _pair_sums, as_algebra, as_signature, clifford, f2_insert,
+                   linear_row)
 from .rings import RingTag
 
 # Frozen from the brute-force derivation over all signatures with p+q <= 8.
@@ -93,41 +94,25 @@ def square_candidates(alg):
     return [(k, False) for k in alg.basis[1:] if not odd[k]]
 
 
-# _BIT_CHARS[t][x] is bit t of the byte x as the character b"0" or b"1":
-# over x = 0..255 it runs 2^t zeros, 2^t ones, and so on
-_BIT_CHARS = [(b"0" * (1 << t) + b"1" * (1 << t)) * (128 >> t) for t in range(8)]
-
-
-def _bit_columns(vals, n):
-    """Bit-slice `vals`, each below 2^n: column t has bit j set iff bit t of
-    vals[j] is.  Each byte plane, last value first, is translated to the bit
-    string of each of its columns, so vals[j] lands on bit j."""
-    planes = [bytes([v >> s & 255 for v in reversed(vals)])
-              for s in range(0, n, 8)]
-    return [int(planes[t >> 3].translate(_BIT_CHARS[t & 7]) or b"0", 2)
-            for t in range(n)]
-
-
 def _commuting_rows(alg, keys):
     """row(i): bit j set iff keys[i] and keys[j] commute, built the first
-    time it is asked for and kept as long as `row` is.
-
-    The keys that anticommute with blade a are those meeting the generators
-    that anticommute with it (its `core.linear_row`) an odd number of
-    times: the XOR of the key columns at the bits of that row."""
-    cols = _bit_columns(keys, alg.n)
+    time it is asked for and kept as long as `row` is: keys[j] anticommutes
+    with keys[i] iff it meets the `core.linear_row` of keys[i] an odd number
+    of times."""
     gens = alg.generator_rows()
-    full = (1 << len(keys)) - 1
 
     @cache
     def row(i):
-        return full & ~linear_row(cols, linear_row(gens, keys[i]))
+        r = linear_row(gens, keys[i])
+        return sum(1 << j for j, k in enumerate(keys)
+                   if not (k & r).bit_count() & 1)
 
     return row
 
 
 def _canonical_chains(alg, cands):
-    """Every canonical chain of pairwise-commuting, independent candidates.
+    """Every canonical chain of pairwise-commuting, independent candidates,
+    for the exhaustive oracle `max_commuting_square_set` alone.
 
     A chain lists candidates in increasing order; each new generator must open
     its coset of the span so far (come first, in candidate order, among the
@@ -175,30 +160,36 @@ def _canonical_chains(alg, cands):
 
 
 def find_square_set(alg):
-    """The first maximal chain of `_canonical_chains`: the chain the walk
-    yields just before its first chain that is no longer.
-
-    Taken greedily, smallest viable candidate first, it is a maximal set of
-    commuting independent +1-squares: the first key of the coset of any
-    candidate that commutes with it and lies outside its span would still
-    be viable at its last step.  So its f is primitive in any blade algebra
-    (Lounesto, ch. 17).  Returns a list of candidates.
+    """A maximal set of commuting independent +1-squares: one greedy pass
+    over `square_candidates` takes each candidate whose key has even overlap
+    with the `core.linear_row` of every key taken (commutes with them) and
+    lies outside their span.  A candidate left out still fails at the end,
+    so the set is maximal and its f primitive in any blade algebra
+    (Lounesto, ch. 17).  It is the first maximal chain of
+    `_canonical_chains`: a key taken opens its coset of the span, since a
+    smaller key of that coset would have passed both tests at its own turn
+    and been taken, putting the later key in the span.  Returns a list of
+    candidates.
     """
     alg = as_algebra(alg)
-    chains = _canonical_chains(alg, square_candidates(alg))
-    chain = next(chains)
-    for longer in chains:
-        if len(longer) <= len(chain):
-            break
-        chain = longer
+    gens = alg.generator_rows()
+    lead, rows, chain = {}, [], []
+    for cand in square_candidates(alg):
+        k = cand[0]
+        if not any((k & r).bit_count() & 1 for r in rows) \
+                and f2_insert(lead, k):
+            rows.append(linear_row(gens, k))
+            chain.append(cand)
     return chain
 
 
 def max_commuting_square_set(alg):
     """Exhaustive maximum over independent pairwise-commuting +1-square sets.
 
-    Visits each commuting subspace once, so the maximum is exact.  Returns
-    (k, candidate list), the first chain of the largest size.
+    Visits each commuting subspace once, so the maximum is exact, in time
+    exponential in n.  No library path calls it: it checks k and the
+    Radon-Hurwitz table in the tests and scripts/derive_radon_hurwitz.py.
+    Returns (k, candidate list), the first chain of the largest size.
     """
     alg = as_algebra(alg)
     best = max(_canonical_chains(alg, square_candidates(alg)), key=len)

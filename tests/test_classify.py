@@ -63,8 +63,8 @@ def test_oracle_matches_classify_small():
         assert division_ring_oracle((p, q)) is classify((p, q)).ring
 
 
-def test_oracle_exhaustive_path():
-    for p, q in small_signatures(4):
+def test_division_ring_of_matches_classify():
+    for p, q in small_signatures(12):
         assert division_ring_of(clifford(p, q)) is classify((p, q)).ring
 
 

@@ -64,6 +64,19 @@ def test_keys_fields_and_mixed_operands_rejected():
         CliffordAlgebra(Signature(1, 1), "Q")
 
 
+def test_blade_takes_only_int_keys():
+    # 1.0 and True hash like the key 1, so the index lookup alone would let
+    # them in as keys that str() and products refuse; -1 and dim lie
+    # outside the basis
+    for alg in (clifford(2, 0), clifford(2, 0, "C"),
+                tensor_algebra([(1, 0), (0, 1)])):
+        for key in (1.0, True, -1, alg.dim):
+            with pytest.raises(ValueError,
+                               match=r"^.* is not a basis key of "):
+                alg.blade(key)
+        assert str(alg.blade(1) * alg.blade(1)) == "1"
+
+
 def test_cl20_basics():
     alg = clifford(2, 0)
     e1, e2 = alg.gens()

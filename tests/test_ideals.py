@@ -7,13 +7,15 @@ from cliffordkit import (clifford, ideals, is_primitive, left_ideal_basis,
                          radon_hurwitz, spinor_dimension)
 from cliffordkit.classify import (_central_square_keys, _ring_and_heads,
                                   classify, division_ring_of,
+                                  division_ring_oracle,
                                   division_tag_of_idempotent)
+from cliffordkit.cli import _atlas_entry
 from cliffordkit.core import QC_I, Multivector
 from cliffordkit.exactla import Echelon
 from cliffordkit.factorize import tensor_algebra
 from cliffordkit.ideals import (RADON_HURWITZ_BASE, OracleFailure,
-                                _bit_columns, _canonical_chains,
-                                _commuting_rows, _heads_and_tag,
+                                _canonical_chains, _commuting_rows,
+                                _heads_and_tag,
                                 find_square_set,
                                 idempotent_factor_count,
                                 idempotent_from_factors,
@@ -131,7 +133,7 @@ REAL_TENSORS = [tensor_algebra([(1, 1), (0, 2)]),
 
 
 def test_adjacency_matches_reference_rows():
-    # every on-demand bit-sliced row against the pairwise keys_commute loop
+    # every on-demand row against the pairwise keys_commute loop
     key_lists = []
     for field in "RC":
         for p, q in small_signatures(8):
@@ -149,17 +151,11 @@ def test_adjacency_matches_reference_rows():
         assert all(row(i) >> i & 1 for i in range(len(keys))), alg
         assert [row(i) ^ 1 << i for i in range(len(keys))] == \
             _reference_adjacency(alg, keys), alg
-        if alg.n <= 8 and keys:
-            # the transposed columns against one sum per column
-            assert _bit_columns(keys, alg.n) == [
-                sum(1 << j for j, k in enumerate(keys) if k >> t & 1)
-                for t in range(alg.n)], alg
 
 
 def test_commuting_rows_sample_at_the_cap():
     # 64 seeded candidate rows of Cl(6,6) and C(x)Cl(6,6), where a full
-    # table would hold 2^11 or 2^12 rows, against pairwise keys_commute;
-    # the columns of keys past 2^8 come from two byte planes
+    # table would hold 2^11 or 2^12 rows, against pairwise keys_commute
     rng = random.Random(6)
     for field in "RC":
         alg = clifford(6, 6, field)
@@ -168,10 +164,6 @@ def test_commuting_rows_sample_at_the_cap():
         for i in rng.sample(range(len(keys)), 64):
             assert row(i) == sum(1 << j for j, k in enumerate(keys)
                                  if alg.keys_commute(keys[i], k)), (alg, i)
-        assert _bit_columns(keys, alg.n) == [
-            sum(1 << j for j, k in enumerate(keys) if k >> t & 1)
-            for t in range(alg.n)], alg
-    assert _bit_columns([], 12) == [0] * 12
 
 
 def test_square_parities_match_square_sign():
@@ -584,7 +576,7 @@ def test_coset_bases_match_reference_on_other_idempotents():
         alg = clifford(p, q)
         fs.append(idempotent_from_factors(alg, [alg.blade(alg.volume_key)]))
     fs.append(idempotent_from_factors(clifford(2, 0), []))
-    # the idempotent division_ring_of builds, on a real and a complex tensor
+    # the f of the exhaustive set, on a real and a complex tensor
     for alg in (REAL_TENSORS[0],
                 tensor_algebra([clifford(2, 0, "C"), clifford(0, 3, "C")])):
         fs.append(idempotent_of_candidates(alg,
@@ -793,10 +785,36 @@ def test_primitive_idempotent_of_tensor_algebras():
         # the first maximal chain is as long as the exhaustive maximum
         assert len(f.factors) == max_commuting_square_set(ta)[0], factors
         if len(_central_square_keys(ta)) <= 2:
-            assert _ring_and_heads(f)[0] is division_ring_of(ta), factors
+            # against the f of the exhaustive set: division_ring_of reads
+            # the greedy f itself
+            exhaustive = idempotent_of_candidates(
+                ta, max_commuting_square_set(ta)[1])
+            assert _ring_and_heads(f)[0] is _ring_and_heads(exhaustive)[0], \
+                factors
     # Cl(0,2) (x) Cl(0,2) is R(4): its unit is not primitive
     assert not is_primitive(idempotent_from_factors(
         tensor_algebra([(0, 2), (0, 2)]), []))
+
+
+def test_no_library_path_enters_the_exhaustive_walk(monkeypatch):
+    # the walk is exponential (about 207 s for Cl(6,6)); only the oracle
+    # max_commuting_square_set may take it
+    def walk(alg, cands):
+        raise AssertionError(f"exhaustive walk entered for {alg!r}")
+
+    monkeypatch.setattr(ideals, "_canonical_chains", walk)
+    for p, q in small_signatures(12):
+        for field in "RC":
+            primitive_idempotent((p, q), field)
+            division_ring_of(clifford(p, q, field))
+        division_ring_oracle((p, q))
+        _atlas_entry(p, q)
+    for factors, *_ in TENSOR_IDEMPOTENTS:
+        ta = tensor_algebra(factors)
+        primitive_idempotent(ta)
+        division_ring_of(ta)
+    with pytest.raises(AssertionError, match="exhaustive walk entered"):
+        max_commuting_square_set(clifford(1, 1))
 
 
 def test_first_maximal_chain_has_the_radon_hurwitz_count():
