@@ -15,10 +15,17 @@ Mann (Geometric Algebra for Computer Science, ch. 19): the sign of e_A e_B is
 the parity of popcount(A & sign_mask(B)), one mask per right-hand blade,
 which the algebra supplies.  The spinor path multiplies matrices on the
 complex spinor module C^m, m = 2^(n//2), of Cl(p,q), in the Jordan-Wigner
-representation (two summands for odd n), each Gaussian-integer entry packed
-into one integer (Kronecker substitution).  A product in Cl(p,q) takes it
-when |a|*|b| blade pairs exceed 36 * 2^n over R or 18 * 2^n over C, the
-measured cost of a spinor product in pairs (scripts/kernel_crossover.py).
+representation (two summands for odd n), each Gaussian-integer entry a + ib
+packed into the integer a 2^s + b and each matrix row into one integer,
+entry x at bit x W, W = 3s (Kronecker substitution; Harvey, J. Symb. Comput.
+44 (2009)).  s keeps every part of the result below 2^(s-1), so a product
+entry A 4^s + C 2^s + B stays below 2^(W-1) in magnitude: biased by 2^(W-1)
+per digit, every digit lies in [0, 2^W), where masks and shifts permute
+whole digits, and the Hadamard passes and dot products act on whole rows.
+A product in Cl(p,q) takes it when |a|*|b| blade pairs exceed 24 * 2^n over
+R or 18 * 2^n over C, at or above the measured cost of a spinor product in
+pairs (scripts/kernel_crossover.py); a dense product at n = 12 takes about
+0.02-0.03 s that way, and 4.5-10 s on pairs.
 `_numerators` and `_from_numerators` are the one reader and read-back of the
 integer numerators, for both paths and for the idempotents of `ideals`,
 which multiply f out through the pair path's loop, `_pair_sums`.
@@ -32,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add, mul, sub
+from operator import mul
 from typing import NamedTuple
 
 MAX_N = 12  # dimension cap: 2^12 basis blades at most
@@ -307,7 +314,7 @@ class CliffordAlgebra(BladeAlgebra):
         self.index = {k: i for i, k in enumerate(self.basis)}
         self.volume_key = self.dim - 1
         # the spinor path's cost in blade pairs (see the module docstring)
-        self.spinor_pairs = (36 if field == "R" else 18) << sig.n
+        self.spinor_pairs = (24 if field == "R" else 18) << sig.n
 
     def __repr__(self):
         pre = "C(x)" if self.field == "C" else ""
@@ -558,13 +565,28 @@ def _pauli_table(alg) -> list:
 
 
 def _hadamard(rows: list) -> list:
-    """In place, rows[z] = the sum over u of (-1)^popcount(z & u) rows[u]."""
+    """In place, rows[z] = the sum over u of (-1)^popcount(z & u) rows[u]:
+    two integer operations per butterfly, each on a whole packed row."""
     h = 1
     while h < len(rows):
         for u in range(len(rows)):
             if not u & h:
                 s, t = rows[u], rows[u | h]
-                rows[u], rows[u | h] = list(map(add, s, t)), list(map(sub, s, t))
+                rows[u], rows[u | h] = s + t, s - t
+        h <<= 1
+    return rows
+
+
+def _xor_shuffle(rows: list, m: int, w: int) -> list:
+    """Each row v of m w-bit digits, every digit in [0, 2^w), with its digits
+    permuted by v mod m: digit x of the result is digit x ^ v of the row.
+    One mask-and-shift swap per bit of v."""
+    full, h = (1 << m * w) - 1, 1
+    while h < m:
+        t = h * w
+        mask = ((1 << t) - 1) * (full // ((1 << 2 * t) - 1))  # digits x, x & h = 0
+        rows = [(r & mask) << t | (r >> t) & mask if v & h else r
+                for v, r in enumerate(rows)]
         h <<= 1
     return rows
 
@@ -572,46 +594,56 @@ def _hadamard(rows: list) -> list:
 def _spinor_product(x: Multivector, y: Multivector) -> Multivector:
     """x * y as matrices on the spinor module of Cl(p,q) (`_pauli_table`).
 
-    Each numerator a + ib, times i^f, is packed into (a << s) + b.  A
-    Walsh-Hadamard pass over z turns each operand's numerators of one x-mask
-    into the XOR-diagonal d[u][x] = rho[c ^ x][c] of each summand (c = u mod
-    m, the summand u // m); the m x m products take one dot product per
-    entry; each coefficient is read back, over the one denominator, as
-    tr(rho(e_A)^-1 P) summed over the summands and divided by m per summand,
-    by the same pass over P, whose entries A 4^s + C 2^s + B are A - B + iC.
-    The passes scale magnitudes by rows each and the dot product by 2m, so
-    no digit reaches 2^(s-1), and biased by 2^(s-1) the digits split exactly."""
+    Each numerator a + ib, times i^f, is packed into (a << s) + b, and each
+    operand's z-row into one integer, digit x at bit x w, w = 3s.  A
+    Walsh-Hadamard pass over z turns row u into the XOR-diagonal
+    A_u[x] = rho[c ^ x][c] of each summand (c = u mod m, the summand u // m).
+    With perm_d the digit permutation x -> x ^ d, the product's diagonals are
+    P_c = sum over d < m of B_c[d] perm_d(A_(c^d)); as perm_d is
+    perm_c perm_(c^d), that is perm_c of sum over v of B_c[c ^ v] perm_v(A_v),
+    v in c's summand, so each row is permuted once (`_xor_shuffle`) and each
+    output row is one dot product.  Each coefficient is read back, over the
+    one denominator, as tr(rho(e_A)^-1 P) summed over the summands and
+    divided by m per summand, by the same pass over P, whose digits
+    A 4^s + C 2^s + B are A - B + iC.  The passes scale magnitudes by rows
+    each and the dot product by 2m, so no part reaches 2^(s-1) and no digit
+    2^(w-1): biased by 2^(w-1), every digit lies in [0, 2^w) for the masks
+    and shifts, and by 2^(s-1) in each part, the parts split exactly.  (An
+    empty operand gives s = 1 and digits that do not fit, but then every
+    product is 0.)"""
     alg = x.alg
     table = _pauli_table(alg)
     m, rows = 1 << alg.n // 2, 1 << (alg.n + 1) // 2
-    lo, cols = m - 1, range(m)
     (da, a), (db, b) = _numerators(alg, x.c), _numerators(alg, y.c)
     na, nb = (max(map(abs, r + i)) for _k, r, i in
               (zip(*t, (0, 0, 0)) for t in (a, b)))  # 0 if t is empty
     s = (2 * m * rows**3 * na * nb).bit_length() + 1
-    mats = []
+    w = 3 * s
+    digit, top = (1 << w) - 1, 1 << w - 1
+    ones = ((1 << m * w) - 1) // digit  # 1 in each of the m digits
+    bias = ones * top
+    hats = []
     for terms in (a, b):
-        mat = [[0] * m for _ in range(rows)]
+        row = [0] * rows
         for k, r, i in terms:
             f, z, xm = table[k]
             if f & 2:
                 r, i = -r, -i
-            mat[z][xm] = (-i << s) + r if f & 1 else (r << s) + i
-        mats.append(_hadamard(mat))
-    xs, ys = mats
-    # row v of rho(x) and column u of rho(y); P's diagonal c at column u is
-    # row u ^ c times column u
-    lx = [[xs[v & -m | j][v & lo ^ j] for j in cols] for v in range(rows)]
-    p = []
-    for u in range(rows):
-        col = [ys[u][u & lo ^ j] for j in cols]
-        p.append([sum(map(mul, lx[u ^ c], col)) for c in cols])
-    p = _hadamard(p)
+            row[z] += ((-i << s) + r if f & 1 else (r << s) + i) << xm * w
+        hats.append(_xor_shuffle([r + bias for r in _hadamard(row)], m, w))
+    xs, ys = hats  # perm_v(A_v) and perm_c(B_c), each biased
+    shifts, q = range(0, m * w, w), []
+    for c, yc in enumerate(ys):
+        bd = [(yc >> t & digit) - top for t in shifts]
+        v = c & -m
+        q.append(sum(map(mul, bd, xs[v:v + m])) + bias * (1 - sum(bd)))
+    p = _hadamard([r - bias for r in _xor_shuffle(q, m, w)])
     half, low = 1 << s - 1, (1 << s) - 1
-    bias = half * ((1 << 2 * s) + (1 << s) + 1)
+    bias = ones * half * ((1 << 2 * s) + (1 << s) + 1)  # 2^(s-1) per part
+    p = [r + bias for r in p]
     re, im = {}, {}
     for k, (f, z, xm) in enumerate(table):
-        v = p[z][xm] + bias
+        v = p[z] >> xm * w & digit
         a, b = (v >> 2 * s) - (v & low), (v >> s & low) - half  # times i^-f
         if f & 2:
             a, b = -a, -b
@@ -717,9 +749,13 @@ def even_subalgebra_basis(alg):
     return [k for k in alg.basis if grade(k) % 2 == 0]
 
 
-def as_algebra(x, field="R") -> BladeAlgebra:
-    """x itself if it is an algebra, else the Clifford algebra of signature x."""
+def as_algebra(x, field=None) -> BladeAlgebra:
+    """x itself if it is an algebra, else the Clifford algebra of signature x
+    over `field` ('R' when None).  An algebra over a field other than a
+    given `field` is a ValueError: the field is not silently dropped."""
     if isinstance(x, BladeAlgebra):
+        if field is not None and field != x.field:
+            raise ValueError(f"{x!r} is over {x.field}, not over {field}")
         return x
     sig = as_signature(x)
-    return clifford(sig.p, sig.q, field)
+    return clifford(sig.p, sig.q, "R" if field is None else field)

@@ -260,9 +260,11 @@ def idempotent_of_candidates(alg, cands) -> Idempotent:
         alg, [alg.blade(key, QC_I if imag else 1) for key, imag in cands])
 
 
-def primitive_idempotent(sig, field: str = "R") -> Idempotent:
+def primitive_idempotent(sig, field: str | None = None) -> Idempotent:
     """Canonical primitive idempotent of Cl(p,q), its complexification, or
     any other blade algebra `sig` (a tensor product of Clifford algebras).
+    `field` ('R' when None) applies to a signature; an algebra over another
+    field is a ValueError (`core.as_algebra`).
 
     Deterministic: the factors are the first maximal chain of the search in
     the (grade, mask) blade order (`find_square_set`).  The printed choices

@@ -398,6 +398,20 @@ def test_complexified_primitive_idempotent():
     assert is_primitive(f)
 
 
+def test_field_of_an_algebra_argument_is_not_dropped():
+    # both fields give (1 + e1)/2 on Cl(2,0): only the parent algebra tells
+    # a dropped field apart, so an algebra over another field must raise
+    want = primitive_idempotent(clifford(2, 0, "C"))
+    assert want.element.alg is clifford(2, 0, "C")
+    assert primitive_idempotent((2, 0), "C") == want
+    assert primitive_idempotent(clifford(2, 0, "C"), "C") == want
+    assert primitive_idempotent(clifford(2, 0)).element.alg is clifford(2, 0)
+    for alg, field in ((clifford(2, 0), "C"), (clifford(2, 0, "C"), "R"),
+                       (tensor_algebra([(1, 0), (0, 1)]), "C")):
+        with pytest.raises(ValueError, match="not over"):
+            primitive_idempotent(alg, field)
+
+
 # ---------------------------------------------------------------------------
 # The former product-and-echelon spans of Cl*f and f*Cl*f, kept as independent
 # references for the stabilizer coset bases.  The reference ring basis spans

@@ -199,6 +199,26 @@ def test_spinor_product_equals_pair_product_up_to_n8():
                     assert got.c == ref_product(x, y), (alg, terms)
 
 
+def test_spinor_product_on_mostly_zero_rows():
+    # each operand row packs m digits; empty, one-term and sparse operands
+    # leave most of them 0 (and an empty one gives s = 1), to p+q = 8, and
+    # half-filled ones at n = 9 (two summands) and n = 10 cover rows of 16
+    # and 32 digits
+    rng = random.Random(9)
+    for p, q in small_signatures(8):
+        for field in ("R", "C"):
+            alg = clifford(p, q, field)
+            sparse = min(3, alg.dim)
+            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1), (1, sparse), (sparse, sparse)):
+                check_spinor_product(seeded_operand(alg, rng, i),
+                                     seeded_operand(alg, rng, j))
+    for sig in ((4, 5), (5, 5)):
+        for field in ("R", "C"):
+            alg = clifford(*sig, field)
+            x, y = (seeded_operand(alg, rng, alg.dim // 2) for _ in range(2))
+            check_spinor_product(x, y)
+
+
 @pytest.mark.parametrize("sig", [(6, 6), (0, 12), (12, 0), (5, 6), (0, 11)], ids=str)
 def test_spinor_product_equals_pair_product_at_150_terms(sig):
     rng = random.Random(f"150/{sig}")
@@ -310,15 +330,15 @@ def test_sparse_products_stay_on_pairs(monkeypatch, capsys):
     for field in ("R", "C"):
         f = primitive_idempotent((6, 6), field).element
         assert f * f == f
-    # dense products below the switch: every n <= 4, and Cl(p,q) at n = 5
+    # dense products below the switch: every n <= 4
     rng = random.Random(4)
-    for p, q in small_signatures(5):
-        for field in ("R", "C") if p + q < 5 else ("R",):
+    for p, q in small_signatures(4):
+        for field in ("R", "C"):
             alg = clifford(p, q, field)
             seeded_operand(alg, rng, alg.dim) * seeded_operand(alg, rng, alg.dim)
 
 
-@pytest.mark.parametrize("field, n", [("R", 6), ("R", 7), ("C", 5), ("C", 6)])
+@pytest.mark.parametrize("field, n", [("R", 5), ("R", 6), ("R", 7), ("C", 5), ("C", 6)])
 def test_dense_products_take_the_spinor_path(monkeypatch, field, n):
     rng = random.Random(f"{field}{n}")
     operands = []
