@@ -25,7 +25,7 @@ whole digits, and the Hadamard passes and dot products act on whole rows.
 A product in Cl(p,q) takes it when |a|*|b| blade pairs exceed 24 * 2^n over
 R or 18 * 2^n over C, at or above the measured cost of a spinor product in
 pairs (scripts/kernel_crossover.py); a dense product at n = 12 takes about
-0.02-0.03 s that way, and 4.5-10 s on pairs.
+0.02-0.04 s that way, and 4.5-10 s on pairs.
 `_numerators` and `_from_numerators` are the one reader and read-back of the
 integer numerators, for both paths and for the idempotents of `ideals`,
 which multiply f out through the pair path's loop, `_pair_sums`.
