@@ -7,28 +7,25 @@ products of `factorize` run through the same product kernel.
 Coefficients are exact: `fractions.Fraction` for real algebras, `QC`
 (complex rationals) for complexified ones.  No floating point anywhere.
 
-The geometric product has two exact paths; both multiply integer numerators
-over one shared denominator per operand and turn them back into fractions
-once per output blade.  The pair path, the reference and the only one for
-tensor algebras, reorders blades by the bitmap method of Dorst, Fontijne and
-Mann (Geometric Algebra for Computer Science, ch. 19): the sign of e_A e_B is
-the parity of popcount(A & sign_mask(B)), one mask per right-hand blade,
-which the algebra supplies.  The spinor path multiplies matrices on the
-complex spinor module C^m, m = 2^(n//2), of Cl(p,q), in the Jordan-Wigner
-representation (two summands for odd n), each Gaussian-integer entry a + ib
-packed into the integer a 2^s + b and each matrix row into one integer,
-entry x at bit x W, W = 3s (Kronecker substitution; Harvey, J. Symb. Comput.
-44 (2009)).  s keeps every part of the result below 2^(s-1), so a product
-entry A 4^s + C 2^s + B stays below 2^(W-1) in magnitude: biased by 2^(W-1)
-per digit, every digit lies in [0, 2^W), where masks and shifts permute
-whole digits, and the Hadamard passes and dot products act on whole rows.
-A product in Cl(p,q) takes it when |a|*|b| blade pairs exceed 24 * 2^n over
-R or 18 * 2^n over C, at or above the measured cost of a spinor product in
+The geometric product has two exact paths on integer numerators over one
+denominator per operand: `_numerators` reads coefficients into (key, re, im)
+terms in one pass, and `_from_numerators` turns terms back into fractions in
+one pass, for both paths and for the idempotents of `ideals`, which multiply
+f out through the pair path's loop, `_pair_sums`.  The pair path, the
+reference and the only one for tensor algebras, reorders blades by the
+bitmap method of Dorst, Fontijne and Mann (Geometric Algebra for Computer
+Science, ch. 19): the sign of e_A e_B is the parity of
+popcount(A & sign_mask(B)), one mask per right-hand blade, which the
+algebra supplies.  The spinor path multiplies matrices on the complex
+spinor module C^m, m = 2^(n//2), of Cl(p,q) in the Jordan-Wigner
+representation (two summands for odd n), each Gaussian-integer entry and
+each matrix row packed into one integer (Kronecker substitution; Harvey,
+J. Symb. Comput. 44 (2009)), so that its Hadamard passes, digit
+permutations and dot products act on whole rows (`_spinor_product`).
+A product in Cl(p,q) takes it when |a|*|b| blade pairs exceed 20 * 2^n over
+R or 16 * 2^n over C, at or above the measured cost of a spinor product in
 pairs (scripts/kernel_crossover.py); a dense product at n = 12 takes about
-0.02-0.04 s that way, and 4.5-10 s on pairs.
-`_numerators` and `_from_numerators` are the one reader and read-back of the
-integer numerators, for both paths and for the idempotents of `ideals`,
-which multiply f out through the pair path's loop, `_pair_sums`.
+0.02-0.03 s that way, and 3-7 s on pairs.
 
 Generator squares follow the (p,q) convention: e_i^2 = +1 for i <= p and
 e_i^2 = -1 for i > p; distinct generators anticommute.
@@ -38,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import lcm
 from operator import mul
 from typing import NamedTuple
@@ -207,22 +205,10 @@ def _prefix_parity(b: int) -> int:
     return b
 
 
-def mask_indices(mask: int):
-    """Ascending 1-based generator indices of a blade mask."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
 def blade_name(mask: int) -> str:
     if mask == 0:
         return "1"
-    idx = mask_indices(mask)
+    idx = [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
     if idx[-1] <= 9:
         return "e" + "".join(str(i) for i in idx)
     return "e" + ",".join(str(i) for i in idx)
@@ -314,7 +300,7 @@ class CliffordAlgebra(BladeAlgebra):
         self.index = {k: i for i, k in enumerate(self.basis)}
         self.volume_key = self.dim - 1
         # the spinor path's cost in blade pairs (see the module docstring)
-        self.spinor_pairs = (24 if field == "R" else 18) << sig.n
+        self.spinor_pairs = (20 if field == "R" else 16) << sig.n
 
     def __repr__(self):
         pre = "C(x)" if self.field == "C" else ""
@@ -480,33 +466,38 @@ def _pruned(alg, acc: dict) -> Multivector:
 
 def _numerators(alg, c: dict):
     """(den, [(key, re, im)]) with c[key] == (re + i im) / den, den the lcm
-    of c's denominators; im is 0 over R."""
+    of c's denominators; im is 0 over R.  Each part's ratio is read once."""
     if alg.field == "R":
-        ratios = [(k, *v.as_integer_ratio()) for k, v in c.items()]
-        den = lcm(*[d for _k, _n, d in ratios])
-        return den, [(k, n * (den // d), 0) for k, n, d in ratios]
-    ratios = [(k, *v.re.as_integer_ratio(), *v.im.as_integer_ratio())
-              for k, v in c.items()]
-    den = lcm(*[d for _k, _rn, rd, _in, id_ in ratios for d in (rd, id_)])
-    return den, [(k, rn * (den // rd), in_ * (den // id_))
-                 for k, rn, rd, in_, id_ in ratios]
+        ratios = [v.as_integer_ratio() for v in c.values()]
+        den = lcm(*{d for _n, d in ratios})
+        return den, [(k, n * (den // d), 0) for k, (n, d) in zip(c, ratios)]
+    ratios = [(v.re.as_integer_ratio(), v.im.as_integer_ratio()) for v in c.values()]
+    den = lcm(*{d for parts in ratios for _n, d in parts})
+    return den, [(k, a * (den // d), b * (den // e))
+                 for k, ((a, d), (b, e)) in zip(c, ratios)]
 
 
-def _from_numerators(alg, re: dict, im: dict, den: int) -> Multivector:
-    """The nonzero (re[k] + i im[k]) / den: QCs over C, Fractions over R,
-    where a nonzero im[k] is an ArithmeticError (not an assert: the check
-    must hold under python -O)."""
+def _from_numerators(alg, den: int, terms) -> Multivector:
+    """The nonzero (re + i im) / den of the (key, re, im) `terms`, the
+    format of `_numerators`: QCs over C, Fractions over R, where a nonzero
+    im is an ArithmeticError (not an assert: the check must hold under
+    python -O)."""
     if alg.field == "C":
-        return Multivector(alg, {k: QC(Fraction(r, den), Fraction(im[k], den))
-                                 for k, r in re.items() if r or im[k]})
-    if any(im.values()):
-        raise ArithmeticError(f"imaginary part in a product in {alg!r}")
-    return Multivector(alg, {k: Fraction(r, den) for k, r in re.items() if r})
+        return Multivector(alg, {k: QC(Fraction(r, den), Fraction(i, den))
+                                 for k, r, i in terms if r or i})
+    c = {}
+    for k, r, i in terms:
+        if i:
+            raise ArithmeticError(f"imaginary part in a product in {alg!r}")
+        if r:
+            c[k] = Fraction(r, den)
+    return Multivector(alg, c)
 
 
 def _pair_sums(alg, a: list, b: list):
-    """(re, im): the integer numerator sums of a * b blade pair by blade
-    pair, for term lists a and b of `_numerators`; im stays empty over R."""
+    """The (key, re, im) numerator sums of a * b, blade pair by blade pair,
+    for terms a and b in the format of `_numerators`: an iterator, im 0
+    over R."""
     signs = alg.sign_mask
     re, im = {}, {}
     rget, iget = re.get, im.get
@@ -519,7 +510,7 @@ def _pair_sums(alg, a: list, b: list):
                     re[k] = rget(k, 0) - va * vb
                 else:
                     re[k] = rget(k, 0) + va * vb
-        return re, im
+        return zip(re, re.values(), repeat(0))
     b = [(kb, signs(kb), br, bi) for kb, br, bi in b]
     for ka, ar, ai in a:
         for kb, m, br, bi in b:
@@ -530,7 +521,7 @@ def _pair_sums(alg, a: list, b: list):
             else:
                 re[k] = rget(k, 0) + ar * br - ai * bi
                 im[k] = iget(k, 0) + ar * bi + ai * br
-    return re, im
+    return zip(re, re.values(), im.values())  # im is filled in re's key order
 
 
 def _pair_product(x: Multivector, y: Multivector) -> Multivector:
@@ -538,7 +529,7 @@ def _pair_product(x: Multivector, y: Multivector) -> Multivector:
     alg = x.alg
     da, a = _numerators(alg, x.c)
     db, b = _numerators(alg, y.c)
-    return _from_numerators(alg, *_pair_sums(alg, a, b), da * db)
+    return _from_numerators(alg, da * db, _pair_sums(alg, a, b))
 
 
 def _pauli_table(alg) -> list:
@@ -599,58 +590,60 @@ def _spinor_product(x: Multivector, y: Multivector) -> Multivector:
     Walsh-Hadamard pass over z turns row u into the XOR-diagonal
     A_u[x] = rho[c ^ x][c] of each summand (c = u mod m, the summand u // m).
     With perm_d the digit permutation x -> x ^ d, the product's diagonals are
-    P_c = sum over d < m of B_c[d] perm_d(A_(c^d)); as perm_d is
-    perm_c perm_(c^d), that is perm_c of sum over v of B_c[c ^ v] perm_v(A_v),
-    v in c's summand, so each row is permuted once (`_xor_shuffle`) and each
-    output row is one dot product.  Each coefficient is read back, over the
-    one denominator, as tr(rho(e_A)^-1 P) summed over the summands and
-    divided by m per summand, by the same pass over P, whose digits
-    A 4^s + C 2^s + B are A - B + iC.  The passes scale magnitudes by rows
-    each and the dot product by 2m, so no part reaches 2^(s-1) and no digit
-    2^(w-1): biased by 2^(w-1), every digit lies in [0, 2^w) for the masks
-    and shifts, and by 2^(s-1) in each part, the parts split exactly.  (An
-    empty operand gives s = 1 and digits that do not fit, but then every
-    product is 0.)"""
+    P_c = sum over d < m of B_c[d] perm_d(A_(c^d)) = perm_c of sum over v of
+    B_c[c ^ v] perm_v(A_v), v in c's summand: the A rows and the output rows
+    are permuted once each (`_xor_shuffle`), the digits of B_c are read in
+    place, and each output row is one dot product.  After the inverse pass,
+    P's digits A 4^s + C 2^s + B are A - B + iC, and one walk over the table
+    reads each coefficient, over the one denominator, as tr(rho(e_A)^-1 P)
+    summed over the summands and divided by m per summand.
+    All of it is bilinear in the packed entries, whose parts na and nb, the
+    largest |re| | |im| of each operand, bound: each part of an output digit
+    is rows times a sum of 2^n = m rows products of parts (two for C), and
+    of a diagonal digit a sum of m products of sums of rows parts, so none
+    reaches 2 m rows^2 na nb < 2^(s-1) (over C, y_A = x_A e_A^2 meets it)
+    and no digit 2^(w-1).  Biased by 2^(w-1), every digit lies in [0, 2^w)
+    for the masks and shifts, and by 2^(s-1) per part, the parts split
+    exactly.  (An empty operand gives s = 1 and digits that do not fit, but
+    then every product is 0.)"""
     alg = x.alg
     table = _pauli_table(alg)
     m, rows = 1 << alg.n // 2, 1 << (alg.n + 1) // 2
     (da, a), (db, b) = _numerators(alg, x.c), _numerators(alg, y.c)
-    na, nb = (max(map(abs, r + i)) for _k, r, i in
-              (zip(*t, (0, 0, 0)) for t in (a, b)))  # 0 if t is empty
-    s = (2 * m * rows**3 * na * nb).bit_length() + 1
+    na, nb = (max([abs(r) | abs(i) for _k, r, i in t], default=0) for t in (a, b))
+    s = (2 * m * rows**2 * na * nb).bit_length() + 1
     w = 3 * s
     digit, top = (1 << w) - 1, 1 << w - 1
     ones = ((1 << m * w) - 1) // digit  # 1 in each of the m digits
     bias = ones * top
     hats = []
-    for terms in (a, b):
-        row = [0] * rows
-        for k, r, i in terms:
+    for t in (a, b):
+        row = [bias] + [0] * (rows - 1)  # H adds row 0 to every row: all biased
+        for k, r, i in t:
             f, z, xm = table[k]
-            if f & 2:
-                r, i = -r, -i
-            row[z] += ((-i << s) + r if f & 1 else (r << s) + i) << xm * w
-        hats.append(_xor_shuffle([r + bias for r in _hadamard(row)], m, w))
-    xs, ys = hats  # perm_v(A_v) and perm_c(B_c), each biased
-    shifts, q = range(0, m * w, w), []
-    for c, yc in enumerate(ys):
-        bd = [(yc >> t & digit) - top for t in shifts]
-        v = c & -m
-        q.append(sum(map(mul, bd, xs[v:v + m])) + bias * (1 - sum(bd)))
-    p = _hadamard([r - bias for r in _xor_shuffle(q, m, w)])
+            e = (-i << s) + r if f & 1 else (r << s) + i
+            row[z] += (-e if f & 2 else e) << xm * w
+        hats.append(_hadamard(row))
+    xs = [r - bias for r in _xor_shuffle(hats[0], m, w)]  # perm_v(A_v)
+    q = []
+    for c, yc in enumerate(hats[1]):
+        d = c & m - 1
+        bd = [(yc >> (t ^ d) * w & digit) - top for t in range(m)]
+        q.append(sum(map(mul, bd, xs[c - d:c - d + m]), bias))
     half, low = 1 << s - 1, (1 << s) - 1
-    bias = ones * half * ((1 << 2 * s) + (1 << s) + 1)  # 2^(s-1) per part
-    p = [r + bias for r in p]
-    re, im = {}, {}
+    p = _xor_shuffle(q, m, w)
+    p[0] += ones * half * ((1 << 2 * s) + (1 << s) + 1)  # 2^(s-1) per part
+    p = _hadamard(p)
+    p[0] -= rows * bias  # what H makes of the bias on every row of q
+    terms = []
     for k, (f, z, xm) in enumerate(table):
-        v = p[z] >> xm * w & digit
-        a, b = (v >> 2 * s) - (v & low), (v >> s & low) - half  # times i^-f
-        if f & 2:
-            a, b = -a, -b
+        v = p[z] >> xm * w & digit  # i^f times the coefficient, biased
         if f & 1:
-            a, b = b, -a
-        re[k], im[k] = a, b
-    return _from_numerators(alg, re, im, da * db * rows)
+            a, b = (v >> s & low) - half, (v & low) - (v >> 2 * s)
+        else:
+            a, b = (v >> 2 * s) - (v & low), (v >> s & low) - half
+        terms.append((k, -a, -b) if f & 2 else (k, a, b))
+    return _from_numerators(alg, da * db * rows, terms)
 
 
 def grade_flips(star: bool, tilde: bool) -> tuple:

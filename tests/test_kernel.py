@@ -5,6 +5,7 @@ summed term by term in Fraction / QC arithmetic, with no shared code path.
 """
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from cliffordkit import QC, cli, clifford, core, primitive_idempotent, tensor_algebra
+from cliffordkit.core import QC_I
 from conftest import (complex_multivectors, multivector_pairs,
                       multivector_triples, small_signatures)
 
@@ -186,8 +188,9 @@ def check_spinor_product(x, y):
 
 
 def test_spinor_product_equals_pair_product_up_to_n8():
-    # both paths share the read-back `_from_numerators`, so up to n = 6 the
-    # term-by-term reference checks the spinor path as well
+    # both paths read back through `_from_numerators`, the spinor path from
+    # one walk over its table, so up to n = 6 the term-by-term reference
+    # checks the spinor path as well
     rng = random.Random(18)
     for p, q in small_signatures(8):
         for field in ("R", "C"):
@@ -264,7 +267,8 @@ def grade_parity(key):
 def magnitude_operands(alg, rng, big):
     """Dense operand pairs of alg whose coefficients all have numerator
     +-big, big prime to 720720: over the one denominator 720720 with every
-    sign +, with signs by grade parity and with random signs (every integer
+    sign +, with signs by grade parity, with y_A = x_A e_A^2, whose 2^n
+    pairs all add up at key 0, and with random signs (every integer
     numerator is then +-big), and with random signs over denominators of
     lcm 720720.  Over C each real part equals its imaginary part."""
     def operand(sign, den):
@@ -280,14 +284,15 @@ def magnitude_operands(alg, rng, big):
     for sign in (lambda k: 1, grade_parity):
         x = operand(sign, lambda k: 720720)
         yield x, x
+    yield x, operand(lambda k: grade_parity(k) * alg.square_sign(k), lambda k: 720720)
     yield operand(rand, lambda k: 720720), operand(rand, lambda k: 720720)
     yield operand(rand, lcm_den), operand(rand, lcm_den)
 
 
 def test_spinor_product_at_the_digit_bound_up_to_n8():
-    # the digit bound of `_spinor_product` is met exactly at n = 0 over C
-    # ((1 + i)^2 = 2i) and has a few bits of slack at n = 8: a packing one
-    # bit narrower already gets some of these products wrong
+    # over C, y_A = x_A e_A^2 meets the digit bound of `_spinor_product` at
+    # every n ((1 + i)^2 = 2i at each of the 2^n pairs of key 0): a packing
+    # one bit narrower gets that product wrong at every p+q <= 8
     rng = random.Random(22)
     for p, q in small_signatures(8):
         for field in ("R", "C"):
@@ -303,6 +308,79 @@ def test_spinor_product_at_the_digit_bound_at_n12():
     check_spinor_product(x, x)
 
 
+def unequal_operands(alg, rng, big, terms):
+    """Operand pairs of alg, one dense and one on `terms` random keys, whose
+    largest numerator sits in one part only: over C, x real and y imaginary,
+    y_A = i x_A e_A^2 (every pair adds up at key 0), and the other way
+    round; over R and C, one term +-big among terms +-1 on each side; and
+    each of these with an empty operand."""
+    def operand(keys, value):
+        return alg.mv({k: value(k) for k in keys})
+
+    def huge_among_small(keys):
+        huge = rng.choice(keys)
+        return operand(keys, lambda k: Fraction(big, 7) if k == huge else
+                       Fraction(rng.choice((-1, 1)), rng.choice(LCM_DIVISORS)))
+
+    ys = rng.sample(alg.basis, terms)
+    pairs = [(huge_among_small(alg.basis), huge_among_small(ys))]
+    if alg.field == "C":
+        x = operand(alg.basis,
+                    lambda k: QC(Fraction(rng.choice((-1, 1)) * big, 720720)))
+        y = operand(ys, lambda k: QC_I * x.c[k] * alg.square_sign(k))
+        pairs += [(x, y), (y * QC_I, x * QC_I)]
+    empty = alg.zero()
+    return pairs + [(x, empty) for x, _ in pairs] + [(empty, y) for _, y in pairs]
+
+
+def test_spinor_product_bound_with_unequal_parts():
+    # the bound takes both parts of every numerator of each operand: a
+    # bound on the real parts only, on the imaginary parts only or on one
+    # term gets these products wrong; C(x)Cl(5,6) has two summands and reads
+    # m = 32 digits of each B row in place
+    rng = random.Random(33)
+    for p, q in small_signatures(8):
+        for field in ("R", "C"):
+            alg = clifford(p, q, field)
+            for x, y in unequal_operands(alg, rng, BIG, alg.dim):
+                check_spinor_product(x, y)
+    alg = clifford(5, 6, "C")
+    for x, y in unequal_operands(alg, rng, BIG, 48):
+        check_spinor_product(x, y)
+
+
+def test_numerators_read_and_read_back():
+    # `_numerators` reads each coefficient as (key, re, im) over the lcm of
+    # every denominator, keys in order, and `_from_numerators`, the read-back
+    # of both product paths, returns the nonzero coefficients in that order
+    dens = (1, 2, 3, 4, 9, 10)
+    for field in ("R", "C"):
+        alg = clifford(2, 1, field)
+        maps = [{k: alg.scalar(v) for k, v in c.items()} for c in (
+            {}, {5: Fraction(-7, 3)}, {6: Fraction(0)},
+            {k: Fraction(k - 3, d) for k, d in zip((7, 0, 3, 1, 4), dens)})]
+        if field == "C":
+            maps += [{2: QC(0, Fraction(5, 4))}, {6: QC(Fraction(-1, 6), 0)},
+                     {k: QC(Fraction(k, d), Fraction(3 - k, e))
+                      for k, d, e in zip((7, 0, 3, 1, 4, 2), dens, dens[::-1])}]
+        for c in maps:
+            den, terms = core._numerators(alg, c)
+            parts = [u for v in c.values()
+                     for u in ((v,) if field == "R" else (v.re, v.im))]
+            assert den == math.lcm(*[Fraction(u).denominator for u in parts])
+            assert [k for k, _r, _i in terms] == list(c)
+            for k, r, i in terms:
+                assert (r + QC_I * i) / den == c[k], (c, k)
+                assert field == "C" or i == 0
+            back = core._from_numerators(alg, den, terms)
+            nonzero = {k: v for k, v in c.items() if v}
+            assert back.c == nonzero and list(back.c) == list(nonzero)
+            want_type = QC if field == "C" else Fraction
+            assert all(type(v) is want_type for v in back.c.values())
+            tripled = [(k, 3 * r, 3 * i) for k, r, i in terms]
+            assert core._from_numerators(alg, 3 * den, tripled).c == nonzero
+
+
 def test_real_spinor_product_rejects_a_complex_result(monkeypatch):
     # a table with rho(e2) = XZ in place of Y = iXZ still squares to -1,
     # but reads e1 e2 = Z back as -i e12: a real product with an imaginary
@@ -313,7 +391,7 @@ def test_real_spinor_product_rejects_a_complex_result(monkeypatch):
         core._spinor_product(alg.gen(1), alg.gen(2))
     # the shared read-back itself: an imaginary numerator over R raises
     with pytest.raises(ArithmeticError):
-        core._from_numerators(alg, {0b11: 1}, {0b11: -1}, 2)
+        core._from_numerators(alg, 2, [(0b11, 1, -1)])
 
 
 def refuse(*_args):
