@@ -466,7 +466,7 @@ def _pruned(alg, acc: dict) -> Multivector:
 
 def _numerators(alg, c: dict):
     """(den, [(key, re, im)]) with c[key] == (re + i im) / den, den the lcm
-    of c's denominators; im is 0 over R.  Each part's ratio is read once."""
+    of c's denominators; im is 0 over R."""
     if alg.field == "R":
         ratios = [v.as_integer_ratio() for v in c.values()]
         den = lcm(*{d for _n, d in ratios})
@@ -597,12 +597,12 @@ def _spinor_product(x: Multivector, y: Multivector) -> Multivector:
     P's digits A 4^s + C 2^s + B are A - B + iC, and one walk over the table
     reads each coefficient, over the one denominator, as tr(rho(e_A)^-1 P)
     summed over the summands and divided by m per summand.
-    All of it is bilinear in the packed entries, whose parts na and nb, the
-    largest |re| | |im| of each operand, bound: each part of an output digit
-    is rows times a sum of 2^n = m rows products of parts (two for C), and
-    of a diagonal digit a sum of m products of sums of rows parts, so none
-    reaches 2 m rows^2 na nb < 2^(s-1) (over C, y_A = x_A e_A^2 meets it)
-    and no digit 2^(w-1).  Biased by 2^(w-1), every digit lies in [0, 2^w)
+    All of it is bilinear in the packed entries, whose parts are bounded by
+    na and nb, the largest |re| | |im| of each operand: each part of an
+    output digit is rows times a sum of 2^n = m rows products of parts (two
+    for C), and of a diagonal digit a sum of m products of sums of rows
+    parts, so none reaches 2 m rows^2 na nb < 2^(s-1) (over C,
+    y_A = x_A e_A^2 meets it) and no digit 2^(w-1).  Biased by 2^(w-1), every digit lies in [0, 2^w)
     for the masks and shifts, and by 2^(s-1) per part, the parts split
     exactly.  (An empty operand gives s = 1 and digits that do not fit, but
     then every product is 0.)"""

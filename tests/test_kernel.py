@@ -377,8 +377,6 @@ def test_numerators_read_and_read_back():
             assert back.c == nonzero and list(back.c) == list(nonzero)
             want_type = QC if field == "C" else Fraction
             assert all(type(v) is want_type for v in back.c.values())
-            tripled = [(k, 3 * r, 3 * i) for k, r, i in terms]
-            assert core._from_numerators(alg, 3 * den, tripled).c == nonzero
 
 
 def test_real_spinor_product_rejects_a_complex_result(monkeypatch):
