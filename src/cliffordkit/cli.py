@@ -14,22 +14,32 @@ to keep the JSON exact; see schemas/ for the shipped schemas.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 
-from . import __version__
-from .automorphisms import LABELS, group_structure
-from .classify import (DISPLAY_ALIASES, _ring_and_heads, classify,
-                       division_ring_oracle, omega_square_sign)
-from .cone import enumerate_cone
-from .core import MAX_N, Signature
-from .factorize import (FACTOR_RINGS, IsoError, PAPER_CHAINS, complexify,
-                        karoubi_factorize, split_semisimple, verify_tensor_iso)
-from .ideals import (OracleFailure, idempotent_factor_count, paper_idempotents,
-                     primitive_idempotent)
-from .states import (StateError, additive_spin, annihilate, exact_fraction,
-                     fuse_detailed, double, parse_state)
+from . import __version__, core
+
+
+def _lazy(name):
+    """The module `cliffordkit.<name>`, registered in `sys.modules` now and
+    run on the first read of one of its attributes (the `LazyLoader` recipe
+    of the importlib docs); a module already imported is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+automorphisms, classify, cone, exactla, factorize, ideals, states = map(
+    _lazy, ("automorphisms", "classify", "cone", "exactla", "factorize",
+            "ideals", "states"))
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,7 +61,7 @@ def _emit(args, payload, table_lines):
 
 def _signature(p, q):
     try:
-        return Signature(p, q)
+        return core.Signature(p, q)
     except (ValueError, TypeError) as e:
         raise CliError(str(e)) from None
 
@@ -85,17 +95,17 @@ def _type_json(at):
 
 def cmd_classify(args):
     sig = args.sig
-    at = classify(sig)
+    at = classify.classify(sig)
     payload = {"signature": {"p": sig.p, "q": sig.q}, "type": _type_json(at)}
     lines = [f"{sig}: {at}  (p-q = {at.mod8_class} mod 8, "
              f"{'simple' if at.simple else 'semisimple'})"]
-    alias = DISPLAY_ALIASES.get((sig.p, sig.q))
+    alias = classify.DISPLAY_ALIASES.get((sig.p, sig.q))
     if alias:
         payload["alias"] = alias
         lines.append(f"alias: {alias}")
     code = EXIT_OK
     if args.oracle:
-        got = division_ring_oracle(sig)
+        got = classify.division_ring_oracle(sig)
         agrees = got is at.ring
         payload["oracle"] = {"ring": str(got), "agrees": agrees}
         lines.append(f"oracle: {got}  ({'agrees' if agrees else 'DISAGREES'})")
@@ -107,11 +117,11 @@ def cmd_classify(args):
 
 def cmd_idempotent(args):
     sig = args.sig
-    f = primitive_idempotent(sig)
-    dimension = len(_ring_and_heads(f)[1])
+    f = ideals.primitive_idempotent(sig)
+    dimension = len(classify._ring_and_heads(f)[1])
     payload = {
         "signature": {"p": sig.p, "q": sig.q},
-        "factor_count": idempotent_factor_count(sig),
+        "factor_count": ideals.idempotent_factor_count(sig),
         "factors": [str(t) for t in f.factors],
         "element": _mv_json(f.element),
         "display": str(f),
@@ -120,7 +130,7 @@ def cmd_idempotent(args):
     lines = [f"f_{sig.p},{sig.q} = {f}",
              f"  = {f.element}",
              f"ideal dimension: {dimension}"]
-    paper = paper_idempotents().get(f"f{sig.p}{sig.q}")
+    paper = ideals.paper_idempotents().get(f"f{sig.p}{sig.q}")
     if paper is not None:
         payload["paper_form"] = {"factors": [str(t) for t in paper.factors],
                                  "display": str(paper)}
@@ -132,7 +142,7 @@ def cmd_idempotent(args):
 def cmd_factorize(args):
     sig = args.sig
     if sig.n % 2:
-        split = split_semisimple(sig)
+        split = factorize.split_semisimple(sig)
         payload = {
             "signature": {"p": sig.p, "q": sig.q},
             "odd": True,
@@ -149,7 +159,7 @@ def cmd_factorize(args):
                  f"lambda+ = {split.lambda_plus}",
                  f"lambda- = {split.lambda_minus}"]
         return _emit(args, payload, lines)
-    chain = karoubi_factorize(sig)
+    chain = factorize.karoubi_factorize(sig)
     trace = [str(t) for t in chain.ring_trace]
     payload = {
         "signature": {"p": sig.p, "q": sig.q},
@@ -175,8 +185,8 @@ def cmd_iso_check(args):
         except (ValueError, TypeError):
             raise CliError(f"bad factor {spec_str!r}: expected p,q") from None
     try:
-        w = verify_tensor_iso(target, factors)
-    except IsoError as e:
+        w = factorize.verify_tensor_iso(target, factors)
+    except factorize.IsoError as e:
         payload = {"verified": False, "reason": e.reason}
         _emit(args, payload, [f"NOT isomorphic: {e.reason}"])
         return EXIT_ORACLE
@@ -195,30 +205,29 @@ def cmd_iso_check(args):
 
 def cmd_cpt(args):
     sig = args.sig
-    alg = complexify(sig)
-    gs = group_structure(alg)
-    table = gs.table
+    gs = automorphisms.group_structure(core.clifford(sig.p, sig.q, "C"))
+    labels, table = automorphisms.LABELS, gs.table
     payload = {
         "signature": {"p": sig.p, "q": sig.q, "complexified": True},
-        "labels": list(LABELS),
-        "table": {f"{a}.{b}": table[(a, b)] for a in LABELS for b in LABELS},
+        "labels": list(labels),
+        "table": {f"{a}.{b}": table[(a, b)] for a in labels for b in labels},
         "group": {"order": gs.order, "abelian": gs.abelian,
                   "exponent": gs.exponent, "distinct_maps": gs.distinct_maps,
                   "structure": str(gs)},
     }
-    width = max(len(l) for l in LABELS) + 1
-    lines = [" " * width + "".join(l.ljust(width) for l in LABELS)]
-    for a in LABELS:
+    width = max(len(l) for l in labels) + 1
+    lines = [" " * width + "".join(l.ljust(width) for l in labels)]
+    for a in labels:
         lines.append(a.ljust(width)
-                     + "".join(table[(a, b)].ljust(width) for b in LABELS))
+                     + "".join(table[(a, b)].ljust(width) for b in labels))
     lines.append(f"group: {gs}")
     return _emit(args, payload, lines)
 
 
 def cmd_fuse(args):
-    s1 = parse_state(args.state1)
-    s2 = parse_state(args.state2)
-    res = fuse_detailed(s1, s2)
+    s1 = states.parse_state(args.state1)
+    s2 = states.parse_state(args.state2)
+    res = states.fuse_detailed(s1, s2)
     payload = {
         "operands": [s1.to_json(), s2.to_json()],
         "state": res.state.to_json(),
@@ -235,18 +244,18 @@ def cmd_fuse(args):
 
 
 def cmd_double(args):
-    s = parse_state(args.state)
-    out = double(s, args.sign)
+    s = states.parse_state(args.state)
+    out = states.double(s, args.sign)
     payload = {"operand": s.to_json(), "sign": args.sign,
                "state": out.to_json(), "label": str(out)}
     return _emit(args, payload, [f"double({s}, {args.sign}) = {out}"])
 
 
 def cmd_annihilate(args):
-    s = parse_state(args.state1)
-    sbar = parse_state(args.state2)
-    out = annihilate(s, sbar)
-    spin = additive_spin(s, sbar)
+    s = states.parse_state(args.state1)
+    sbar = states.parse_state(args.state2)
+    out = states.annihilate(s, sbar)
+    spin = states.additive_spin(s, sbar)
     terms = []
     text = []
     for sv, mult in out:
@@ -261,8 +270,8 @@ def cmd_annihilate(args):
 def cmd_spectrum(args):
     # time and memory grow quadratically in max-m: about 70 MB at the cap
     max_m = _in_range("spectrum", "max-m", args.max_m, 200)
-    m_e = exact_fraction(args.electron_mass, "electron mass")
-    rows = enumerate_cone(max_m, m_e=m_e)
+    m_e = states.exact_fraction(args.electron_mass, "electron mass")
+    rows = cone.enumerate_cone(max_m, m_e=m_e)
     payload = {"max_m": max_m, "electron_mass": str(m_e),
                "rows": [{"k": r.label.k, "r": r.label.r,
                          "l": str(r.label.l), "ldot": str(r.label.ldot),
@@ -277,42 +286,42 @@ def cmd_spectrum(args):
 
 
 def _atlas_entry(p, q):
-    sig = Signature(p, q)
-    at = classify(sig)
-    f = primitive_idempotent(sig)
-    oracle, heads = _ring_and_heads(f)
+    sig = core.Signature(p, q)
+    at = classify.classify(sig)
+    f = ideals.primitive_idempotent(sig)
+    oracle, heads = classify._ring_and_heads(f)
     entry = {
         "p": p, "q": q, "n": sig.n,
         "type": _type_json(at),
         "oracle_ring": str(oracle),
         "oracle_agrees": oracle is at.ring,
         "idempotent": {"factors": [str(t) for t in f.factors],
-                       "factor_count": idempotent_factor_count(sig),
+                       "factor_count": ideals.idempotent_factor_count(sig),
                        "ideal_dimension": len(heads)},
     }
     if sig.n % 2 == 0:
-        entry["omega_square"] = omega_square_sign(sig)
-        canonical = karoubi_factorize(sig)
+        entry["omega_square"] = classify.omega_square_sign(sig)
+        canonical = factorize.karoubi_factorize(sig)
         chains = {canonical.factors: (str(canonical.folded_ring()), "canonical")}
-        for fac, ring in PAPER_CHAINS.get((p, q), []):
-            fac = tuple(Signature(*f) for f in fac)
+        for fac, ring in factorize.PAPER_CHAINS.get((p, q), []):
+            fac = tuple(core.Signature(*f) for f in fac)
             if fac not in chains:
-                verify_tensor_iso(sig, fac)  # raises on failure
+                factorize.verify_tensor_iso(sig, fac)  # raises on failure
                 chains[fac] = (ring, "printed")
         entry["factor_chains"] = [
             {"factors": [[s.p, s.q] for s in fac],
-             "ring_trace": [str(FACTOR_RINGS[s]) for s in fac],
+             "ring_trace": [str(factorize.FACTOR_RINGS[s]) for s in fac],
              "ring": ring, "verified": True, "source": source}
             for fac, (ring, source) in chains.items()]
     else:
-        split = split_semisimple(sig)
+        split = factorize.split_semisimple(sig)
         entry["split"] = {"factor": [split.factor.p, split.factor.q],
                           "complexified": split.complexified}
     return entry
 
 
 def cmd_atlas(args):
-    max_n = _in_range("atlas", "max-n", args.max_n, MAX_N)
+    max_n = _in_range("atlas", "max-n", args.max_n, core.MAX_N)
     sigs = sorted(((p, n - p) for n in range(max_n + 1)
                    for p in range(n + 1)), key=lambda s: (s[0] + s[1], s[0]))
     entries = [_atlas_entry(p, q) for p, q in sigs]
@@ -395,10 +404,10 @@ def main(argv=None) -> int:
         # the reader closed stdout early: keep the flush at shutdown quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
-    except (CliError, StateError) as e:
+    except (CliError, states.StateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (IsoError, OracleFailure, ValueError) as e:
+    except (factorize.IsoError, ideals.OracleFailure, ValueError) as e:
         # bad input is a CliError or StateError; any other ValueError is ours
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ORACLE

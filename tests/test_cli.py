@@ -409,11 +409,12 @@ def _failing(exc):
     (["double", MISSPELT, "+"], None, 2),
     (["atlas", "--max-n", "1", "--out", "-", "--format", "table"], None, 2),
     (["classify", "2", "0", "--oracle"],
-     ("division_ring_oracle", OracleFailure("ring dimension 3")), 3),
+     ("classify", "division_ring_oracle", OracleFailure("ring dimension 3")), 3),
     (["idempotent", "2", "0"],
-     ("primitive_idempotent", OracleFailure("ring dimension 8")), 3),
+     ("ideals", "primitive_idempotent", OracleFailure("ring dimension 8")), 3),
     (["factorize", "2", "0"],
-     ("karoubi_factorize", IsoError("images do not anticommute")), 3),
+     ("factorize", "karoubi_factorize", IsoError("images do not anticommute")),
+     3),
 ], ids=["json-missing-fields", "json-missing-r", "json-float-count",
         "doubled-label", "negative-mass", "negative-max-m", "negative-max-n",
         "bad-mass", "huge-mass", "huge-spin", "huge-exponent", "huge-charge-sum",
@@ -421,8 +422,9 @@ def _failing(exc):
         "atlas-format", "oracle-failure",
         "search-error", "iso-error"])
 def test_exit_code_contract(capsys, monkeypatch, argv, broken, code):
-    if broken:
-        monkeypatch.setattr(cli, broken[0], _failing(broken[1]))
+    if broken:  # the CLI reads each callee off its module at call time
+        module, name, exc = broken
+        monkeypatch.setattr(getattr(cli, module), name, _failing(exc))
     try:
         got, prefix = main(argv), "error: "
     except SystemExit as e:  # argparse: a usage line, then its error
@@ -437,7 +439,7 @@ def test_exit_code_contract(capsys, monkeypatch, argv, broken, code):
 def test_internal_value_error_exits_3(capsys, monkeypatch):
     # only CliError and StateError are invalid input; a plain ValueError
     # from the library is an internal failure
-    monkeypatch.setattr(cli, "primitive_idempotent",
+    monkeypatch.setattr(ideals, "primitive_idempotent",
                         _failing(ValueError("not a stabilizer projector")))
     assert main(["idempotent", "2", "0"]) == 3
     captured = capsys.readouterr()

@@ -47,6 +47,55 @@ def test_package_names_load_their_module_on_first_use():
         "['cliffordkit', 'cliffordkit.automorphisms', 'cliffordkit.core']"]
 
 
+# the `cliffordkit.*` modules that have run (a module the CLI registered
+# lazily is a `LazyLoader` subclass of ModuleType until an attribute is read)
+RAN = ("import json, sys, types\n"
+       "print(json.dumps(sorted(n[len('cliffordkit.'):] for n, m in sys.modules.items()\n"
+       "                        if n.startswith('cliffordkit.')\n"
+       "                        and type(m) is types.ModuleType)))")
+
+
+def test_cli_import_registers_every_layer_and_runs_only_core():
+    # perfbench/layers.py looks up each module it wraps in sys.modules right
+    # after `import cliffordkit.cli`; none but core has to run for that
+    code = ("import json, sys, cliffordkit.cli\n"
+            "print(json.dumps(sorted(n for n in sys.modules\n"
+            "                        if n.startswith('cliffordkit.'))))\n" + RAN)
+    registered, ran = map(json.loads, fresh(code).splitlines())
+    assert registered == [f"cliffordkit.{m}" for m in (
+        "automorphisms", "classify", "cli", "cone", "core", "exactla",
+        "factorize", "ideals", "states")]
+    assert ran == ["cli", "core"]
+
+
+@pytest.mark.parametrize("argv, ran", [
+    ("classify 4 1", "classify ideals rings"),
+    ("classify 1 1 --oracle", "classify ideals rings"),
+    ("idempotent 2 4", "classify ideals rings"),
+    ("factorize 1 3", "factorize ideals rings"),
+    ("factorize 3 0", "factorize ideals rings"),
+    ("iso-check 3 3 2,0 2,0 1,1", "factorize ideals rings"),
+    ("cpt 1 3", "automorphisms"),
+    ("fuse nu nubar", "rings states"),
+    ("double nu +", "rings states"),
+    ("annihilate e- e+", "rings states"),
+    ("spectrum --max-m 2", "cone exactla rings states"),
+    ("atlas --max-n 2 --out -", "classify factorize ideals rings"),
+    ("--version", ""),
+])
+def test_each_command_runs_only_the_modules_it_calls(argv, ran):
+    code = ("import contextlib, io, cliffordkit.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            f"        code = cliffordkit.cli.main({argv.split()!r})\n"
+            "    except SystemExit as e:  # --version\n"
+            "        code = e.code\n"
+            "print(code)\n" + RAN)
+    code, got = map(json.loads, fresh(code).splitlines())
+    assert code == 0
+    assert got == sorted(["cli", "core", *ran.split()])
+
+
 @pytest.mark.parametrize("before", [
     "import cliffordkit.cli", "import cliffordkit.classify",
     "import cliffordkit; cliffordkit.classify; import cliffordkit.cli",
