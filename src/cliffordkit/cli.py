@@ -9,6 +9,16 @@ atlas, which writes JSON only.  Exit codes: 0 success,
 
 Exact numbers (fractions, multivector coefficients) are emitted as strings
 to keep the JSON exact; see schemas/ for the shipped schemas.
+
+A request runs only the modules its command calls.  `core` is imported
+eagerly; `automorphisms`, `classify`, `cone`, `exactla`, `factorize`,
+`ideals` and `states` are registered in `sys.modules` at import, through
+`importlib.util.LazyLoader`, and each runs on the first read of one of its
+attributes.  Commands read their callees off these modules at call time
+(`ideals.primitive_idempotent(sig)`), so besides `core` `fuse` runs only
+`states` and `rings`, and `cpt` only `automorphisms`.  The imports are not
+moved into the `cmd_*` functions, because `perfbench/layers.py` looks every
+layer module up in `sys.modules` right after `import cliffordkit.cli`.
 """
 
 from __future__ import annotations
