@@ -28,6 +28,7 @@ import importlib.util
 import json
 import os
 import sys
+import types
 
 from . import __version__, core
 
@@ -45,6 +46,12 @@ def _lazy(name):
         sys.modules[fullname] = module
         spec.loader.exec_module(module)
     return module
+
+
+def _raised(module, name):
+    """(module.name,) once `module` has run, else (): a module that has not
+    run raised none of its exceptions, and a handler must not run it."""
+    return (getattr(module, name),) if type(module) is types.ModuleType else ()
 
 
 automorphisms, classify, cone, exactla, factorize, ideals, states = map(
@@ -414,10 +421,11 @@ def main(argv=None) -> int:
         # the reader closed stdout early: keep the flush at shutdown quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
-    except (CliError, states.StateError) as e:
+    except (CliError, *_raised(states, "StateError")) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (factorize.IsoError, ideals.OracleFailure, ValueError) as e:
+    except (*_raised(factorize, "IsoError"), *_raised(ideals, "OracleFailure"),
+            ValueError) as e:
         # bad input is a CliError or StateError; any other ValueError is ours
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ORACLE

@@ -232,6 +232,9 @@ class BladeAlgebra:
     `generator_rows()`, row t the generators that anticommute with e_t,
     follow from `sign_mask`; each subclass states all three in closed form
     in its own body, and the tests certify the rows against `sign_mask`.
+    `basis_runs()` cuts `basis` into runs of rising keys, each a bit-set of
+    keys: here the grades, for a basis in (grade, mask) order; a subclass
+    with another order states its own, and the tests certify both.
     `mul_key`, the (key, sign) of blade(a) * blade(b), has no caller in the
     package: each subclass keeps it for `perfbench/layers.py`, which counts
     its calls and those of `keys_commute` there, until the benchmark reads
@@ -247,6 +250,12 @@ class BladeAlgebra:
 
     def generator_keys(self):
         return [1 << i for i in range(self.n)]
+
+    def basis_runs(self):
+        runs = [1]  # the grade-g keys below 2^t, doubled once per generator
+        for t in range(self.n):
+            runs = [a | b << (1 << t) for a, b in zip(runs + [0], [0] + runs)]
+        return runs
 
     def scalar(self, x):
         """x as a base-field element: Fraction over R, QC over C."""

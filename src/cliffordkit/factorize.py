@@ -107,6 +107,9 @@ class TensorAlgebra(BladeAlgebra):
         return [low << off ^ 1 << t for f, off, low in self._blocks
                 for t in range(off, off + f.n)]
 
+    def basis_runs(self):
+        return [1 << k for k in self.basis]  # one run per key
+
     def key_name(self, a):
         return "(x)".join(blade_name(a >> off & low)
                           for _f, off, low in self._blocks)

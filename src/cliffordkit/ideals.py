@@ -18,11 +18,14 @@ algebra.  So every blade-sign question is a bit parity on the algebra's n
 generator rows (`generator_rows`, in closed form): a key's row of
 anticommuting generators is the XOR of the rows at its bits
 (`core.linear_row`), and all square signs come from one doubling pass.
-`find_square_set` is one pass over the candidates against the rows and the
-F2 span (`core.f2_insert`) of the keys it has taken.  The exhaustive walk
-`_canonical_chains`, for the oracle `max_commuting_square_set` alone, tests
-each candidate it passes down only against the coset of the span that the
-newest generator added.  f is multiplied out on keys in integer numerators,
+`find_square_set` keeps one bit-set of the keys still admissible: it takes
+the first in canonical order and clears those that anticommute with it and
+its new coset of the span.  A key that fails once fails for good, as both
+only grow, so the chain is that of the candidate-by-candidate scan.  The
+exhaustive walk `_canonical_chains`, for the oracle
+`max_commuting_square_set` alone, tests each candidate it passes down only
+against the coset of the span that the newest generator added.  f is
+multiplied out on keys in integer numerators,
 where `_is_idempotent` checks f^2 = f as N*N = D*N: the one such check,
 which `is_primitive` and the lambda+- split of `factorize` run too.
 
@@ -37,9 +40,9 @@ every central head past the unit squares to -1, and three pairwise
 anticommuting ones would give a +1 square, so f*Cl*f is R, C or H (over C,
 where a head can be i-phased, C): `is_primitive` certifies f*f = f and that
 reading, with no count.  Only such an f is taken: its T_i are read off its
-keys, their squares and commutation checked there, and f must equal
-`_factor_product` of them, the multiply-out (in the integer numerators of
-`core`) that builds every f; any other f is a ValueError.
+integer numerators, their squares and commutation checked on the keys, and
+f must equal `_factor_product` of them, the multiply-out that builds every
+f, compared by cross-multiplying numerators; any other f is a ValueError.
 
 Each reader of f takes f alone, an `Idempotent` or its element, reads the
 algebra off f and shares the one walk `_coset_heads`; ring tags are `RingTag`s.
@@ -51,8 +54,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .core import (QC_I, Multivector, _from_numerators, _numerators,
-                   _pair_sums, as_algebra, as_signature, clifford, f2_insert,
-                   linear_row)
+                   _pair_sums, as_algebra, as_signature, clifford, linear_row)
 from .rings import RingTag
 
 # Frozen from the brute-force derivation over all signatures with p+q <= 8.
@@ -81,17 +83,27 @@ def idempotent_factor_count(sig) -> int:
 # imag is set, chosen so its square is +1.  Over C every non-unit key is a
 # candidate, i-phased exactly when its square is -1.
 
-def square_candidates(alg):
-    """The candidates in canonical order, with square parities from one
-    doubling pass: for k < 2^t, (e_k e_t)^2 is e_k^2 e_t^2, negated when k
-    meets e_t's generator row an odd number of times."""
-    odd = [0]
+def _square_parities(alg):
+    """(odd, cols), bit-sets over the 2^n keys: k is in odd iff e_k^2 = -1,
+    in cols[j] iff it has bit j.  One doubling pass: for k < 2^t, (e_k e_t)^2
+    is e_k^2 e_t^2, negated when k meets e_t's generator row an odd number of
+    times, as the XOR of the columns at the row's bits reads."""
+    odd, cols = 0, []
     for t, row in enumerate(alg.generator_rows()):
-        s = alg.square_sign(1 << t) < 0
-        odd += [x ^ s ^ (k & row).bit_count() & 1 for k, x in enumerate(odd)]
+        w = 1 << t  # the key of e_t, and the number of keys so far
+        low = (1 << w) - 1
+        flip = linear_row(cols, row & w - 1) ^ (low if alg.square_sign(w) < 0 else 0)
+        odd |= (odd ^ flip) << w
+        cols = [c | c << w for c in cols] + [low << w]
+    return odd, cols
+
+
+def square_candidates(alg):
+    """The candidates in canonical order, read off `_square_parities`."""
+    odd = _square_parities(alg)[0]
     if alg.field == "C":
-        return [(k, odd[k] == 1) for k in alg.basis[1:]]
-    return [(k, False) for k in alg.basis[1:] if not odd[k]]
+        return [(k, odd >> k & 1 == 1) for k in alg.basis[1:]]
+    return [(k, False) for k in alg.basis[1:] if not odd >> k & 1]
 
 
 def _commuting_rows(alg, keys):
@@ -160,26 +172,33 @@ def _canonical_chains(alg, cands):
 
 
 def find_square_set(alg):
-    """A maximal set of commuting independent +1-squares: one greedy pass
-    over `square_candidates` takes each candidate whose key has even overlap
-    with the `core.linear_row` of every key taken (commutes with them) and
-    lies outside their span.  A candidate left out still fails at the end,
-    so the set is maximal and its f primitive in any blade algebra
+    """A maximal set of commuting independent +1-squares, as a list of
+    candidates.  One bit-set holds the keys still admissible; each step
+    takes the first in canonical order (`basis_runs`) and clears the keys
+    that anticommute with it (the XOR of the `_square_parities` columns at
+    its `core.linear_row`) and its new coset of the span.  A key that fails
+    once fails for good, as the span and the commutation constraints only
+    grow: so the key taken is the one the scan of `square_candidates` would
+    take next, the set is maximal and its f primitive in any blade algebra
     (Lounesto, ch. 17).  It is the first maximal chain of
-    `_canonical_chains`: a key taken opens its coset of the span, since a
-    smaller key of that coset would have passed both tests at its own turn
-    and been taken, putting the later key in the span.  Returns a list of
-    candidates.
-    """
+    `_canonical_chains`: a smaller key of a taken key's coset would have
+    been taken at its own turn."""
     alg = as_algebra(alg)
-    gens = alg.generator_rows()
-    lead, rows, chain = {}, [], []
-    for cand in square_candidates(alg):
-        k = cand[0]
-        if not any((k & r).bit_count() & 1 for r in rows) \
-                and f2_insert(lead, k):
-            rows.append(linear_row(gens, k))
-            chain.append(cand)
+    odd, cols = _square_parities(alg)
+    left = (1 << alg.dim) - 2  # every key but the unit
+    if alg.field == "R":
+        left &= ~odd
+    gens, span, chain = alg.generator_rows(), [alg.unit_key], []
+    runs, run = iter(alg.basis_runs()), 0
+    while left:
+        while not left & run:
+            run = next(runs)
+        k = (left & run & -(left & run)).bit_length() - 1
+        chain.append((k, odd >> k & 1 == 1))
+        coset = [k ^ s for s in span]
+        span += coset
+        left &= ~(linear_row(cols, linear_row(gens, k))
+                  | sum(1 << s for s in coset))
     return chain
 
 
@@ -214,17 +233,16 @@ class Idempotent(NamedTuple):
 
 def _factor_product(alg, factors):
     """(den, terms): prod (1 + T)/2 = (re + i im)/den over the (key, re, im)
-    `terms`, zeros kept, for the single-blade coefficient maps T = {key: t}.
+    `terms`, zeros kept, for single-blade factors T given as `_numerators`
+    reads them, (d, [(key, re, im)]).
 
     Multiplied out on keys by the pair loop of the product kernel
     (`core._pair_sums`), one factor at a time, over integer numerators and
     one denominator: a repeated or dependent key adds its coefficient.
-    Unlike k products `f * (1 + T)`, it builds no Fraction; on atlas-8 that
-    is about 6 % more jobs per second."""
+    Unlike k products `f * (1 + T)`, it builds no Fraction."""
     unit = alg.unit_key
     terms, den = [(unit, 1, 0)], 1
-    for t in factors:
-        d, ((a, vr, vi),) = _numerators(alg, t)
+    for d, ((a, vr, vi),) in factors:
         terms = list(_pair_sums(alg, terms, [(unit, d, 0), (a, vr, vi)]))
         den *= d
     return den << len(factors), terms
@@ -246,7 +264,7 @@ def idempotent_from_factors(alg, factors) -> Idempotent:
     for t in factors:
         if t.alg is not alg or len(t.c) != 1:
             raise ValueError(f"factor {t} is not a single blade of {alg!r}")
-    den, terms = _factor_product(alg, [t.c for t in factors])
+    den, terms = _factor_product(alg, [_numerators(alg, t.c) for t in factors])
     if not _is_idempotent(alg, den, terms):
         raise ValueError("factors do not yield a nonzero idempotent")
     return Idempotent(_from_numerators(alg, den, terms), tuple(factors))
@@ -276,28 +294,33 @@ def _coset_heads(f):
     multivector; the first key A, in canonical order, of each coset of V; and
     those of them whose blade commutes with every T_i.
 
-    One walk over f's support takes each key A outside the span of the
-    earlier ones as a generator, T = t e_A with t = 2^k c_A for k of them.
-    Each e_A must commute with the earlier ones and t^2 square_sign(A) must
-    be 1, on the keys; then f must be `_factor_product` of the T's, which
-    fixes every coefficient."""
+    One walk over f = N/den, read once into integer numerators, takes each
+    key A outside the span of the earlier ones as a generator, T = t e_A
+    with t = 2^k N_A/den for k of them.  Each e_A must commute with the
+    earlier ones and t^2 square_sign(A) = 1 hold as an integer identity;
+    then f must be `_factor_product` of the T's, M/D, which fixes every
+    coefficient: N D = M den, key by key, so no coefficient is built."""
     f = f.element if isinstance(f, Idempotent) else f
     alg = f.alg
-    c = f.c
-    span, keys = {alg.unit_key}, []
-    for a in c:
+    den, terms = _numerators(alg, f.c)
+    span, ts = {alg.unit_key}, []
+    for a, r, i in terms:
         if a not in span:
-            keys.append(a)
+            ts.append((a, r, i))
             span |= {a ^ s for s in span}
-    ts = [{a: c[a] * (1 << len(keys))} for a in keys]
-    gens = alg.generator_rows()
-    rows = [linear_row(gens, a) for a in keys]
-    if not (all(not (b & row).bit_count() & 1 for i, row in enumerate(rows)
-                for b in keys[:i])
-            and all(t[a] * t[a] * alg.square_sign(a) == 1
-                    for t, a in zip(ts, keys))
-            and f == _from_numerators(alg, *_factor_product(alg, ts))):
-        raise ValueError("f is not prod (1 + T_i)/2 of commuting blades T_i")
+    k, gens = len(ts), alg.generator_rows()
+    rows = [linear_row(gens, t[0]) for t in ts]
+    wrong = ValueError("f is not prod (1 + T_i)/2 of commuting blades T_i")
+    if not (all(not (t[0] & row).bit_count() & 1
+                for j, row in enumerate(rows) for t in ts[:j])
+            and all(not r * i and (r * r - i * i) * alg.square_sign(a) << 2 * k
+                    == den * den for a, r, i in ts)):
+        raise wrong
+    d, prod = _factor_product(alg, [(den, [(a, r << k, i << k)])
+                                    for a, r, i in ts])
+    if {a: (r * den, i * den) for a, r, i in prod if r or i} != \
+            {a: (r * d, i * d) for a, r, i in terms}:
+        raise wrong
     heads, seen = [], set()
     for a in alg.basis:
         if a not in seen:

@@ -242,6 +242,18 @@ def test_generator_rows_match_sign_mask():
         assert alg.generator_rows() == _reference_generator_rows(alg), alg
 
 
+def test_basis_runs_cut_the_basis_into_rising_runs():
+    # each run is a bit-set of keys; read in rising key order and laid end
+    # to end they give `basis`, in both classes and everywhere to the cap
+    algs = [clifford(p, q, field) for field in "RC"
+            for p, q in small_signatures(12)] + TENSORS
+    for alg in algs:
+        got = []
+        for run in alg.basis_runs():
+            got += [k for k in range(alg.dim) if run >> k & 1]
+        assert got == list(alg.basis), alg
+
+
 def test_central_split_key_matches_brute_force_to_n12():
     # the old reading (a central non-scalar key that squares to +1, any key
     # over C) and the omega rule: only odd n has a non-scalar center, {1,

@@ -10,7 +10,8 @@ from cliffordkit.classify import (_central_square_keys, _ring_and_heads,
                                   division_ring_oracle,
                                   division_tag_of_idempotent)
 from cliffordkit.cli import _atlas_entry
-from cliffordkit.core import QC_I, Multivector
+from cliffordkit import core
+from cliffordkit.core import QC, QC_I, Multivector, f2_insert, linear_row
 from cliffordkit.exactla import Echelon
 from cliffordkit.factorize import tensor_algebra
 from cliffordkit.ideals import (RADON_HURWITZ_BASE, OracleFailure,
@@ -221,6 +222,33 @@ def test_find_square_set_matches_reference_search():
         k_max = max_commuting_square_set(alg)[0]
         want = _reference_find(alg, k_max, phases=alg.field == "C")
         assert find_square_set(alg) == want, alg
+
+
+def _greedy_scan(alg):
+    """The candidate-by-candidate search: each candidate, in canonical
+    order, is taken when it commutes with every key taken (even overlap
+    with their `linear_row`s) and lies outside their span (`f2_insert`)."""
+    gens = alg.generator_rows()
+    lead, rows, chain = {}, [], []
+    for cand in square_candidates(alg):
+        k = cand[0]
+        if not any((k & r).bit_count() & 1 for r in rows) \
+                and f2_insert(lead, k):
+            rows.append(linear_row(gens, k))
+            chain.append(cand)
+    return chain
+
+
+def test_find_square_set_matches_the_greedy_scan_to_the_cap():
+    # the bit-set search takes the scan's chain everywhere to p+q = 12,
+    # on the real tensors and on a complex one
+    algs = [clifford(p, q, field) for field in "RC"
+            for p, q in small_signatures(12)] + REAL_TENSORS
+    algs.append(tensor_algebra([clifford(1, 0, "C"), clifford(0, 2, "C"),
+                                clifford(1, 1, "C")]))
+    assert len(algs) == 182 + 3
+    for alg in algs:
+        assert find_square_set(alg) == _greedy_scan(alg), alg
 
 
 def test_max_commuting_square_set_matches_reference_search():
@@ -672,6 +700,22 @@ def test_generator_squaring_to_minus_one_is_rejected(monkeypatch):
         with pytest.raises(ValueError, match="commuting blades"):
             ideals._coset_heads(f)
     assert rebuilds == []
+
+
+def test_verifying_f_builds_no_coefficient(monkeypatch):
+    # f is read into integer numerators and the rebuilt product compared by
+    # cross-multiplication: no Fraction map or QC is built to check it
+    fs = [primitive_idempotent((p, q), field)
+          for field in "RC" for p, q in small_signatures(8)]
+
+    def built(*args):
+        raise AssertionError("a coefficient was built")
+
+    monkeypatch.setattr(ideals, "_from_numerators", built)
+    monkeypatch.setattr(core, "_from_numerators", built)
+    monkeypatch.setattr(QC, "__init__", built)
+    for f in fs:
+        assert ideals._coset_heads(f)[0] is f.element
 
 
 def test_anticommuting_generators_are_rejected():

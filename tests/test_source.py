@@ -68,22 +68,31 @@ def test_cli_import_registers_every_layer_and_runs_only_core():
     assert ran == ["cli", "core"]
 
 
-@pytest.mark.parametrize("argv, ran", [
-    ("classify 4 1", "classify ideals rings"),
-    ("classify 1 1 --oracle", "classify ideals rings"),
-    ("idempotent 2 4", "classify ideals rings"),
-    ("factorize 1 3", "factorize ideals rings"),
-    ("factorize 3 0", "factorize ideals rings"),
-    ("iso-check 3 3 2,0 2,0 1,1", "factorize ideals rings"),
-    ("cpt 1 3", "automorphisms"),
-    ("fuse nu nubar", "rings states"),
-    ("double nu +", "rings states"),
-    ("annihilate e- e+", "rings states"),
-    ("spectrum --max-m 2", "cone exactla rings states"),
-    ("atlas --max-n 2 --out -", "classify factorize ideals rings"),
-    ("--version", ""),
-])
-def test_each_command_runs_only_the_modules_it_calls(argv, ran):
+# (argv, modules run besides cli and core, exit code); an invalid input
+# (exit 2) runs no module more than its command called before it failed
+COMMAND_MODULES = [
+    ("classify 4 1", "classify ideals rings", 0),
+    ("classify 1 1 --oracle", "classify ideals rings", 0),
+    ("idempotent 2 4", "classify ideals rings", 0),
+    ("factorize 1 3", "factorize ideals rings", 0),
+    ("factorize 3 0", "factorize ideals rings", 0),
+    ("iso-check 3 3 2,0 2,0 1,1", "factorize ideals rings", 0),
+    ("cpt 1 3", "automorphisms", 0),
+    ("fuse nu nubar", "rings states", 0),
+    ("double nu +", "rings states", 0),
+    ("annihilate e- e+", "rings states", 0),
+    ("spectrum --max-m 2", "cone exactla rings states", 0),
+    ("atlas --max-n 2 --out -", "classify factorize ideals rings", 0),
+    ("--version", "", 0),
+    ("classify 99 0", "", 2),
+    ("fuse zz nu", "rings states", 2),
+    ("atlas --max-n 13 --out -", "", 2),
+]
+
+
+@pytest.mark.parametrize("argv, ran, exit_code", COMMAND_MODULES,
+                         ids=[f"{argv}-{ran}" for argv, ran, _ in COMMAND_MODULES])
+def test_each_command_runs_only_the_modules_it_calls(argv, ran, exit_code):
     code = ("import contextlib, io, cliffordkit.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    try:\n"
@@ -92,7 +101,7 @@ def test_each_command_runs_only_the_modules_it_calls(argv, ran):
             "        code = e.code\n"
             "print(code)\n" + RAN)
     code, got = map(json.loads, fresh(code).splitlines())
-    assert code == 0
+    assert code == exit_code
     assert got == sorted(["cli", "core", *ran.split()])
 
 
