@@ -9,17 +9,20 @@ it builds a primitive idempotent f and reads f*Cl*f off the keys of its
 central stabilizer-coset heads e_A (see `ideals`), where (e_A f)^2 =
 square_sign(A) f: dimension, squares -f past f for C, and an anticommuting
 pair of heads for H, which also rules out the 4-dimensional impostor
-Mat_2(R).  No product is formed once f is built.  The readers of f take f
-alone, an `Idempotent` or its element, and read the ring in f's algebra;
-`division_ring_of(alg)` builds its own f in `alg`, as the oracle does.
+Mat_2(R).  No product is formed once f is built.  The oracle,
+`division_ring_of(alg)` and the atlas build f once, on keys checked once,
+and read its heads off the same keys (`ideals._primitive_reading`); the
+readers of a given f, an `Idempotent` or its element, read it back
+(`ideals._coset_heads`) and read the ring in f's algebra.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import as_signature, center_keys, clifford
-from .ideals import OracleFailure, _heads_and_tag, primitive_idempotent
+from .core import as_algebra, as_signature, center_keys, clifford
+from .ideals import (OracleFailure, _coset_heads, _division_tag,
+                     _heads_and_tag, _primitive_reading)
 from .rings import RingTag
 
 _RING_BY_MOD8 = {
@@ -121,7 +124,7 @@ def division_ring_oracle(sig) -> RingTag:
     `primitive_idempotent`, with no count; f*Cl*f is then read and its
     signs certified.
     """
-    return _ring_and_heads(primitive_idempotent(sig))[0]
+    return _ring_of(*_primitive_reading(as_algebra(sig)))[0]
 
 
 def division_ring_of(alg) -> RingTag:
@@ -133,14 +136,19 @@ def division_ring_of(alg) -> RingTag:
     matching the lambda+- split; more summands, as in R^4 = Cl(1,0) (x)
     Cl(1,0), are a ValueError.
     """
-    return _ring_and_heads(primitive_idempotent(alg))[0]
+    return _ring_of(*_primitive_reading(as_algebra(alg)))[0]
 
 
 def _ring_and_heads(f):
     """(RingTag, coset heads of Cl*f): the oracle ring of `division_ring_of`
     and the left-ideal keys, from one verified reading of f, an `Idempotent`
-    or its element, in the algebra f lives in."""
-    heads, tag = _heads_and_tag(f)
+    or its element, in the algebra f lives in (`ideals._coset_heads`)."""
+    return _ring_of(*_coset_heads(f))
+
+
+def _ring_of(f, heads, central):
+    """(RingTag, heads) of a reading of f's coset heads (`_coset_heads`)."""
+    tag = _division_tag(f.alg, central)
     summands = len(_central_square_keys(f.alg))
     if summands > 2:
         raise ValueError(f"{f.alg!r} has {summands} simple summands; "

@@ -305,8 +305,8 @@ def cmd_spectrum(args):
 def _atlas_entry(p, q):
     sig = core.Signature(p, q)
     at = classify.classify(sig)
-    f = ideals.primitive_idempotent(sig)
-    oracle, heads = classify._ring_and_heads(f)
+    reading = ideals._primitive_reading(core.clifford(p, q))
+    f, (oracle, heads) = reading[0], classify._ring_of(*reading)
     entry = {
         "p": p, "q": q, "n": sig.n,
         "type": _type_json(at),

@@ -233,8 +233,10 @@ class BladeAlgebra:
     follow from `sign_mask`; each subclass states all three in closed form
     in its own body, and the tests certify the rows against `sign_mask`.
     `basis_runs()` cuts `basis` into runs of rising keys, each a bit-set of
-    keys: here the grades, for a basis in (grade, mask) order; a subclass
-    with another order states its own, and the tests certify both.
+    keys: here the grades, for a basis in (grade, mask) order, each built
+    from the one before when it is asked for, so a walk that stops early
+    builds no more; a subclass with another order states its own, and the
+    tests certify both.
     `mul_key`, the (key, sign) of blade(a) * blade(b), has no caller in the
     package: each subclass keeps it for `perfbench/layers.py`, which counts
     its calls and those of `keys_commute` there, until the benchmark reads
@@ -252,10 +254,15 @@ class BladeAlgebra:
         return [1 << i for i in range(self.n)]
 
     def basis_runs(self):
-        runs = [1]  # the grade-g keys below 2^t, doubled once per generator
-        for t in range(self.n):
-            runs = [a | b << (1 << t) for a, b in zip(runs + [0], [0] + runs)]
-        return runs
+        # below[t]: the grade-g keys below 2^t.  Those of grade g + 1 below
+        # 2^(t+1) are those below 2^t and, times e_t, those of grade g.
+        below = [1] * (self.n + 1)
+        for _g in range(self.n + 1):
+            yield below[-1]
+            run = [0]
+            for t in range(self.n):
+                run.append(run[t] | below[t] << (1 << t))
+            below = run
 
     def scalar(self, x):
         """x as a base-field element: Fraction over R, QC over C."""

@@ -25,9 +25,13 @@ only grow, so the chain is that of the candidate-by-candidate scan.  The
 exhaustive walk `_canonical_chains`, for the oracle
 `max_commuting_square_set` alone, tests each candidate it passes down only
 against the coset of the span that the newest generator added.  f is
-multiplied out on keys in integer numerators,
-where `_is_idempotent` checks f^2 = f as N*N = D*N: the one such check,
-which `is_primitive` and the lambda+- split of `factorize` run too.
+multiplied out on keys in integer numerators (`_factor_product`).  T_i that
+commute, square to +1 and are F2-independent make f a nonzero idempotent
+with no product: `_stabilizer_rows`, the one key check, tests that, and
+`_primitive_reading` builds the search's f once on it.  Factors a caller
+passes may repeat or depend on each other, so `idempotent_from_factors`
+checks f^2 = f as N*N = D*N (`_is_idempotent`), as `is_primitive` and the
+lambda+- split of `factorize` do.
 
 Such an f is a stabilizer projector (Gottesman, arXiv:quant-ph/9705052), so
 its ideals follow from the F2 span V of the T-keys (Lounesto, ch. 17).  In
@@ -39,13 +43,15 @@ squares (e_A f)^2 = square_sign(A) f name the ring.  The T_i being maximal,
 every central head past the unit squares to -1, and three pairwise
 anticommuting ones would give a +1 square, so f*Cl*f is R, C or H (over C,
 where a head can be i-phased, C): `is_primitive` certifies f*f = f and that
-reading, with no count.  Only such an f is taken: its T_i are read off its
-integer numerators, their squares and commutation checked on the keys, and
-f must equal `_factor_product` of them, the multiply-out that builds every
-f, compared by cross-multiplying numerators; any other f is a ValueError.
+reading, with no count.  The heads come from one walk on bit-sets
+(`_cosets`).  An f that a caller passes is taken only in this form: its T_i
+are read off its integer numerators and pass the key check, and f must
+equal `_factor_product` of them, compared by cross-multiplying numerators;
+any other f is a ValueError.
 
 Each reader of f takes f alone, an `Idempotent` or its element, reads the
-algebra off f and shares the one walk `_coset_heads`; ring tags are `RingTag`s.
+algebra off f and shares the one read-back `_coset_heads`; ring tags are
+`RingTag`s.
 """
 
 from __future__ import annotations
@@ -54,7 +60,8 @@ from functools import cache
 from typing import NamedTuple
 
 from .core import (QC_I, Multivector, _from_numerators, _numerators,
-                   _pair_sums, as_algebra, as_signature, clifford, linear_row)
+                   _pair_sums, as_algebra, as_signature, clifford, f2_insert,
+                   linear_row)
 from .rings import RingTag
 
 # Frozen from the brute-force derivation over all signatures with p+q <= 8.
@@ -270,9 +277,67 @@ def idempotent_from_factors(alg, factors) -> Idempotent:
     return Idempotent(_from_numerators(alg, den, terms), tuple(factors))
 
 
-def idempotent_of_candidates(alg, cands) -> Idempotent:
-    return idempotent_from_factors(
-        alg, [alg.blade(key, QC_I if imag else 1) for key, imag in cands])
+def _stabilizer_rows(alg, den, ts):
+    """The `core.linear_row`s of the keys of T = (re + i im)/den e_A, for the
+    (A, re, im) `ts`, once each T commutes with the earlier ones (an even
+    overlap with their rows), squares to +1 (re im = 0 and (re^2 - im^2)
+    square_sign(A) = den^2) and lies outside their F2 span; else a
+    ValueError.  Such T make prod (1 + T)/2 an idempotent (module docstring)."""
+    gens, lead, rows = alg.generator_rows(), {}, []
+    for a, r, i in ts:
+        commutes = not any((a & row).bit_count() & 1 for row in rows)
+        squares = not r * i and (r * r - i * i) * alg.square_sign(a) == den * den
+        if not (commutes and squares and f2_insert(lead, a)):
+            raise ValueError("f is not prod (1 + T_i)/2 of commuting blades T_i")
+        rows.append(linear_row(gens, a))
+    return rows
+
+
+def _cosets(alg, keys, rows):
+    """(heads, central): the first key, in canonical order, of each coset of
+    the F2 span V of `keys`, and the heads that commute with every key
+    (`rows`, their `core.linear_row`s).  A bit-set holds the keys not yet
+    covered; each step takes the first in `basis_runs` order and clears its
+    coset, V XOR-translated by one mask-and-shift swap per bit of the head,
+    the mask the keys without that bit (a `_square_parities` column's
+    complement)."""
+    full = (1 << alg.dim) - 1
+    lows = [full // ((1 << 2 * w) - 1) * ((1 << w) - 1)
+            for w in alg.generator_keys()]
+
+    def moved(s, a):  # the bit-set {k ^ a for k in s}
+        while a:
+            w = a & -a
+            low = lows[w.bit_length() - 1]
+            s = (s & low) << w | (s >> w) & low
+            a ^= w
+        return s
+
+    span = 1 << alg.unit_key
+    for a in keys:
+        span |= moved(span, a)
+    heads, left, runs, run = [], full, iter(alg.basis_runs()), 0
+    while left:
+        while not left & run:
+            run = next(runs)
+        a = (left & run & -(left & run)).bit_length() - 1
+        heads.append(a)
+        left ^= moved(span, a)
+    return heads, [a for a in heads
+                   if not any((a & row).bit_count() & 1 for row in rows)]
+
+
+def _primitive_reading(alg):
+    """(f, heads, central), as `_coset_heads` reads them, of the canonical
+    primitive idempotent f of `alg`, built once, after the chain of
+    `find_square_set` passes `_stabilizer_rows`; f is not read back."""
+    chain = find_square_set(alg)
+    ts = [(a, 0, 1) if imag else (a, 1, 0) for a, imag in chain]
+    rows = _stabilizer_rows(alg, 1, ts)
+    den, terms = _factor_product(alg, [(1, [t]) for t in ts])
+    f = Idempotent(_from_numerators(alg, den, terms),
+                   tuple(alg.blade(a, QC_I if imag else 1) for a, imag in chain))
+    return (f, *_cosets(alg, [a for a, _imag in chain], rows))
 
 
 def primitive_idempotent(sig, field: str | None = None) -> Idempotent:
@@ -285,49 +350,33 @@ def primitive_idempotent(sig, field: str | None = None) -> Idempotent:
     the (grade, mask) blade order (`find_square_set`).  The printed choices
     of the source material, where they differ, live in `paper_idempotents`.
     """
-    alg = as_algebra(sig, field)
-    return idempotent_of_candidates(alg, find_square_set(alg))
+    return _primitive_reading(as_algebra(sig, field))[0]
 
 
 def _coset_heads(f):
     """(element, heads, central): the element of f, an `Idempotent` or a bare
     multivector; the first key A, in canonical order, of each coset of V; and
-    those of them whose blade commutes with every T_i.
+    those of them whose blade commutes with every T_i (`_cosets`).
 
-    One walk over f = N/den, read once into integer numerators, takes each
-    key A outside the span of the earlier ones as a generator, T = t e_A
-    with t = 2^k N_A/den for k of them.  Each e_A must commute with the
-    earlier ones and t^2 square_sign(A) = 1 hold as an integer identity;
-    then f must be `_factor_product` of the T's, M/D, which fixes every
-    coefficient: N D = M den, key by key, so no coefficient is built."""
+    f = N/den is read once into integer numerators, and each key A of it
+    outside the span of the earlier ones is taken as a generator, T = t e_A
+    with t = 2^k N_A/den for k of them.  The T's must pass
+    `_stabilizer_rows`; then f must be `_factor_product` of them, M/D,
+    which fixes every coefficient: N D = M den, key by key, so no
+    coefficient is built.  No `factors` of a record are trusted."""
     f = f.element if isinstance(f, Idempotent) else f
     alg = f.alg
     den, terms = _numerators(alg, f.c)
-    span, ts = {alg.unit_key}, []
-    for a, r, i in terms:
-        if a not in span:
-            ts.append((a, r, i))
-            span |= {a ^ s for s in span}
-    k, gens = len(ts), alg.generator_rows()
-    rows = [linear_row(gens, t[0]) for t in ts]
-    wrong = ValueError("f is not prod (1 + T_i)/2 of commuting blades T_i")
-    if not (all(not (t[0] & row).bit_count() & 1
-                for j, row in enumerate(rows) for t in ts[:j])
-            and all(not r * i and (r * r - i * i) * alg.square_sign(a) << 2 * k
-                    == den * den for a, r, i in ts)):
-        raise wrong
-    d, prod = _factor_product(alg, [(den, [(a, r << k, i << k)])
-                                    for a, r, i in ts])
+    lead = {}
+    ts = [(a, r, i) for a, r, i in terms if f2_insert(lead, a)]
+    k = len(ts)
+    ts = [(a, r << k, i << k) for a, r, i in ts]
+    rows = _stabilizer_rows(alg, den, ts)
+    d, prod = _factor_product(alg, [(den, [t]) for t in ts])
     if {a: (r * den, i * den) for a, r, i in prod if r or i} != \
             {a: (r * d, i * d) for a, r, i in terms}:
-        raise wrong
-    heads, seen = [], set()
-    for a in alg.basis:
-        if a not in seen:
-            seen.update(a ^ s for s in span)
-            heads.append(a)
-    return f, heads, [a for a in heads
-                      if not any((a & row).bit_count() & 1 for row in rows)]
+        raise ValueError("f is not prod (1 + T_i)/2 of commuting blades T_i")
+    return (f, *_cosets(alg, [t[0] for t in ts], rows))
 
 
 def left_ideal_basis(f) -> list:

@@ -196,19 +196,22 @@ def test_atlas_to_max_n_12(capsys):
 
 
 def test_atlas_entry_verifies_f_once(monkeypatch):
-    # the oracle ring and the ideal dimension come from one coset-head pass
-    honest = ideals._coset_heads
-    calls = []
-
-    def counted(f):
-        calls.append(f)
-        return honest(f)
-
-    monkeypatch.setattr(ideals, "_coset_heads", counted)
+    # f is built from one search and checked once, on its keys: the oracle
+    # ring and the ideal dimension read no f back, and f*f = f is not
+    # multiplied out; only the lambda+- split of an odd n checks its own
+    # two projectors
+    calls = {name: 0 for name in
+             ("find_square_set", "_coset_heads", "_is_idempotent")}
+    for name in calls:
+        def counted(*args, name=name, honest=getattr(ideals, name)):
+            calls[name] += 1
+            return honest(*args)
+        monkeypatch.setattr(ideals, name, counted)
     for p, q in [(1, 3), (3, 0), (2, 4)]:
-        calls.clear()
+        calls.update(dict.fromkeys(calls, 0))
         cli._atlas_entry(p, q)
-        assert len(calls) == 1, (p, q)
+        assert calls == {"find_square_set": 1, "_coset_heads": 0,
+                         "_is_idempotent": 2 * ((p + q) % 2)}, (p, q)
 
 
 def test_atlas_and_is_primitive_form_no_products(monkeypatch):

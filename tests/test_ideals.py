@@ -6,7 +6,7 @@ from cliffordkit import (clifford, ideals, is_primitive, left_ideal_basis,
                          paper_idempotents, primitive_idempotent,
                          radon_hurwitz, spinor_dimension)
 from cliffordkit.classify import (_central_square_keys, _ring_and_heads,
-                                  classify, division_ring_of,
+                                  _ring_of, classify, division_ring_of,
                                   division_ring_oracle,
                                   division_tag_of_idempotent)
 from cliffordkit.cli import _atlas_entry
@@ -20,7 +20,6 @@ from cliffordkit.ideals import (RADON_HURWITZ_BASE, OracleFailure,
                                 find_square_set,
                                 idempotent_factor_count,
                                 idempotent_from_factors,
-                                idempotent_of_candidates,
                                 max_commuting_square_set, realify, ring_basis,
                                 square_candidates)
 from cliffordkit.rings import RingTag
@@ -127,6 +126,13 @@ def _reference_spans(alg, cands):
 
     rec({alg.unit_key}, (1 << len(keys)) - 1, 0)
     return out
+
+
+def idempotent_of_candidates(alg, cands):
+    """f of the (key, imag) candidates, as `idempotent_from_factors` builds
+    and checks it."""
+    return idempotent_from_factors(
+        alg, [alg.blade(key, QC_I if imag else 1) for key, imag in cands])
 
 
 REAL_TENSORS = [tensor_algebra([(1, 1), (0, 2)]),
@@ -743,6 +749,75 @@ def test_one_wrong_coefficient_is_rejected():
     # is_primitive tests idempotency first
     assert f * f != f
     assert not is_primitive(f)
+
+
+def _set_heads(alg, keys):
+    """The former head walk: the F2 span of `keys` as a set, and the keys in
+    canonical order, each taken as a head unless an earlier coset covers
+    it."""
+    span = {alg.unit_key}
+    for a in keys:
+        span |= {a ^ s for s in span}
+    heads, seen = [], set()
+    for a in alg.basis:
+        if a not in seen:
+            seen.update(a ^ s for s in span)
+            heads.append(a)
+    return heads
+
+
+READ_ALGEBRAS = [clifford(p, q, field) for field in "RC"
+                 for p, q in small_signatures(12)] + REAL_TENSORS
+
+
+def test_every_built_f_is_idempotent_and_reads_as_its_element():
+    # f is built from keys checked on keys alone; the product f*f = f and
+    # the full read-back of the bare element still agree with that reading
+    assert len(READ_ALGEBRAS) == 182 + 2
+    for alg in READ_ALGEBRAS:
+        reading = ideals._primitive_reading(alg)
+        f = primitive_idempotent(alg)
+        assert f == reading[0], alg
+        assert ideals._is_idempotent(alg, *core._numerators(alg, f.element.c))
+        assert _ring_of(*reading) == _ring_and_heads(f.element), alg
+
+
+def test_bit_set_head_walk_matches_the_set_walk():
+    # on the search's keys, and on random independent keys that need not
+    # commute: the walk reads only their span
+    rng = random.Random(36)
+    algs = READ_ALGEBRAS + [tensor_algebra([clifford(1, 0, "C"),
+                                            clifford(0, 2, "C"),
+                                            clifford(1, 1, "C")])]
+    for alg in algs:
+        keys = [a for a, _imag in find_square_set(alg)]
+        lead, other = {}, []
+        for a in rng.sample(range(1, alg.dim), min(alg.dim - 1, alg.n)):
+            if f2_insert(lead, a):
+                other.append(a)
+        for keys in (keys, other):
+            rows = [linear_row(alg.generator_rows(), a) for a in keys]
+            heads, central = ideals._cosets(alg, keys, rows)
+            assert heads == _set_heads(alg, keys), (alg, keys)
+            assert central == [a for a in heads if all(
+                alg.keys_commute(a, k) for k in keys)], (alg, keys)
+
+
+@pytest.mark.parametrize("field, p, q, chain", [
+    ("R", 2, 0, [(0b1, False), (0b10, False)]),    # anticommuting
+    ("R", 0, 1, [(0b1, False)]),                   # e1^2 = -1
+    ("C", 1, 0, [(0b1, True)]),                    # (i e1)^2 = -1
+    ("R", 2, 0, [(0b1, False), (0b1, False)]),     # repeated
+    ("R", 2, 2, [(0b1, False), (0b110, False), (0b111, False)]),  # dependent
+], ids=["anticommuting", "minus-square", "i-phased", "repeated", "dependent"])
+def test_reading_rejects_a_chain_that_fails_a_key_check(monkeypatch, field,
+                                                        p, q, chain):
+    # the search never gives such a chain; were it to, no f is built
+    alg = clifford(p, q, field)
+    monkeypatch.setattr(ideals, "find_square_set", lambda alg: chain)
+    for build in (primitive_idempotent, division_ring_of):
+        with pytest.raises(ValueError, match="commuting blades"):
+            build(alg)
 
 
 def test_is_primitive_and_spinor_dimension_verify_f_once(monkeypatch):
