@@ -790,12 +790,12 @@ def test_bit_set_head_walk_matches_the_set_walk():
                                             clifford(0, 2, "C"),
                                             clifford(1, 1, "C")])]
     for alg in algs:
-        keys = [a for a, _imag in find_square_set(alg)]
+        chain = [a for a, _imag in find_square_set(alg)]
         lead, other = {}, []
         for a in rng.sample(range(1, alg.dim), min(alg.dim - 1, alg.n)):
             if f2_insert(lead, a):
                 other.append(a)
-        for keys in (keys, other):
+        for keys in (chain, other):
             rows = [linear_row(alg.generator_rows(), a) for a in keys]
             heads, central = ideals._cosets(alg, keys, rows)
             assert heads == _set_heads(alg, keys), (alg, keys)
