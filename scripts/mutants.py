@@ -68,6 +68,12 @@ MUTANTS = (
            "    if {a: (r * den, i * den)",
            "    if False and {a: (r * den, i * den)",
            (IDEALS + "test_one_wrong_coefficient_is_rejected",)),
+    # the central coset heads: a key anticommutes with T when it meets T's
+    # row oddly often, the XOR of the `lows` complements at the row's bits
+    Mutant("central-odd-complement", "ideals.py",
+           "anti |= linear_row(lows, row) ^ (full if row.bit_count() & 1 else 0)",
+           "anti |= linear_row(lows, row)",
+           (IDEALS + "test_bit_set_head_walk_matches_the_set_walk",)),
     # the H reading of f*Cl*f: its second and third heads anticommute
     Mutant("division-tag-h", "ideals.py",
            "if alg.keys_commute(central[1], central[2]):",
@@ -101,6 +107,11 @@ MUTANTS = (
            "if not (keys[j] & row).bit_count() & 1:",
            "if False:",
            ("tests/test_factorize.py",)),
+    # the lambda+- split's T is i*omega when omega^2 = -1, checked on its key
+    Mutant("split-i-phase", "factorize.py",
+           "t = (real.volume_key, 0, 1) if imag else (real.volume_key, 1, 0)",
+           "t = (real.volume_key, 1, 0)",
+           ("tests/test_factorize.py::test_split_semisimple_cl30",)),
     # an internal ValueError exits 3 with one error line, no traceback
     Mutant("cli-value-error-exit", "cli.py",
            '*_raised(ideals, "OracleFailure"),\n            ValueError) as e:',

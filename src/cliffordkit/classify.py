@@ -5,15 +5,15 @@
 2^(p+q) = rank^2 * dim_R(ring) (doubled rings contribute twice the half-ring).
 
 `division_ring_oracle` recomputes the ring with no reference to that table:
-it builds a primitive idempotent f and reads f*Cl*f off the keys of its
-central stabilizer-coset heads e_A (see `ideals`), where (e_A f)^2 =
-square_sign(A) f: dimension, squares -f past f for C, and an anticommuting
-pair of heads for H, which also rules out the 4-dimensional impostor
-Mat_2(R).  No product is formed once f is built.  The oracle,
-`division_ring_of(alg)` and the atlas build f once, on keys checked once,
-and read its heads off the same keys (`ideals._primitive_reading`); the
-readers of a given f, an `Idempotent` or its element, read it back
-(`ideals._coset_heads`) and read the ring in f's algebra.
+it takes the T-keys of a primitive idempotent f and reads f*Cl*f off the
+keys of its central stabilizer-coset heads e_A (see `ideals`), where
+(e_A f)^2 = square_sign(A) f: dimension, squares -f past f for C, and an
+anticommuting pair of heads for H, which also rules out the 4-dimensional
+impostor Mat_2(R).  No product is formed.  The oracle, `division_ring_of(alg)` and
+the atlas build no f: they check the search's keys once and read the heads
+off them (`ideals._primitive_reading`); the readers of a given f, an
+`Idempotent` or its element, read it back (`ideals._coset_heads`) and read
+the ring in f's algebra.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import as_algebra, as_signature, center_keys, clifford
-from .ideals import (OracleFailure, _coset_heads, _division_tag,
-                     _heads_and_tag, _primitive_reading)
+from .ideals import (OracleFailure, _division_tag, _heads_and_tag,
+                     _primitive_reading)
 from .rings import RingTag
 
 _RING_BY_MOD8 = {
@@ -121,36 +121,32 @@ def division_ring_oracle(sig) -> RingTag:
     """Recompute the division ring of Cl(p,q) from coset heads, table-free.
 
     The primitive idempotent is the greedy factor search of
-    `primitive_idempotent`, with no count; f*Cl*f is then read and its
-    signs certified.
+    `primitive_idempotent`, with no count; f*Cl*f is read off its checked
+    keys, with f itself not built, and its signs certified.
     """
-    return _ring_of(*_primitive_reading(as_algebra(sig)))[0]
+    alg = as_algebra(sig)
+    return _ring_of(alg, _primitive_reading(alg)[2])
 
 
 def division_ring_of(alg) -> RingTag:
     """Division ring tag of a blade-indexed algebra (Clifford or tensor).
 
-    The idempotent is `primitive_idempotent(alg)`, one greedy pass, as in
-    `division_ring_oracle`.  An algebra of two simple summands (a central
-    non-scalar +1-square present) reports the doubled tag of one summand,
-    matching the lambda+- split; more summands, as in R^4 = Cl(1,0) (x)
-    Cl(1,0), are a ValueError.
+    The idempotent is that of `primitive_idempotent(alg)`, one greedy pass,
+    read on its keys as in `division_ring_oracle`.  An algebra of two simple
+    summands (a central non-scalar +1-square present) reports the doubled
+    tag of one summand, matching the lambda+- split; more summands, as in
+    R^4 = Cl(1,0) (x) Cl(1,0), are a ValueError.
     """
-    return _ring_of(*_primitive_reading(as_algebra(alg)))[0]
+    alg = as_algebra(alg)
+    return _ring_of(alg, _primitive_reading(alg)[2])
 
 
-def _ring_and_heads(f):
-    """(RingTag, coset heads of Cl*f): the oracle ring of `division_ring_of`
-    and the left-ideal keys, from one verified reading of f, an `Idempotent`
-    or its element, in the algebra f lives in (`ideals._coset_heads`)."""
-    return _ring_of(*_coset_heads(f))
-
-
-def _ring_of(f, heads, central):
-    """(RingTag, heads) of a reading of f's coset heads (`_coset_heads`)."""
-    tag = _division_tag(f.alg, central)
-    summands = len(_central_square_keys(f.alg))
+def _ring_of(alg, central):
+    """The RingTag of the f*Cl*f of `alg` whose central coset heads are
+    `central` (`ideals._primitive_reading` or `ideals._coset_heads`)."""
+    tag = _division_tag(alg, central)
+    summands = len(_central_square_keys(alg))
     if summands > 2:
-        raise ValueError(f"{f.alg!r} has {summands} simple summands; "
+        raise ValueError(f"{alg!r} has {summands} simple summands; "
                          "a ring tag names one or two")
-    return (RingTag.doubled_of(tag) if summands == 2 else tag), heads
+    return RingTag.doubled_of(tag) if summands == 2 else tag

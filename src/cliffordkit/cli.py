@@ -135,7 +135,7 @@ def cmd_classify(args):
 def cmd_idempotent(args):
     sig = args.sig
     f = ideals.primitive_idempotent(sig)
-    dimension = len(classify._ring_and_heads(f)[1])
+    dimension = len(ideals._coset_heads(f)[1])
     payload = {
         "signature": {"p": sig.p, "q": sig.q},
         "factor_count": ideals.idempotent_factor_count(sig),
@@ -147,7 +147,7 @@ def cmd_idempotent(args):
     lines = [f"f_{sig.p},{sig.q} = {f}",
              f"  = {f.element}",
              f"ideal dimension: {dimension}"]
-    paper = ideals.paper_idempotents().get(f"f{sig.p}{sig.q}")
+    paper = ideals._printed_idempotent(f"f{sig.p}{sig.q}")
     if paper is not None:
         payload["paper_form"] = {"factors": [str(t) for t in paper.factors],
                                  "display": str(paper)}
@@ -303,27 +303,29 @@ def cmd_spectrum(args):
 
 
 def _atlas_entry(p, q):
-    sig = core.Signature(p, q)
+    # every relation is checked on keys; no f, image or lambda+- is built
+    sig, alg = core.Signature(p, q), core.clifford(p, q)
     at = classify.classify(sig)
-    reading = ideals._primitive_reading(core.clifford(p, q))
-    f, (oracle, heads) = reading[0], classify._ring_of(*reading)
+    keys, heads, central = ideals._primitive_reading(alg)
+    oracle = classify._ring_of(alg, central)
     entry = {
         "p": p, "q": q, "n": sig.n,
         "type": _type_json(at),
         "oracle_ring": str(oracle),
         "oracle_agrees": oracle is at.ring,
-        "idempotent": {"factors": [str(t) for t in f.factors],
+        "idempotent": {"factors": [alg.key_name(a) for a in keys],
                        "factor_count": ideals.idempotent_factor_count(sig),
                        "ideal_dimension": len(heads)},
     }
     if sig.n % 2 == 0:
         entry["omega_square"] = classify.omega_square_sign(sig)
-        canonical = factorize.karoubi_factorize(sig)
-        chains = {canonical.factors: (str(canonical.folded_ring()), "canonical")}
+        canonical = factorize.karoubi_factor_signatures(sig)
+        factorize._tensor_keys(sig, canonical)  # raises on failure
+        chains = {canonical: (str(factorize._fold(canonical)), "canonical")}
         for fac, ring in factorize.PAPER_CHAINS.get((p, q), []):
             fac = tuple(core.Signature(*f) for f in fac)
             if fac not in chains:
-                factorize.verify_tensor_iso(sig, fac)  # raises on failure
+                factorize._tensor_keys(sig, fac)
                 chains[fac] = (ring, "printed")
         entry["factor_chains"] = [
             {"factors": [[s.p, s.q] for s in fac],
@@ -331,9 +333,9 @@ def _atlas_entry(p, q):
              "ring": ring, "verified": True, "source": source}
             for fac, (ring, source) in chains.items()]
     else:
-        split = factorize.split_semisimple(sig)
-        entry["split"] = {"factor": [split.factor.p, split.factor.q],
-                          "complexified": split.complexified}
+        split_alg, _t = factorize._split_key(sig)
+        entry["split"] = {"factor": list(factorize._even_part(sig)),
+                          "complexified": split_alg.field == "C"}
     return entry
 
 

@@ -19,7 +19,8 @@ they span when the n keys are F2-independent, so that the 2^n subset
 products hit 2^n distinct basis keys, which elimination on the leading bit
 decides.  The even subalgebra and doubling witnesses go through the same
 check.  The split lambda+- = (1 +- T)/2 of an odd signature, T = omega or
-i*omega, is built and checked by the f^2 = f check of `ideals`.
+i*omega, is checked on T's key by the stabilizer check of `ideals`.  The
+atlas runs these key checks alone (`_tensor_keys`, `_split_key`).
 
 `karoubi_factorize` peels factors greedily - (2,0) while p >= 2, else (1,1),
 else (0,2) - flipping the remaining signature after each negative factor
@@ -30,13 +31,13 @@ verified as well.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
-from .core import (MAX_N, QC_I, BladeAlgebra, CliffordAlgebra, Multivector,
-                   Signature, as_algebra, as_signature, blade_name, clifford,
-                   f2_insert, grade, linear_row)
-from .ideals import idempotent_from_factors
+from .core import (MAX_N, BladeAlgebra, CliffordAlgebra, Multivector,
+                   Signature, _from_numerators, as_algebra, as_signature,
+                   blade_name, clifford, f2_insert, grade, linear_row)
+from .ideals import _factor_product, _stabilizer_rows
 from .rings import StateRingTag, ring_transition
 
 FACTOR_RINGS = {Signature(2, 0): StateRingTag("R"),
@@ -157,30 +158,36 @@ def _image_keys(ta, twist_left: bool):
     return keys
 
 
-def verify_tensor_iso(target, factors) -> TensorWitness:
-    """Construct and verify Cl(target) ~ factor_1 (x) ... (x) factor_m.
+def _tensor_keys(target, factors):
+    """(tensor algebra, image keys) of Cl(target) ~ factor_1 (x) ... (x)
+    factor_m, once the keys pass `_require_generators`.
 
     Tries the volume twist on the left first, then on the right (the tensor
     product is symmetric but the twisted witness is not).  Raises IsoError
     naming the violated condition.
     """
-    target = as_signature(target)
-    sigs = [as_signature(f) for f in factors]
+    target, sigs = as_signature(target), [as_signature(f) for f in factors]
     if sum(s.n for s in sigs) != target.n:
         raise IsoError(f"dimension mismatch: {target} vs {sigs}")
     ta = tensor_algebra(sigs)
     errors = []
     for twist_left in (True, False):
         try:
-            keys = _require_generators(
+            return ta, _require_generators(
                 ta, _image_keys(ta, twist_left), target,
                 "images do not generate the full tensor algebra")
         except IsoError as e:
             errors.append(e.reason)
-            continue
-        return TensorWitness(target, tuple(sigs), ta,
-                             tuple(ta.blade(k) for k in keys))
     raise IsoError("; ".join(dict.fromkeys(errors)))
+
+
+def verify_tensor_iso(target, factors) -> TensorWitness:
+    """Construct and verify Cl(target) ~ factor_1 (x) ... (x) factor_m: the
+    images are the unit blades of the checked `_tensor_keys`."""
+    target = as_signature(target)
+    sigs = tuple(as_signature(f) for f in factors)
+    ta, keys = _tensor_keys(target, sigs)
+    return TensorWitness(target, sigs, ta, tuple(ta.blade(k) for k in keys))
 
 
 class FactorChain(NamedTuple):
@@ -196,11 +203,13 @@ class FactorChain(NamedTuple):
         return tuple(FACTOR_RINGS[s] for s in self.factors)
 
     def folded_ring(self) -> StateRingTag:
-        tags = self.ring_trace
-        acc = StateRingTag("R")
-        for t in tags:
-            acc = ring_transition(acc, t)
-        return acc
+        return _fold(self.factors)
+
+
+def _fold(factors) -> StateRingTag:
+    """The factor rings of a chain folded by the K (x) K transitions."""
+    return reduce(ring_transition, (FACTOR_RINGS[s] for s in factors),
+                  StateRingTag("R"))
 
 
 def karoubi_factor_signatures(sig):
@@ -285,19 +294,28 @@ class SemisimpleSplit(NamedTuple):
     complexified: bool
 
 
-def split_semisimple(sig) -> SemisimpleSplit:
+def _split_key(sig):
+    """(algebra, T) of odd Cl(p,q), T = omega as a (key, re, im) term, i*omega
+    in the complexification when omega^2 = -1, once T^2 = +1 passes
+    `ideals._stabilizer_rows`: so lambda+- = (1 +- T)/2 are complementary
+    idempotents, lambda+ lambda- = (1 - T^2)/4 = 0."""
     sig = as_signature(sig)
     if sig.n % 2 == 0:
         raise ValueError("split_semisimple requires odd p+q")
     real = clifford(sig.p, sig.q)
-    complexified = real.square_sign(real.volume_key) == -1
-    alg = clifford(sig.p, sig.q, "C") if complexified else real
-    # T = omega, or i*omega when omega^2 = -1; lambda+- = (1 +- T)/2, each
-    # checked idempotent, so T^2 = 1 and lambda+ lambda- = (1 - T^2)/4 = 0
-    key, c = real.volume_key, QC_I if complexified else 1
-    lp, lm = (idempotent_from_factors(alg, [alg.blade(key, s)]).element
-              for s in (c, -c))
-    return SemisimpleSplit(sig, lp, lm, _even_part(sig), complexified)
+    imag = real.square_sign(real.volume_key) == -1
+    alg = clifford(sig.p, sig.q, "C") if imag else real
+    t = (real.volume_key, 0, 1) if imag else (real.volume_key, 1, 0)
+    _stabilizer_rows(alg, 1, [t])
+    return alg, t
+
+
+def split_semisimple(sig) -> SemisimpleSplit:
+    sig = as_signature(sig)
+    alg, (key, re, im) = _split_key(sig)
+    lp, lm = (_from_numerators(alg, *_factor_product(alg, [(1, [t])]))
+              for t in ((key, re, im), (key, -re, -im)))
+    return SemisimpleSplit(sig, lp, lm, _even_part(sig), alg.field == "C")
 
 
 def _even_part(sig):

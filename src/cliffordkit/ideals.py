@@ -22,16 +22,15 @@ anticommuting generators is the XOR of the rows at its bits
 the first in canonical order and clears those that anticommute with it and
 its new coset of the span.  A key that fails once fails for good, as both
 only grow, so the chain is that of the candidate-by-candidate scan.  The
-exhaustive walk `_canonical_chains`, for the oracle
-`max_commuting_square_set` alone, tests each candidate it passes down only
-against the coset of the span that the newest generator added.  f is
-multiplied out on keys in integer numerators (`_factor_product`).  T_i that
-commute, square to +1 and are F2-independent make f a nonzero idempotent
-with no product: `_stabilizer_rows`, the one key check, tests that, and
-`_primitive_reading` builds the search's f once on it.  Factors a caller
-passes may repeat or depend on each other, so `idempotent_from_factors`
-checks f^2 = f as N*N = D*N (`_is_idempotent`), as `is_primitive` and the
-lambda+- split of `factorize` do.
+exhaustive walk `_canonical_chains` serves the oracle
+`max_commuting_square_set` alone.  T_i that commute, square to +1 and are
+F2-independent make f a nonzero idempotent with no product; the one key
+check `_stabilizer_rows` tests that.  The search's keys are read on keys
+alone (`_primitive_reading`, for the ring oracle and the atlas), and only
+`primitive_idempotent` multiplies f out, once, in integer numerators
+(`_factor_product`).  Factors a caller passes may repeat or depend on each
+other, so `idempotent_from_factors` and `is_primitive` check f^2 = f as
+N*N = D*N (`_is_idempotent`).
 
 Such an f is a stabilizer projector (Gottesman, arXiv:quant-ph/9705052), so
 its ideals follow from the F2 span V of the T-keys (Lounesto, ch. 17).  In
@@ -42,16 +41,11 @@ otherwise, as (1 - T)(1 + T) = 0: the commuting heads give a basis, whose
 squares (e_A f)^2 = square_sign(A) f name the ring.  The T_i being maximal,
 every central head past the unit squares to -1, and three pairwise
 anticommuting ones would give a +1 square, so f*Cl*f is R, C or H (over C,
-where a head can be i-phased, C): `is_primitive` certifies f*f = f and that
-reading, with no count.  The heads come from one walk on bit-sets
-(`_cosets`).  An f that a caller passes is taken only in this form: its T_i
-are read off its integer numerators and pass the key check, and f must
-equal `_factor_product` of them, compared by cross-multiplying numerators;
-any other f is a ValueError.
-
-Each reader of f takes f alone, an `Idempotent` or its element, reads the
-algebra off f and shares the one read-back `_coset_heads`; ring tags are
-`RingTag`s.
+where a head can be i-phased, C).  The heads come from one walk on bit-sets
+(`_cosets`).  An f that a caller passes, an `Idempotent` or its element, is
+taken only in this form by the one read-back `_coset_heads`: its T_i are
+read off its integer numerators and pass the key check, and f must equal
+`_factor_product` of them, compared by cross-multiplying numerators.
 """
 
 from __future__ import annotations
@@ -323,21 +317,27 @@ def _cosets(alg, keys, rows):
         a = (left & run & -(left & run)).bit_length() - 1
         heads.append(a)
         left ^= moved(span, a)
-    return heads, [a for a in heads
-                   if not any((a & row).bit_count() & 1 for row in rows)]
+    # the keys that anticommute with some key: an odd overlap with its row,
+    # the XOR of the columns (the complements of `lows`) at the row's bits
+    anti = 0
+    for row in rows:
+        anti |= linear_row(lows, row) ^ (full if row.bit_count() & 1 else 0)
+    return heads, [a for a in heads if not anti >> a & 1]
+
+
+def _checked_chain(alg):
+    """(terms, rows) of the T_i of `find_square_set` (read off the module),
+    as (key, re, im) terms, once they pass `_stabilizer_rows`."""
+    ts = [(a, 0, 1) if imag else (a, 1, 0) for a, imag in find_square_set(alg)]
+    return ts, _stabilizer_rows(alg, 1, ts)
 
 
 def _primitive_reading(alg):
-    """(f, heads, central), as `_coset_heads` reads them, of the canonical
-    primitive idempotent f of `alg`, built once, after the chain of
-    `find_square_set` passes `_stabilizer_rows`; f is not read back."""
-    chain = find_square_set(alg)
-    ts = [(a, 0, 1) if imag else (a, 1, 0) for a, imag in chain]
-    rows = _stabilizer_rows(alg, 1, ts)
-    den, terms = _factor_product(alg, [(1, [t]) for t in ts])
-    f = Idempotent(_from_numerators(alg, den, terms),
-                   tuple(alg.blade(a, QC_I if imag else 1) for a, imag in chain))
-    return (f, *_cosets(alg, [a for a, _imag in chain], rows))
+    """(keys, heads, central) of the canonical primitive idempotent f of
+    `alg`: its checked T-keys and their `_cosets`; f itself is not built."""
+    ts, rows = _checked_chain(alg)
+    keys = [t[0] for t in ts]
+    return (keys, *_cosets(alg, keys, rows))
 
 
 def primitive_idempotent(sig, field: str | None = None) -> Idempotent:
@@ -350,20 +350,22 @@ def primitive_idempotent(sig, field: str | None = None) -> Idempotent:
     the (grade, mask) blade order (`find_square_set`).  The printed choices
     of the source material, where they differ, live in `paper_idempotents`.
     """
-    return _primitive_reading(as_algebra(sig, field))[0]
+    alg = as_algebra(sig, field)
+    ts, _rows = _checked_chain(alg)
+    den, terms = _factor_product(alg, [(1, [t]) for t in ts])
+    return Idempotent(_from_numerators(alg, den, terms),
+                      tuple(alg.blade(a, QC_I if i else 1) for a, _r, i in ts))
 
 
 def _coset_heads(f):
-    """(element, heads, central): the element of f, an `Idempotent` or a bare
-    multivector; the first key A, in canonical order, of each coset of V; and
-    those of them whose blade commutes with every T_i (`_cosets`).
+    """(element, heads, central) of f, an `Idempotent` or a bare multivector,
+    as `_cosets` reads them off the T-keys of f; else a ValueError.
 
-    f = N/den is read once into integer numerators, and each key A of it
-    outside the span of the earlier ones is taken as a generator, T = t e_A
-    with t = 2^k N_A/den for k of them.  The T's must pass
-    `_stabilizer_rows`; then f must be `_factor_product` of them, M/D,
-    which fixes every coefficient: N D = M den, key by key, so no
-    coefficient is built.  No `factors` of a record are trusted."""
+    f = N/den is read once into integer numerators; each key A of it outside
+    the span of the earlier ones gives a T = t e_A, t = 2^k N_A/den for k of
+    them.  The T's must pass `_stabilizer_rows`, and f must be their
+    `_factor_product` M/D: N D = M den, key by key, so no coefficient is
+    built.  No `factors` of a record are trusted."""
     f = f.element if isinstance(f, Idempotent) else f
     alg = f.alg
     den, terms = _numerators(alg, f.c)
@@ -440,6 +442,25 @@ def spinor_dimension(f) -> int:
     return len(heads) // (tag.dim_r if f.alg.field == "R" else 1)
 
 
+# The idempotents printed in the source material: name -> (p, q, field, the
+# factor blades as (key, coefficient)).  f41_real writes i of f41_complex as
+# the central volume element (`realify`): its omega e23 is -e145.
+_PRINTED = {
+    "f20": (2, 0, "R", [(0b1, 1)]), "f11": (1, 1, "R", [(0b11, 1)]),
+    "f02": (0, 2, "R", []), "f24": (2, 4, "R", [(0b010001, 1), (0b100010, 1)]),
+    "f41_complex": (4, 1, "C", [(0b1, 1), (0b00110, QC_I)]),
+    "f41_real": (4, 1, "R", [(0b1, 1), (0b11001, -1)])}
+
+
+def _printed_idempotent(name):
+    """The idempotent printed as `name` (`_PRINTED`), or None."""
+    if name not in _PRINTED:
+        return None
+    p, q, field, factors = _PRINTED[name]
+    alg = clifford(p, q, field)
+    return idempotent_from_factors(alg, [alg.blade(*t) for t in factors])
+
+
 def paper_idempotents() -> dict:
     """The idempotents printed in the source material, as certified objects.
 
@@ -448,24 +469,7 @@ def paper_idempotents() -> dict:
     'f41_real' (the same element with i realized as the central volume
     element; see `realify`).
     """
-    out = {}
-    a20 = clifford(2, 0)
-    out["f20"] = idempotent_from_factors(a20, [a20.gen(1)])
-    a11 = clifford(1, 1)
-    out["f11"] = idempotent_from_factors(a11, [a11.blade(0b11)])
-    a02 = clifford(0, 2)
-    out["f02"] = idempotent_from_factors(a02, [])
-    a24 = clifford(2, 4)
-    out["f24"] = idempotent_from_factors(
-        a24, [a24.blade(0b010001), a24.blade(0b100010)])
-    c41 = clifford(4, 1, "C")
-    out["f41_complex"] = idempotent_from_factors(
-        c41, [c41.gen(1), c41.blade(0b00110, QC_I)])
-    a41 = clifford(4, 1)
-    omega = a41.blade(a41.volume_key)
-    out["f41_real"] = idempotent_from_factors(
-        a41, [a41.gen(1), omega * a41.blade(0b00110)])
-    return out
+    return {name: _printed_idempotent(name) for name in _PRINTED}
 
 
 def realify(mv: Multivector) -> Multivector:

@@ -22,6 +22,15 @@ def small_signatures(max_n=4):
     return [(p, n - p) for n in range(max_n + 1) for p in range(n + 1)]
 
 
+def ring_and_heads(f):
+    """(RingTag, coset heads of Cl*f) of a given f, an `Idempotent` or its
+    element, from one read-back (`ideals._coset_heads`) and `_ring_of`."""
+    from cliffordkit.classify import _ring_of
+    from cliffordkit.ideals import _coset_heads
+    fe, heads, central = _coset_heads(f)
+    return _ring_of(fe.alg, central), heads
+
+
 def check_record(record, **fields):
     """`record` is rebuilt equal, with the same repr, from `fields` by
     keyword and by position (and, for a NamedTuple, by `_replace` and

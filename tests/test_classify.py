@@ -4,8 +4,8 @@ from cliffordkit import (RingTag, classify, classify_complex, clifford,
                          division_ring_of, division_ring_oracle,
                          max_commuting_square_set, omega_square_sign,
                          primitive_idempotent, tensor_algebra)
-from cliffordkit.classify import _central_square_keys, _ring_and_heads
-from conftest import check_record, small_signatures
+from cliffordkit.classify import _central_square_keys
+from conftest import check_record, ring_and_heads, small_signatures
 
 
 def test_table_examples():
@@ -72,7 +72,7 @@ def test_division_ring_is_read_in_the_algebra_of_f():
     # Cl(3,3) is R(8) and Cl(2,4) is H(4): the ring is f's, and
     # division_ring_of takes no idempotent of another algebra beside its own
     assert division_ring_of(clifford(3, 3)) is RingTag.R
-    assert _ring_and_heads(primitive_idempotent((2, 4)))[0] is RingTag.H
+    assert ring_and_heads(primitive_idempotent((2, 4)))[0] is RingTag.H
     with pytest.raises(TypeError):
         division_ring_of(clifford(3, 3), primitive_idempotent((2, 4)))
 

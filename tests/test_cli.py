@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import event, example, given, settings
 
-from cliffordkit import cli, ideals
+from cliffordkit import cli, factorize, ideals
 from cliffordkit.cli import main
 from cliffordkit.core import Multivector
 from cliffordkit.factorize import IsoError
@@ -196,22 +196,23 @@ def test_atlas_to_max_n_12(capsys):
 
 
 def test_atlas_entry_verifies_f_once(monkeypatch):
-    # f is built from one search and checked once, on its keys: the oracle
-    # ring and the ideal dimension read no f back, and f*f = f is not
-    # multiplied out; only the lambda+- split of an odd n checks its own
-    # two projectors
-    calls = {name: 0 for name in
-             ("find_square_set", "_coset_heads", "_is_idempotent")}
-    for name in calls:
-        def counted(*args, name=name, honest=getattr(ideals, name)):
-            calls[name] += 1
-            return honest(*args)
-        monkeypatch.setattr(ideals, name, counted)
-    for p, q in [(1, 3), (3, 0), (2, 4)]:
+    # every relation of an entry is checked on keys from one search: no f,
+    # witness image or lambda+- is built, f*f = f is not multiplied out and
+    # no f is read back
+    calls = {name: 0 for name in ("find_square_set", "_coset_heads",
+                                  "_is_idempotent", "_factor_product")}
+    for module in (ideals, factorize):
+        for name in calls:
+            if hasattr(module, name):
+                def counted(*args, name=name, honest=getattr(module, name)):
+                    calls[name] += 1
+                    return honest(*args)
+                monkeypatch.setattr(module, name, counted)
+    for p, q in [(1, 3), (3, 0), (2, 4), (0, 1), (5, 0)]:
         calls.update(dict.fromkeys(calls, 0))
         cli._atlas_entry(p, q)
         assert calls == {"find_square_set": 1, "_coset_heads": 0,
-                         "_is_idempotent": 2 * ((p + q) % 2)}, (p, q)
+                         "_is_idempotent": 0, "_factor_product": 0}, (p, q)
 
 
 def test_atlas_and_is_primitive_form_no_products(monkeypatch):
@@ -340,7 +341,12 @@ def test_factorize_stdout_digest(capsys, sig, fmt):
 
 # SHA-256 of the stdout of `cliffordkit idempotent P Q [--format F]`,
 # recorded while the search still stopped at the Radon-Hurwitz factor count
+# (2 0 and 1 1: while `idempotent` still built every printed idempotent)
 IDEMPOTENT_DIGESTS = {
+    ("2 0", "json"):
+        "2d73d881520f8d433bc0cc7b6df114428a156f97c14c21420ec094eecd9ee023",
+    ("1 1", "json"):
+        "d887d0a4e79c56f9d97aac5161f8e1f8d7939e5c320e03af7a91a1fe46ce6ee5",
     ("6 6", "json"):
         "ca86b618349d519bd321c0861d01f55099ec32260077564615bf29fb26c9c5ac",
     ("0 12", "json"):

@@ -13,7 +13,7 @@ from cliffordkit import (IsoError, PAPER_CHAINS, RingTag, StateRingTag,
 from cliffordkit.core import Multivector, Signature
 from cliffordkit.factorize import (TensorAlgebra, _image_keys,
                                    _require_generators, _require_span,
-                                   karoubi_factor_signatures)
+                                   _tensor_keys, karoubi_factor_signatures)
 from cliffordkit.rings import PRINTED_TRANSITIONS
 from conftest import check_record, small_signatures
 
@@ -85,6 +85,28 @@ def test_verify_tensor_iso_failure():
 def test_verify_tensor_iso_dimension_mismatch():
     with pytest.raises(IsoError):
         verify_tensor_iso((2, 2), [(2, 0)])
+
+
+def test_tensor_keys_are_the_keys_of_the_witness_images():
+    # the atlas checks its chains with `_tensor_keys` alone: the same keys
+    # as the images of `verify_tensor_iso`, and the same failures
+    chains = [((p, q), karoubi_factor_signatures((p, q)))
+              for p, q in small_signatures(12) if (p + q) % 2 == 0]
+    chains += [(sig, factors) for sig, entries in PAPER_CHAINS.items()
+               for factors, _ring in entries]
+    for sig, factors in chains:
+        w = verify_tensor_iso(sig, factors)
+        ta, keys = _tensor_keys(sig, factors)
+        assert ta is w.tensor, (sig, factors)
+        assert [dict(img.c) for img in w.images] == [{k: 1} for k in keys], \
+            (sig, factors)
+    for sig, factors in [((2, 0), [(0, 2)]), ((3, 0), [(1, 0)] * 3),
+                         ((2, 2), [(2, 0)])]:
+        with pytest.raises(IsoError) as want:
+            verify_tensor_iso(sig, factors)
+        with pytest.raises(IsoError) as got:
+            _tensor_keys(sig, factors)
+        assert str(got.value) == str(want.value)
 
 
 def _assert_generator_relations(target, images):

@@ -5,8 +5,8 @@ import pytest
 from cliffordkit import (clifford, ideals, is_primitive, left_ideal_basis,
                          paper_idempotents, primitive_idempotent,
                          radon_hurwitz, spinor_dimension)
-from cliffordkit.classify import (_central_square_keys, _ring_and_heads,
-                                  _ring_of, classify, division_ring_of,
+from cliffordkit.classify import (_central_square_keys, _ring_of, classify,
+                                  division_ring_of,
                                   division_ring_oracle,
                                   division_tag_of_idempotent)
 from cliffordkit.cli import _atlas_entry
@@ -23,7 +23,8 @@ from cliffordkit.ideals import (RADON_HURWITZ_BASE, OracleFailure,
                                 max_commuting_square_set, realify, ring_basis,
                                 square_candidates)
 from cliffordkit.rings import RingTag
-from conftest import check_record, small_signatures
+from conftest import check_record, ring_and_heads, small_signatures
+
 
 # ---------------------------------------------------------------------------
 # The two former recursive searches, kept as independent references for the
@@ -775,11 +776,20 @@ def test_every_built_f_is_idempotent_and_reads_as_its_element():
     # the full read-back of the bare element still agree with that reading
     assert len(READ_ALGEBRAS) == 182 + 2
     for alg in READ_ALGEBRAS:
-        reading = ideals._primitive_reading(alg)
+        keys, _heads, central = ideals._primitive_reading(alg)
         f = primitive_idempotent(alg)
-        assert f == reading[0], alg
+        assert [next(iter(t.c)) for t in f.factors] == keys, alg
         assert ideals._is_idempotent(alg, *core._numerators(alg, f.element.c))
-        assert _ring_of(*reading) == _ring_and_heads(f.element), alg
+        assert _ring_of(alg, central) is ring_and_heads(f.element)[0], alg
+
+
+def test_key_reading_heads_match_the_read_back_of_the_built_f():
+    # the atlas and the ring oracle take the heads off the checked keys, with
+    # no f built; the read-back of the f that is built gives the same heads
+    for alg in READ_ALGEBRAS:
+        _keys, heads, central = ideals._primitive_reading(alg)
+        _fe, *read_back = ideals._coset_heads(primitive_idempotent(alg))
+        assert read_back == [heads, central], alg
 
 
 def test_bit_set_head_walk_matches_the_set_walk():
@@ -850,7 +860,7 @@ def test_ring_reading_makes_no_products(monkeypatch):
 
     monkeypatch.setattr(Multivector, "__mul__", counted)
     for f in fs:
-        _ring_and_heads(f)
+        ring_and_heads(f)
         division_tag_of_idempotent(f.element)
         spinor_dimension(f)
     assert calls == []
@@ -871,7 +881,7 @@ def test_readers_take_an_idempotent_or_its_element_alike():
     rotated = (a20.one() + (3 * a20.gen(1) + 4 * a20.gen(2)) / 5) / 2
     fs.append(ideals.Idempotent(rotated, ()))
     readers = [left_ideal_basis, ring_basis, spinor_dimension,
-               division_tag_of_idempotent, _ring_and_heads]
+               division_tag_of_idempotent, ring_and_heads]
     fs += [idempotent_of_candidates(alg, max_commuting_square_set(alg)[1])
            for alg in REAL_TENSORS]
     cases = [(f, reader) for f in fs for reader in readers + [is_primitive]]
@@ -922,7 +932,7 @@ def test_primitive_idempotent_of_tensor_algebras():
             # the greedy f itself
             exhaustive = idempotent_of_candidates(
                 ta, max_commuting_square_set(ta)[1])
-            assert _ring_and_heads(f)[0] is _ring_and_heads(exhaustive)[0], \
+            assert ring_and_heads(f)[0] is ring_and_heads(exhaustive)[0], \
                 factors
     # Cl(0,2) (x) Cl(0,2) is R(4): its unit is not primitive
     assert not is_primitive(idempotent_from_factors(

@@ -73,7 +73,7 @@ def test_cli_import_registers_every_layer_and_runs_only_core():
 COMMAND_MODULES = [
     ("classify 4 1", "classify ideals rings", 0),
     ("classify 1 1 --oracle", "classify ideals rings", 0),
-    ("idempotent 2 4", "classify ideals rings", 0),
+    ("idempotent 2 4", "ideals rings", 0),
     ("factorize 1 3", "factorize ideals rings", 0),
     ("factorize 3 0", "factorize ideals rings", 0),
     ("iso-check 3 3 2,0 2,0 1,1", "factorize ideals rings", 0),
