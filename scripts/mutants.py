@@ -102,6 +102,16 @@ MUTANTS = (
            "s = (m * rows**2 * na * nb).bit_length() + 1",
            ("tests/test_kernel.py::"
             "test_spinor_product_at_the_digit_bound_up_to_n8",)),
+    # every key below dim is a basis key, and dim itself is not
+    Mutant("blade-range", "core.py",
+           "not 0 <= key < self.dim",
+           "not 0 <= key <= self.dim",
+           ("tests/test_core.py::test_blade_takes_only_int_keys",)),
+    # the tensor order runs through the factor orders, the first slowest
+    Mutant("tensor-order-reversed", "factorize.py",
+           "(f.order_key(a >> off & low) for f, off, low in self._blocks)",
+           "(f.order_key(a >> off & low) for f, off, low in self._blocks[::-1])",
+           ("tests/test_core.py::test_order_key_states_the_reference_order",)),
     # the witnesses' generator images must anticommute pairwise
     Mutant("generators-anticommute", "factorize.py",
            "if not (keys[j] & row).bit_count() & 1:",

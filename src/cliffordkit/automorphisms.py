@@ -103,11 +103,11 @@ def _exponent(alg, s, x, key):
 
 def _tableau(alg, s, probes, iprobes):
     """(lo, hi, conj) bit-planes of s, from its images of e_A and (over C) i e_A:
-    bit j says, for the j-th basis key A, that s(e_A) = i^k e_A with k = lo +
+    bit A says, for the key A, that s(e_A) = i^k e_A with k = lo +
     2 hi, and (over C) that s conjugates, s(i e_A) = i^(k-1) e_A, not i^(k+1)."""
-    ks = bytearray(_exponent(alg, s, x, key) for key, x in zip(alg.basis, probes))
+    ks = bytearray(_exponent(alg, s, x, key) for key, x in enumerate(probes))
     ds = bytearray()  # per key: 1 if s is C-linear there, 3 if antilinear
-    for key, x, k in zip(alg.basis, iprobes, ks):
+    for key, (x, k) in enumerate(zip(iprobes, ks)):
         ds.append((_exponent(alg, s, x, key) - k) & 3)
         if ds[-1] not in (1, 3):
             raise RuntimeError(f"{s.label} is neither C-linear nor antilinear on "
@@ -133,9 +133,9 @@ def _probe(alg):
     images must be unit multiples of e_A, read as a tableau.  Two R-linear
     maps that agree on an R-basis are equal, so the tableau is the map, and
     the composite of two tableaux is the tableau of the composite map."""
-    one = alg.scalar(1)  # coerced once; the probe keys are the basis itself
-    probes = [Multivector(alg, {k: one}) for k in alg.basis]
-    iprobes = [Multivector(alg, {k: QC_I}) for k in alg.basis if alg.field == "C"]
+    one = alg.scalar(1)  # coerced once; the probe keys are every key, in turn
+    probes = [Multivector(alg, {k: one}) for k in range(alg.dim)]
+    iprobes = [Multivector(alg, {k: QC_I}) for k in range(alg.dim) if alg.field == "C"]
     tableaux = [_tableau(alg, s, probes, iprobes) for s in ALL_SYMMETRIES]
     first = {}  # tableau -> label of the first map with it
     for s, t in zip(ALL_SYMMETRIES, tableaux):

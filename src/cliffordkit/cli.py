@@ -94,7 +94,7 @@ def _in_range(command, name, value, cap):
 
 def _mv_json(mv):
     out = []
-    for k in sorted(mv.c, key=mv.alg.index.get):
+    for k in sorted(mv.c, key=mv.alg.order_key):
         v = mv.c[k]
         if mv.alg.field == "C":
             out.append({"blade": mv.alg.key_name(k), "re": str(v.re),

@@ -34,7 +34,7 @@ e_i^2 = -1 for i > p; distinct generators anticommute.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from math import lcm
 from operator import mul
@@ -220,10 +220,11 @@ class BladeAlgebra:
     Every basis key is a blade mask over the n generators: blade(a) * blade(b)
     is +-blade(a ^ b), and the grade of a is popcount(a).  `Multivector`, the
     idempotent search and the witness checks see an algebra only through this
-    protocol.  A subclass sets `field`, `n`, `dim` (2^n), `basis` (every key,
-    in canonical order, the unit key 0 first) and `index` (each key's
-    position in `basis`), and defines
+    protocol.  Every key below `dim` (2^n) is a basis key.  A subclass sets
+    `field`, `n` and `dim`; `basis` (the keys sorted by `order_key`) and `index`
+    (each key's position there) are views built on first read.  It defines
 
+    - `order_key(a)`: the sort key of the canonical order, the unit key 0 first;
     - `sign_mask(b)`: m with blade(a) * blade(b) = (-1)^popcount(a & m)
       blade(a ^ b), for every key a;
     - `key_name(a)`: the printed name of blade a.
@@ -252,6 +253,14 @@ class BladeAlgebra:
 
     def generator_keys(self):
         return [1 << i for i in range(self.n)]
+
+    @cached_property
+    def basis(self):
+        return tuple(sorted(range(self.dim), key=self.order_key))
+
+    @cached_property
+    def index(self):
+        return {k: i for i, k in enumerate(self.basis)}
 
     def basis_runs(self):
         # below[t]: the grade-g keys below 2^t.  Those of grade g + 1 below
@@ -284,7 +293,7 @@ class BladeAlgebra:
                                   if (s := self.scalar(v))})
 
     def blade(self, key, coeff=1) -> "Multivector":
-        if type(key) is not int or key not in self.index:
+        if type(key) is not int or not 0 <= key < self.dim:
             raise ValueError(f"{key!r} is not a basis key of {self!r}")
         return self.mv({key: coeff})
 
@@ -312,8 +321,6 @@ class CliffordAlgebra(BladeAlgebra):
         self.n = sig.n
         self.dim = 1 << sig.n
         self.minus_mask = ((1 << sig.q) - 1) << sig.p
-        self.basis = tuple(sorted(range(self.dim), key=lambda m: (grade(m), m)))
-        self.index = {k: i for i, k in enumerate(self.basis)}
         self.volume_key = self.dim - 1
         # the spinor path's cost in blade pairs (see the module docstring)
         self.spinor_pairs = (20 if field == "R" else 16) << sig.n
@@ -321,6 +328,9 @@ class CliffordAlgebra(BladeAlgebra):
     def __repr__(self):
         pre = "C(x)" if self.field == "C" else ""
         return f"{pre}{self.sig}"
+
+    def order_key(self, a: int):
+        return a.bit_count(), a
 
     def sign_mask(self, b: int) -> int:
         """m with e_a e_b = (-1)^popcount(a & m) e_(a^b), for every blade a.
@@ -450,9 +460,8 @@ class Multivector:
     def __str__(self):
         if not self.c:
             return "0"
-        idx = self.alg.index
         parts = []
-        for k in sorted(self.c, key=idx.get):
+        for k in sorted(self.c, key=self.alg.order_key):
             v = self.c[k]
             name = self.alg.key_name(k)
             sv = str(v)
@@ -743,7 +752,7 @@ def center_keys(alg):
         v = f2_insert(lead, row << n | 1 << t)
         if not v >> n:
             kernel += [k ^ v for k in kernel]
-    return sorted(kernel, key=alg.index.get)
+    return sorted(kernel, key=alg.order_key)
 
 
 def center_basis(alg):

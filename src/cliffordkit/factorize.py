@@ -57,27 +57,26 @@ class TensorAlgebra(BladeAlgebra):
     """Plain tensor product of Clifford algebras over a common base field.
 
     Factor j owns factors[j].n key bits, just above those of the factors
-    before it; `basis` runs through the factor bases with the first factor
-    varying slowest.
+    before it; `order_key` is the factors' order keys on their blocks, so
+    the canonical order runs through theirs with the first factor slowest.
     """
 
     def __init__(self, factors):
         self.factors = tuple(factors)
         self.field = "C" if any(f.field == "C" for f in self.factors) else "R"
-        self.n = sum(f.n for f in self.factors)
-        if self.n > MAX_N:
-            raise ValueError(f"tensor algebra dimension exceeds the 2^{MAX_N} cap")
-        self.dim = 1 << self.n
-        self._blocks, basis, off = [], [0], 0  # (factor, offset, block mask)
+        self._blocks, off = [], 0  # (factor, offset, block mask)
         for f in self.factors:
             self._blocks.append((f, off, (1 << f.n) - 1))
-            basis = [k | m << off for k in basis for m in f.basis]
             off += f.n
-        self.basis = tuple(basis)
-        self.index = {k: i for i, k in enumerate(self.basis)}
+        if off > MAX_N:
+            raise ValueError(f"tensor algebra dimension exceeds the 2^{MAX_N} cap")
+        self.n, self.dim = off, 1 << off
 
     def __repr__(self):
         return " (x) ".join(repr(f) for f in self.factors)
+
+    def order_key(self, a):
+        return tuple(f.order_key(a >> off & low) for f, off, low in self._blocks)
 
     def sign_mask(self, b):
         # each factor's own mask, cut to its block: its prefix parity would

@@ -1,3 +1,4 @@
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from cliffordkit.core import CliffordAlgebra, Multivector, grade_flips, grade_ma
 from cliffordkit.exactla import Echelon
 from conftest import (check_record, complex_multivectors, multivector_pairs,
                       multivector_triples, small_signatures)
+from test_ideals import REAL_TENSORS
 
 
 def test_signature_validation():
@@ -252,6 +254,36 @@ def test_basis_runs_cut_the_basis_into_rising_runs():
         for run in alg.basis_runs():
             got += [k for k in range(alg.dim) if run >> k & 1]
         assert got == list(alg.basis), alg
+
+
+def _reference_basis(alg):
+    """The canonical order as each class built it by hand before
+    `order_key`: (grade, mask) for a Clifford algebra, and for a tensor
+    algebra the product of the factor bases, the first factor slowest."""
+    if isinstance(alg, CliffordAlgebra):
+        return sorted(range(alg.dim), key=lambda m: (grade(m), m))
+    basis, off = [0], 0
+    for f in alg.factors:
+        basis = [k | m << off for k in basis for m in _reference_basis(f)]
+        off += f.n
+    return basis
+
+
+def test_order_key_states_the_reference_order():
+    # `basis` is the keys sorted by `order_key`; both must give the order
+    # of the hand-built tables, on the whole basis and on any key subset
+    rng = random.Random(39)
+    algs = [clifford(p, q, field) for field in "RC"
+            for p, q in small_signatures(12)] + TENSORS + REAL_TENSORS
+    assert len(algs) == 182 + len(TENSORS) + len(REAL_TENSORS)
+    for alg in algs:
+        want = _reference_basis(alg)
+        assert list(alg.basis) == want, alg
+        assert [alg.index[k] for k in want] == list(range(alg.dim)), alg
+        place = {k: i for i, k in enumerate(want)}
+        for _ in range(4):
+            keys = rng.sample(range(alg.dim), rng.randint(1, min(alg.dim, 64)))
+            assert sorted(keys, key=alg.order_key) == sorted(keys, key=place.get), alg
 
 
 def test_central_split_key_matches_brute_force_to_n12():

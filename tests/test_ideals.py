@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -10,10 +11,11 @@ from cliffordkit.classify import (_central_square_keys, _ring_of, classify,
                                   division_ring_oracle,
                                   division_tag_of_idempotent)
 from cliffordkit.cli import _atlas_entry
-from cliffordkit import core
+from cliffordkit import core, factorize
 from cliffordkit.core import QC, QC_I, Multivector, f2_insert, linear_row
 from cliffordkit.exactla import Echelon
-from cliffordkit.factorize import tensor_algebra
+from cliffordkit.factorize import (PAPER_CHAINS, karoubi_factor_signatures,
+                                   tensor_algebra)
 from cliffordkit.ideals import (RADON_HURWITZ_BASE, OracleFailure,
                                 _canonical_chains, _commuting_rows,
                                 _heads_and_tag,
@@ -967,3 +969,31 @@ def test_first_maximal_chain_has_the_radon_hurwitz_count():
             idempotent_factor_count((p, q)), (p, q)
         assert len(primitive_idempotent((p, q), "C").factors) == \
             (p + q + 1) // 2, (p, q)
+
+
+def test_key_paths_build_no_basis_table(monkeypatch):
+    # the atlas, the oracle and the idempotent read keys alone: no algebra
+    # they touch builds its 2^n `basis` or `index`.  Fresh caches stand in
+    # for cleared ones, so that no algebra an earlier test read is seen, and
+    # the cached algebras of the other tests come back afterwards.
+    for module, name in ((core, "_clifford_cached"), (factorize, "_tensor_cached")):
+        fresh = getattr(module, name).__wrapped__
+        monkeypatch.setattr(module, name, functools.lru_cache(maxsize=None)(fresh))
+    sigs = small_signatures(12)
+    assert len(sigs) == 91
+    for p, q in sigs:
+        _atlas_entry(p, q)
+        division_ring_oracle((p, q))
+        for field in "RC":
+            primitive_idempotent((p, q), field)
+    touched = {clifford(p, q, field) for p, q in sigs for field in "RC"}
+    for p, q in sigs:
+        if (p + q) % 2 == 0:
+            chains = [karoubi_factor_signatures((p, q))]
+            chains += [fac for fac, _ring in PAPER_CHAINS.get((p, q), [])]
+            touched |= {tensor_algebra(fac) for fac in chains}
+    # the lookups are cache hits, and every algebra in the caches is here
+    assert len(touched) == core._clifford_cached.cache_info().currsize + \
+        factorize._tensor_cached.cache_info().currsize
+    for alg in touched:
+        assert not {"basis", "index"} & vars(alg).keys(), alg
