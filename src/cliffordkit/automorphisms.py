@@ -103,8 +103,8 @@ def _exponent(alg, s, x, key):
 
 def _tableau(alg, s, probes, iprobes):
     """(lo, hi, conj) bit-planes of s, from its images of e_A and (over C) i e_A:
-    bit A says, for the key A, that s(e_A) = i^k e_A with k = lo +
-    2 hi, and (over C) that s conjugates, s(i e_A) = i^(k-1) e_A, not i^(k+1)."""
+    bit A of the planes says that s(e_A) = i^k e_A with k = lo + 2 hi, and
+    (over C) that s conjugates, s(i e_A) = i^(k-1) e_A, not i^(k+1)."""
     ks = bytearray(_exponent(alg, s, x, key) for key, x in enumerate(probes))
     ds = bytearray()  # per key: 1 if s is C-linear there, 3 if antilinear
     for key, (x, k) in enumerate(zip(iprobes, ks)):
