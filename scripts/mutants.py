@@ -68,12 +68,22 @@ MUTANTS = (
            "    if {a: (r * den, i * den)",
            "    if False and {a: (r * den, i * den)",
            (IDEALS + "test_one_wrong_coefficient_is_rejected",)),
-    # the central coset heads: a key anticommutes with T when it meets T's
-    # row oddly often, the XOR of the `lows` complements at the row's bits
+    # the central coset heads of the read-back: a head anticommutes with T
+    # when it meets T's row oddly often, not the row's complement
     Mutant("central-odd-complement", "ideals.py",
-           "anti |= linear_row(lows, row) ^ (full if row.bit_count() & 1 else 0)",
-           "anti |= linear_row(lows, row)",
-           (IDEALS + "test_bit_set_head_walk_matches_the_set_walk",)),
+           "if not any((a & row).bit_count() & 1 for row in rows)]",
+           "if not any((a & ~row).bit_count() & 1 for row in rows)]",
+           (IDEALS + "test_key_reading_heads_match_the_read_back_of_the_built_f",)),
+    # the key reading's central heads: the commutant of the chain, reduced
+    # modulo the chain's span, and eliminated against every chain row
+    Mutant("central-skip-span", "ideals.py",
+           "    for a in keys:\n        f2_insert(lead, a)\n",
+           "",
+           (IDEALS + "test_key_reading_heads_match_the_read_back_of_the_built_f",)),
+    Mutant("central-drop-row", "ideals.py",
+           "for i, row in enumerate(rows):",
+           "for i, row in enumerate(rows[1:]):",
+           (IDEALS + "test_key_reading_heads_match_the_read_back_of_the_built_f",)),
     # the H reading of f*Cl*f: its second and third heads anticommute
     Mutant("division-tag-h", "ideals.py",
            "if alg.keys_commute(central[1], central[2]):",
@@ -85,6 +95,11 @@ MUTANTS = (
            "                  | sum(1 << s for s in coset))",
            "left &= ~sum(1 << s for s in coset)",
            (IDEALS + "test_find_square_set_matches_reference_search",)),
+    # a signature's p is checked as its q is
+    Mutant("signature-p-type", "core.py",
+           "if type(p) is not int or type(q) is not int:",
+           "if type(q) is not int:",
+           ("tests/test_core.py::test_signature_rejects_a_non_int_p",)),
     # a real algebra gets no imaginary part back from the integer terms
     Mutant("from-numerators-real", "core.py",
            "        if i:\n            raise ArithmeticError",

@@ -5,15 +5,16 @@
 2^(p+q) = rank^2 * dim_R(ring) (doubled rings contribute twice the half-ring).
 
 `division_ring_oracle` recomputes the ring with no reference to that table:
-it takes the T-keys of a primitive idempotent f and reads f*Cl*f off the
-keys of its central stabilizer-coset heads e_A (see `ideals`), where
+it takes the T-keys of a primitive idempotent f and reads f*Cl*f off one
+key e_A of each central stabilizer coset (see `ideals`), where
 (e_A f)^2 = square_sign(A) f: dimension, squares -f past f for C, and an
 anticommuting pair of heads for H, which also rules out the 4-dimensional
-impostor Mat_2(R).  No product is formed.  The oracle, `division_ring_of(alg)` and
-the atlas build no f: they check the search's keys once and read the heads
-off them (`ideals._primitive_reading`); the readers of a given f, an
-`Idempotent` or its element, read it back (`ideals._coset_heads`) and read
-the ring in f's algebra.
+impostor Mat_2(R).  No product is formed.  The oracle, `division_ring_of(alg)`
+and the atlas build no f and walk no coset: they check the search's keys
+once and take the central cosets from the keys' commutant modulo their span
+(`ideals._primitive_reading`); the readers of a given f, an `Idempotent` or
+its element, read it back (`ideals._coset_heads`) and read the ring in f's
+algebra off its central coset heads.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def division_tag_of_idempotent(f) -> RingTag:
 
 
 def division_ring_oracle(sig) -> RingTag:
-    """Recompute the division ring of Cl(p,q) from coset heads, table-free.
+    """Recompute the division ring of Cl(p,q) from central cosets, table-free.
 
     The primitive idempotent is the greedy factor search of
     `primitive_idempotent`, with no count; f*Cl*f is read off its checked
@@ -142,8 +143,9 @@ def division_ring_of(alg) -> RingTag:
 
 
 def _ring_of(alg, central):
-    """The RingTag of the f*Cl*f of `alg` whose central coset heads are
-    `central` (`ideals._primitive_reading` or `ideals._coset_heads`)."""
+    """The RingTag of the f*Cl*f of `alg` with one key of each central coset
+    in `central`, the unit first (`ideals._primitive_reading` or
+    `ideals._coset_heads`)."""
     tag = _division_tag(alg, central)
     summands = len(_central_square_keys(alg))
     if summands > 2:

@@ -306,7 +306,7 @@ def _atlas_entry(p, q):
     # every relation is checked on keys; no f, image or lambda+- is built
     sig, alg = core.Signature(p, q), core.clifford(p, q)
     at = classify.classify(sig)
-    keys, heads, central = ideals._primitive_reading(alg)
+    keys, dimension, central = ideals._primitive_reading(alg)
     oracle = classify._ring_of(alg, central)
     entry = {
         "p": p, "q": q, "n": sig.n,
@@ -315,7 +315,7 @@ def _atlas_entry(p, q):
         "oracle_agrees": oracle is at.ring,
         "idempotent": {"factors": [alg.key_name(a) for a in keys],
                        "factor_count": ideals.idempotent_factor_count(sig),
-                       "ideal_dimension": len(heads)},
+                       "ideal_dimension": dimension},
     }
     if sig.n % 2 == 0:
         entry["omega_square"] = classify.omega_square_sign(sig)

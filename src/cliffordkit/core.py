@@ -163,7 +163,7 @@ class Signature(NamedTuple("Signature", [("p", int), ("q", int)])):
     __slots__ = ()
 
     def __new__(cls, p, q):
-        if not all(type(x) is int for x in (p, q)):
+        if type(p) is not int or type(q) is not int:
             raise TypeError("signature components must be integers")
         if p < 0 or q < 0:
             raise ValueError("signature components must be non-negative")

@@ -41,11 +41,15 @@ otherwise, as (1 - T)(1 + T) = 0: the commuting heads give a basis, whose
 squares (e_A f)^2 = square_sign(A) f name the ring.  The T_i being maximal,
 every central head past the unit squares to -1, and three pairwise
 anticommuting ones would give a +1 square, so f*Cl*f is R, C or H (over C,
-where a head can be i-phased, C).  The heads come from one walk on bit-sets
-(`_cosets`).  An f that a caller passes, an `Idempotent` or its element, is
-taken only in this form by the one read-back `_coset_heads`: its T_i are
-read off its integer numerators and pass the key check, and f must equal
-`_factor_product` of them, compared by cross-multiplying numerators.
+where a head can be i-phased, C).  The atlas and the ring oracle walk no
+coset: dim Cl*f is 2^(n-k) for k T-keys, and a key of each central coset
+comes from the F2 commutant of the T-keys modulo their span (the stabilizer
+normalizer, `_central_heads`).  Where every head is returned, one walk on
+bit-sets gives them (`_cosets`).  An f that a caller passes, an `Idempotent`
+or its element, is taken only in this form by the one read-back
+`_coset_heads`: its T_i are read off its integer numerators and pass the key
+check, and f must equal `_factor_product` of them, compared by
+cross-multiplying numerators.
 """
 
 from __future__ import annotations
@@ -84,18 +88,26 @@ def idempotent_factor_count(sig) -> int:
 # imag is set, chosen so its square is +1.  Over C every non-unit key is a
 # candidate, i-phased exactly when its square is -1.
 
+def _columns(alg):
+    """The n bit-sets over the 2^n keys, column j holding the keys with bit
+    j: w = 2^j clear bits, then w set ones, repeated."""
+    full = (1 << alg.dim) - 1
+    return [full // ((1 << 2 * w) - 1) * ((1 << w) - 1) << w
+            for w in alg.generator_keys()]
+
+
 def _square_parities(alg):
-    """(odd, cols), bit-sets over the 2^n keys: k is in odd iff e_k^2 = -1,
-    in cols[j] iff it has bit j.  One doubling pass: for k < 2^t, (e_k e_t)^2
-    is e_k^2 e_t^2, negated when k meets e_t's generator row an odd number of
-    times, as the XOR of the columns at the row's bits reads."""
-    odd, cols = 0, []
+    """(odd, cols): k is in the bit-set odd iff e_k^2 = -1, and cols are the
+    `_columns`.  One doubling pass: for k < 2^t, (e_k e_t)^2 is e_k^2 e_t^2,
+    negated when k meets e_t's generator row an odd number of times, as the
+    XOR of the columns at the row's bits reads."""
+    odd, cols = 0, _columns(alg)
     for t, row in enumerate(alg.generator_rows()):
         w = 1 << t  # the key of e_t, and the number of keys so far
         low = (1 << w) - 1
-        flip = linear_row(cols, row & w - 1) ^ (low if alg.square_sign(w) < 0 else 0)
+        flip = linear_row(cols, row & w - 1) & low ^ (
+            low if alg.square_sign(w) < 0 else 0)
         odd |= (odd ^ flip) << w
-        cols = [c | c << w for c in cols] + [low << w]
     return odd, cols
 
 
@@ -287,42 +299,56 @@ def _stabilizer_rows(alg, den, ts):
     return rows
 
 
-def _cosets(alg, keys, rows):
-    """(heads, central): the first key, in canonical order, of each coset of
-    the F2 span V of `keys`, and the heads that commute with every key
-    (`rows`, their `core.linear_row`s).  A bit-set holds the keys not yet
-    covered; each step takes the first in `basis_runs` order and clears its
-    coset, V XOR-translated by one mask-and-shift swap per bit of the head,
-    the mask the keys without that bit (a `_square_parities` column's
-    complement)."""
-    full = (1 << alg.dim) - 1
-    lows = [full // ((1 << 2 * w) - 1) * ((1 << w) - 1)
-            for w in alg.generator_keys()]
+def _cosets(alg, keys):
+    """The first key, in canonical order, of each coset of the F2 span V of
+    `keys`.  A bit-set holds the keys not yet covered; each step takes the
+    first in `basis_runs` order and clears its coset, V XOR-translated by
+    one mask-and-shift swap per bit of the head, the mask a column of
+    `_columns`."""
+    cols = _columns(alg)
 
     def moved(s, a):  # the bit-set {k ^ a for k in s}
         while a:
             w = a & -a
-            low = lows[w.bit_length() - 1]
-            s = (s & low) << w | (s >> w) & low
+            col = cols[w.bit_length() - 1]
+            s = s << w & col | (s & col) >> w
             a ^= w
         return s
 
     span = 1 << alg.unit_key
     for a in keys:
         span |= moved(span, a)
-    heads, left, runs, run = [], full, iter(alg.basis_runs()), 0
+    heads, left, runs, run = [], (1 << alg.dim) - 1, iter(alg.basis_runs()), 0
     while left:
         while not left & run:
             run = next(runs)
         a = (left & run & -(left & run)).bit_length() - 1
         heads.append(a)
         left ^= moved(span, a)
-    # the keys that anticommute with some key: an odd overlap with its row,
-    # the XOR of the columns (the complements of `lows`) at the row's bits
-    anti = 0
-    for row in rows:
-        anti |= linear_row(lows, row) ^ (full if row.bit_count() & 1 else 0)
-    return heads, [a for a in heads if not anti >> a & 1]
+    return heads
+
+
+def _central_heads(alg, keys, rows):
+    """The unit key, then the nonzero sums of a basis of the commutant C =
+    {x : x & row even for every row in `rows`} of `keys` modulo their span
+    V: one key of each central coset, with no walk over the 2^n keys.  In
+    one `core.f2_insert` echelon after the keys, generator t is tagged
+    above bit n with the rows that hold it; where the tags cancel, the rest
+    is in C, and new modulo V and the earlier ones iff it is nonzero."""
+    n, lead, central = alg.n, {}, [alg.unit_key]
+    for a in keys:
+        f2_insert(lead, a)
+    tagged = [1 << t for t in range(n)]
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            tagged[low.bit_length() - 1] |= 1 << n + i
+            row ^= low
+    for v in tagged:
+        v = f2_insert(lead, v)
+        if v and not v >> n:
+            central += [c ^ v for c in central]
+    return central
 
 
 def _checked_chain(alg):
@@ -333,11 +359,13 @@ def _checked_chain(alg):
 
 
 def _primitive_reading(alg):
-    """(keys, heads, central) of the canonical primitive idempotent f of
-    `alg`: its checked T-keys and their `_cosets`; f itself is not built."""
+    """(keys, dimension, central) of the canonical primitive idempotent f of
+    `alg`, f not built: its checked T-keys, 2^(n-k) for the k keys, and its
+    `_central_heads`.  Keys of one coset commute alike and, over R, square
+    alike, so `_division_tag` reads them as it reads the central `_cosets`."""
     ts, rows = _checked_chain(alg)
     keys = [t[0] for t in ts]
-    return (keys, *_cosets(alg, keys, rows))
+    return keys, 1 << alg.n - len(keys), _central_heads(alg, keys, rows)
 
 
 def primitive_idempotent(sig, field: str | None = None) -> Idempotent:
@@ -358,8 +386,10 @@ def primitive_idempotent(sig, field: str | None = None) -> Idempotent:
 
 
 def _coset_heads(f):
-    """(element, heads, central) of f, an `Idempotent` or a bare multivector,
-    as `_cosets` reads them off the T-keys of f; else a ValueError.
+    """(element, heads, central) of f, an `Idempotent` or a bare multivector:
+    the `_cosets` of the T-keys of f and those of them in the commutant of
+    every T (an even overlap with its row, as `_stabilizer_rows` tests it);
+    else a ValueError.
 
     f = N/den is read once into integer numerators; each key A of it outside
     the span of the earlier ones gives a T = t e_A, t = 2^k N_A/den for k of
@@ -378,7 +408,9 @@ def _coset_heads(f):
     if {a: (r * den, i * den) for a, r, i in prod if r or i} != \
             {a: (r * d, i * d) for a, r, i in terms}:
         raise ValueError("f is not prod (1 + T_i)/2 of commuting blades T_i")
-    return (f, *_cosets(alg, [t[0] for t in ts], rows))
+    heads = _cosets(alg, [t[0] for t in ts])
+    return f, heads, [a for a in heads
+                      if not any((a & row).bit_count() & 1 for row in rows)]
 
 
 def left_ideal_basis(f) -> list:
@@ -395,9 +427,9 @@ def ring_basis(f) -> list:
 
 
 def _division_tag(alg, central: list) -> RingTag:
-    """Base tag R | C | H of f*Cl*f, read off its central coset heads,
+    """Base tag R | C | H of f*Cl*f, read off one key of each central coset,
     unit key first: as (e_A f)^2 = square_sign(A) f, past f every square is
-    -f, and for H the next two heads anticommute, as in Cl(0, log2 d)."""
+    -f, and for H the next two keys anticommute, as in Cl(0, log2 d)."""
     d = len(central)
     if alg.field == "C":
         if d == 1:

@@ -269,6 +269,22 @@ def test_cpt_stdout_digest(capsys, p, q):
     assert hashlib.sha256(out.encode()).hexdigest() == CPT_DIGESTS[p, q]
 
 
+# SHA-256 of the stdout of `cliffordkit classify P Q --oracle`, recorded
+# while the oracle still walked every coset of the chain's span
+CLASSIFY_ORACLE_DIGESTS = {
+    (6, 6): "7c872eb890087db9557613cfa74934533899672e5b84682815c6c00ffe1f1bb3",
+    (10, 1): "0a2a69bc8dc40dc95c8ec79f0119802056efef1a18ebfe670d29d25c45b2720c",
+}
+
+
+@pytest.mark.parametrize("p, q", sorted(CLASSIFY_ORACLE_DIGESTS))
+def test_classify_oracle_stdout_digest(capsys, p, q):
+    code, out = run(capsys, "classify", str(p), str(q), "--oracle")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        CLASSIFY_ORACLE_DIGESTS[p, q]
+
+
 # SHA-256 of the stdout of `cliffordkit iso-check ...`, recorded while
 # tensor-algebra blade keys were tuples of factor masks; the failures (both
 # twists fail on squares, both twists odd) and the chains that verify on the

@@ -38,6 +38,13 @@ def test_signature_validation():
     assert {sig: "x"}[Signature(p=1, q=3)] == "x"
 
 
+def test_signature_rejects_a_non_int_p():
+    # p is checked as q is: a float, a bool or a Decimal is no component
+    for p, q in [(1.0, 1), (True, 0), (Decimal(1), 2), (1, 1.0), (0, False)]:
+        with pytest.raises(TypeError):
+            Signature(p, q)
+
+
 def test_generator_relations():
     for p, q in [(2, 0), (1, 1), (0, 2), (1, 3), (3, 2)]:
         alg = clifford(p, q)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -785,22 +786,72 @@ def test_every_built_f_is_idempotent_and_reads_as_its_element():
         assert _ring_of(alg, central) is ring_and_heads(f.element)[0], alg
 
 
+C_TENSOR = tensor_algebra([clifford(1, 0, "C"), clifford(0, 2, "C"),
+                           clifford(1, 1, "C")])
+
+
 def test_key_reading_heads_match_the_read_back_of_the_built_f():
-    # the atlas and the ring oracle take the heads off the checked keys, with
-    # no f built; the read-back of the f that is built gives the same heads
+    # the atlas and the ring oracle read the ideal dimension and one key of
+    # each central coset off the checked keys, with no f built and no walk
+    # over the keys; the read-back of the f that is built walks every coset
+    for alg in READ_ALGEBRAS + [C_TENSOR]:
+        keys, dimension, central = ideals._primitive_reading(alg)
+        _fe, heads, read_back = ideals._coset_heads(primitive_idempotent(alg))
+        assert dimension == len(heads), alg
+        assert read_back == [a for a in heads if all(
+            alg.keys_commute(a, k) for k in keys)], alg
+        span = {alg.unit_key}
+        for a in keys:
+            span |= {a ^ s for s in span}
+        # coset for coset: rep ^ head lies in the span, unit first
+        head_of = {a ^ s: a for a in read_back for s in span}
+        assert central[0] == alg.unit_key, alg
+        assert sorted(head_of[a] for a in central) == sorted(read_back), alg
+        assert len(central) == len(read_back), alg
+
+
+def test_key_reading_walks_no_cosets(monkeypatch):
+    # after the search, the atlas and the ring oracle read everything off
+    # the chain's keys: the coset walk over the 2^n keys never runs
+    def walk(*args):
+        raise AssertionError("the coset walk ran")
+
+    monkeypatch.setattr(ideals, "_cosets", walk)
+    sigs = small_signatures(12)
+    assert len(sigs) == 91
+    for p, q in sigs:
+        _atlas_entry(p, q)
     for alg in READ_ALGEBRAS:
-        _keys, heads, central = ideals._primitive_reading(alg)
-        _fe, *read_back = ideals._coset_heads(primitive_idempotent(alg))
-        assert read_back == [heads, central], alg
+        assert division_ring_oracle(alg) is division_ring_of(alg), alg
+
+
+BLOCKS = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+def _ring_or_failure(read, alg):
+    try:
+        return read(alg)
+    except (ValueError, OracleFailure) as e:
+        return type(e), str(e)
+
+
+def test_key_reading_ring_matches_the_built_f_on_tensor_algebras():
+    # every ordered pair and triple of the blocks, over R and over C: the
+    # key reading gives the tag, or the failure, of the built f's read-back
+    algs = [tensor_algebra([clifford(*s, field) for s in fac])
+            for field in "RC" for r in (2, 3)
+            for fac in itertools.product(BLOCKS, repeat=r)]
+    assert len(algs) == 300
+    for alg in algs:
+        assert _ring_or_failure(division_ring_of, alg) == _ring_or_failure(
+            lambda a: ring_and_heads(primitive_idempotent(a))[0], alg), alg
 
 
 def test_bit_set_head_walk_matches_the_set_walk():
     # on the search's keys, and on random independent keys that need not
     # commute: the walk reads only their span
     rng = random.Random(36)
-    algs = READ_ALGEBRAS + [tensor_algebra([clifford(1, 0, "C"),
-                                            clifford(0, 2, "C"),
-                                            clifford(1, 1, "C")])]
+    algs = READ_ALGEBRAS + [C_TENSOR]
     for alg in algs:
         chain = [a for a, _imag in find_square_set(alg)]
         lead, other = {}, []
@@ -808,11 +859,8 @@ def test_bit_set_head_walk_matches_the_set_walk():
             if f2_insert(lead, a):
                 other.append(a)
         for keys in (chain, other):
-            rows = [linear_row(alg.generator_rows(), a) for a in keys]
-            heads, central = ideals._cosets(alg, keys, rows)
-            assert heads == _set_heads(alg, keys), (alg, keys)
-            assert central == [a for a in heads if all(
-                alg.keys_commute(a, k) for k in keys)], (alg, keys)
+            assert ideals._cosets(alg, keys) == _set_heads(alg, keys), \
+                (alg, keys)
 
 
 @pytest.mark.parametrize("field, p, q, chain", [
